@@ -316,47 +316,63 @@ def _wound_closures(pieces, m):
     homogeneity is present).
     """
     q_total = sum(int(p[0]) for p in pieces)
+    # Per piece: its sheet columns, a0/2 and per mode (s, sheet phase shifts,
+    # per-component (a_k, b_k)). Each mode takes one sin/cos/power pass over
+    # all sheets of its piece; the sums run into (component, sheet, point)
+    # views of the output, so every numpy call spans whole rows of points.
+    plan = []
+    col = 0
+    for winding, a0, modes in pieces:
+        winding = int(winding)
+        terms = tuple(
+            (l / winding,
+             np.array([(2.0 * math.pi * l * i) / winding for i in range(winding)])[:, None],
+             tuple(zip(np.asarray(a, dtype=float), np.asarray(b, dtype=float))))
+            for l, a, b in modes
+        )
+        plan.append((slice(col, col + winding), 0.5 * np.asarray(a0, dtype=float)[:, None, None],
+                     terms))
+        col += winding
 
-    def arrays(X, want_grads):
-        N = X.shape[0]
-        r = np.hypot(X[:, 0], X[:, 1])
-        theta = np.arctan2(X[:, 1], X[:, 0])
-        values = np.zeros((N, q_total, m))
-        grads = np.zeros((N, q_total, m, 2)) if want_grads else None
-        at_zero = r == 0.0
-        safe_r = np.where(at_zero, 1.0, r)
-        if want_grads:
-            er = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            et = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        col = 0
-        for winding, a0, modes in pieces:
-            winding = int(winding)
-            a0 = np.asarray(a0, dtype=float)
-            for i in range(winding):
-                values[:, col, :] += 0.5 * a0[None, :]
-                for l, a, b in modes:
-                    s = l / winding
-                    phase = s * theta + (2.0 * math.pi * l * i) / winding
-                    sin_p, cos_p = np.sin(phase), np.cos(phase)
-                    rs = r ** s
-                    amp = np.outer(sin_p, a) + np.outer(cos_p, b)
-                    values[:, col, :] += rs[:, None] * amp
-                    if want_grads:
-                        rs1 = np.where(at_zero, 0.0, safe_r ** (s - 1.0))
-                        radial = s * rs1[:, None] * amp
-                        angular = s * rs1[:, None] * (np.outer(cos_p, a) - np.outer(sin_p, b))
-                        grads[:, col, :, :] += (
-                            radial[:, :, None] * er[:, None, :]
-                            + angular[:, :, None] * et[:, None, :]
-                        )
-                col += 1
-        return values, grads
+    def polar(X):
+        return np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
+
+    def sheet_trig(theta, s, shifts):
+        # (winding, N) sin and cos of every sheet's phase in one pass
+        phase = s * theta + shifts
+        return np.sin(phase), np.cos(phase)
 
     def values(X):
-        return arrays(X, want_grads=False)[0]
+        r, theta = polar(X)
+        out = np.zeros((X.shape[0], q_total, m))
+        comps = out.transpose(2, 1, 0)
+        for cols, half_a0, terms in plan:
+            comps[:, cols] += half_a0
+            for s, shifts, coeffs in terms:
+                sin_p, cos_p = sheet_trig(theta, s, shifts)
+                rs = r ** s
+                for k, (a, b) in enumerate(coeffs):
+                    comps[k, cols] += rs * (sin_p * a + cos_p * b)
+        return out
 
     def gradients(X):
-        return arrays(X, want_grads=True)[1]
+        r, theta = polar(X)
+        at_zero = r == 0.0
+        safe_r = np.where(at_zero, 1.0, r)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        out = np.zeros((X.shape[0], q_total, m, 2))
+        gx, gy = out.transpose(3, 2, 1, 0)
+        for cols, _, terms in plan:
+            for s, shifts, coeffs in terms:
+                sin_p, cos_p = sheet_trig(theta, s, shifts)
+                scale = s * np.where(at_zero, 0.0, safe_r ** (s - 1.0))
+                for k, (a, b) in enumerate(coeffs):
+                    radial = scale * (sin_p * a + cos_p * b)
+                    angular = scale * (cos_p * a - sin_p * b)
+                    # polar frame (d_r, (1/r) d_theta) rotated to Cartesian axes
+                    gx[k, cols] += radial * cos_t - angular * sin_t
+                    gy[k, cols] += radial * sin_t + angular * cos_t
+        return out
 
     return q_total, values, gradients
 

@@ -139,13 +139,6 @@ def frequency_profile(f: QField, x, radii, quad: QuadratureSpec = REFERENCE_QUAD
                          resolutions=quad.meta())
 
 
-def height_profile(f: QField, x, radii, quad: QuadratureSpec = REFERENCE_QUAD) -> RadialProfile:
-    values = tuple(height(f, x, float(r), quad) for r in radii)
-    return RadialProfile(quantity="height", center=tuple(np.atleast_1d(x).tolist()),
-                         radii=tuple(float(r) for r in radii), values=values,
-                         resolutions=quad.meta())
-
-
 # ---------------------------------------------------------------------------
 # vanishing order
 

@@ -85,6 +85,12 @@ class QuadratureSpec:
     contributes below tail_rel_tol of the running total). angular_nodes
     periodic-trapezoid nodes; polar_nodes is the Gauss-Legendre order of the
     polar factor for three-dimensional domains.
+
+    integrate_region evaluates the field on blocks of consecutive panels, as
+    many as fit in the node count of one REFERENCE_QUAD panel (5120 nodes in
+    the plane), so at reference resolution and finer each panel is its own
+    block. Results do not depend on the block size: density and summation
+    still run panel by panel.
     """
 
     radial_order: int = 20
@@ -191,6 +197,11 @@ def _angular_nodes(n: int, quad: QuadratureSpec):
     raise ValueError("quadrature supports domain dimension 2 or 3, got %d" % n)
 
 
+def _panel_nodes(n: int, quad: QuadratureSpec) -> int:
+    """Quadrature nodes in one radial panel: radial order times the sphere factor."""
+    return quad.radial_order * quad.angular_nodes * (quad.polar_nodes if n == 3 else 1)
+
+
 def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: Callable,
                      *, need_values: bool = True, need_gradients: bool = True,
                      breakpoints=(), early_stop: bool = True) -> float:
@@ -202,24 +213,42 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     outermost first; when the region reaches the center, refinement stops
     once two consecutive levels contribute below tail_rel_tol of the running
     total.
+
+    The field is evaluated once per block of consecutive panels: as many
+    panels as fit in the node count of one REFERENCE_QUAD panel in the
+    field's dimension, and at least one. density and the summation still run
+    panel by panel, so the result does not depend on the block size.
     """
     _guard_branch(f, region)
     inner, outer = region.radii
     dirs, wdir = _angular_nodes(f.n, quad)
     center = region.center_array
     xg, wg = _leggauss(quad.radial_order)
+    panels = _radial_panels(inner, outer, quad, breakpoints)
+    per_panel = xg.size * dirs.shape[0]
+    block = max(1, _panel_nodes(f.n, REFERENCE_QUAD) // per_panel)
+
+    def evaluated_panels():
+        for start in range(0, len(panels), block):
+            chunk = panels[start:start + block]
+            rr = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b) for a, b in chunk])
+            wr = np.concatenate([0.5 * (b - a) * wg for a, b in chunk])
+            X = center[None, None, :] + rr[:, None, None] * dirs[None, :, :]
+            X = X.reshape(-1, f.n)
+            r = np.repeat(rr, dirs.shape[0])
+            w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
+            vals = f.values_fn(X) if need_values else None
+            grads = f.gradients_fn(X) if need_gradients else None
+            for lo in range(0, X.shape[0], per_panel):
+                hi = lo + per_panel
+                yield (X[lo:hi], r[lo:hi], w[lo:hi],
+                       None if vals is None else vals[lo:hi],
+                       None if grads is None else grads[lo:hi])
+
     contributions = []
     running = 0.0
     lull = 0
-    for a, b in _radial_panels(inner, outer, quad, breakpoints):
-        rr = 0.5 * (b - a) * xg + 0.5 * (a + b)
-        wr = 0.5 * (b - a) * wg
-        X = center[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-        X = X.reshape(-1, f.n)
-        r = np.repeat(rr, dirs.shape[0])
-        w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-        vals = f.values_fn(X) if need_values else None
-        grads = f.gradients_fn(X) if need_gradients else None
+    for X, r, w, vals, grads in evaluated_panels():
         dens = density(X, r, vals, grads)
         contrib = tree_sum(dens * w)
         contributions.append(contrib)

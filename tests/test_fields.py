@@ -192,6 +192,86 @@ class TestJetConsistency:
         assert qcore.multiset_equal(qcore.QPoint(jet.values), f.eval(x))
 
 
+def _reference_wound_arrays(pieces, m, X):
+    """The original sheet-by-sheet wound kernel, kept as a bit-exact reference."""
+    q_total = sum(int(p[0]) for p in pieces)
+    N = X.shape[0]
+    r = np.hypot(X[:, 0], X[:, 1])
+    theta = np.arctan2(X[:, 1], X[:, 0])
+    values = np.zeros((N, q_total, m))
+    grads = np.zeros((N, q_total, m, 2))
+    at_zero = r == 0.0
+    safe_r = np.where(at_zero, 1.0, r)
+    er = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    et = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+    col = 0
+    for winding, a0, modes in pieces:
+        winding = int(winding)
+        a0 = np.asarray(a0, dtype=float)
+        for i in range(winding):
+            values[:, col, :] += 0.5 * a0[None, :]
+            for l, a, b in modes:
+                s = l / winding
+                phase = s * theta + (2.0 * math.pi * l * i) / winding
+                sin_p, cos_p = np.sin(phase), np.cos(phase)
+                rs = r ** s
+                amp = np.outer(sin_p, a) + np.outer(cos_p, b)
+                values[:, col, :] += rs[:, None] * amp
+                rs1 = np.where(at_zero, 0.0, safe_r ** (s - 1.0))
+                radial = s * rs1[:, None] * amp
+                angular = s * rs1[:, None] * (np.outer(cos_p, a) - np.outer(sin_p, b))
+                grads[:, col, :, :] += (
+                    radial[:, :, None] * er[:, None, :]
+                    + angular[:, :, None] * et[:, None, :]
+                )
+            col += 1
+    return values, grads
+
+
+def _bit_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestWoundKernel:
+    """The vectorized wound kernel reproduces the sheet-by-sheet one bit for bit."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(5)
+        special = np.array([
+            [0.0, 0.0], [-0.0, -0.0],             # the puncture
+            [-0.5, 0.0], [-0.5, -0.0], [-1e-300, 0.0],  # the arctan2 cut
+            [0.7, 0.0], [0.0, -0.3], [1e-300, 0.0],
+        ])
+        return np.vstack([special, rng.uniform(-1.5, 1.5, size=(600, 2))])
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
+    def test_matches_sheet_by_sheet_reference(self, Q):
+        X = self.points()
+        pieces_seen = set()
+        for seed in range(6):
+            pieces = fields.random_wound_pieces(seed, Q, 4, 1.8)
+            pieces_seen.add(len(pieces))
+            shifted = tuple((w, np.array([0.3, -1.1]) * (seed + 1), modes)
+                            for w, _, modes in pieces)
+            for case in (pieces, shifted):
+                q_total, values_fn, gradients_fn = fields._wound_closures(case, 2)
+                values, grads = _reference_wound_arrays(case, 2, X)
+                assert q_total == Q
+                assert _bit_equal(values_fn(X), values)
+                assert _bit_equal(gradients_fn(X), grads)
+        if Q >= 2:
+            assert max(pieces_seen) > 1  # multi-piece partitions are covered
+
+    def test_branch_field_matches_reference(self):
+        X = self.points()
+        f = make_branch_field(5, 3, 0.7)
+        piece = (3, np.zeros(2), ((5, np.array([0.0, 0.7]), np.array([0.7, 0.0])),))
+        values, grads = _reference_wound_arrays((piece,), 2, X)
+        assert _bit_equal(f.values(X), values)
+        assert _bit_equal(f.gradients(X), grads)
+
+
 class TestSuperpose:
     def test_zero_shift_identity(self):
         f = make_branch_field(3, 2)

@@ -7,6 +7,7 @@ with s = k/Q; on the circle of radius r the squared trace is
 2 pi r Q A^2 r^{2s}.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,11 @@ from qvlab.fields import (
     make_harmonic_sheets,
     make_trivial,
     make_wound_field,
+    parse_field_spec,
     parse_polynomial,
+    random_wound_pieces,
 )
+from qvlab import variational
 from qvlab.variational import (
     CACCIOPPOLI_C_MAX,
     QuadratureSpec,
@@ -34,6 +38,7 @@ from qvlab.variational import (
     caccioppoli_check,
     dirichlet_energy,
     inner_battery,
+    integrate_region,
     inner_variation,
     l2_mass,
     outer_battery,
@@ -365,3 +370,129 @@ def test_caccioppoli_degenerate_rhs_fails():
     assert report.verdict == "fail"
     assert report.quantities["lhs"] > 0.0
     assert report.quantities["rhs"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# block evaluation of radial panels
+
+COARSE = QuadratureSpec(radial_order=8, angular_nodes=32)
+
+
+def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradients=True,
+                    breakpoints=(), early_stop=True):
+    """integrate_region with one field call per panel, as a bit-exact reference."""
+    from qvlab.variational import _angular_nodes, _leggauss, _radial_panels
+
+    inner, outer = region.radii
+    dirs, wdir = _angular_nodes(f.n, quad)
+    center = region.center_array
+    xg, wg = _leggauss(quad.radial_order)
+    contributions = []
+    running = 0.0
+    lull = 0
+    for a, b in _radial_panels(inner, outer, quad, breakpoints):
+        rr = 0.5 * (b - a) * xg + 0.5 * (a + b)
+        wr = 0.5 * (b - a) * wg
+        X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
+        r = np.repeat(rr, dirs.shape[0])
+        w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
+        vals = f.values_fn(X) if need_values else None
+        grads = f.gradients_fn(X) if need_gradients else None
+        contrib = tree_sum(density(X, r, vals, grads) * w)
+        contributions.append(contrib)
+        if early_stop and inner == 0.0 and running != 0.0:
+            if abs(contrib) <= quad.tail_rel_tol * abs(running):
+                lull += 1
+                if lull >= 2:
+                    running += contrib
+                    break
+            else:
+                lull = 0
+        running += contrib
+    return tree_sum(contributions)
+
+
+def _counted_density(density):
+    panels = []
+
+    def counted(X, r, vals, grads):
+        panels.append(X.shape[0])
+        return density(X, r, vals, grads)
+
+    return counted, panels
+
+
+def _counted_field(f):
+    calls = {"values": 0, "gradients": 0}
+
+    def counted(name, fn):
+        def call(X):
+            calls[name] += 1
+            return fn(X)
+        return call
+
+    g = dataclasses.replace(f, values_fn=counted("values", f.values_fn),
+                            gradients_fn=counted("gradients", f.gradients_fn))
+    return g, calls
+
+
+def _winding3_wound_field():
+    pieces = random_wound_pieces(3, 3, 4, 1.8)
+    assert [p[0] for p in pieces] == [3]
+    return make_wound_field(pieces, tag="wound:3,3,4,1.8")
+
+
+def test_block_evaluation_matches_panels_on_capped_wound_ball():
+    f = _winding3_wound_field()
+    region = ball((0.0, 0.0), 0.5)
+    # the Dirichlet density shrinks by only 2^(-2/3) per level and hits the
+    # subdivision cap; the mass density stops early
+    for density, kw, capped in (
+            (variational._dirichlet_density, {"need_values": False}, True),
+            (variational._mass_density, {"need_gradients": False}, False)):
+        blocked, blocked_panels = _counted_density(density)
+        single, single_panels = _counted_density(density)
+        got = integrate_region(f, region, COARSE, blocked, **kw)
+        expected = _panel_by_panel(f, region, COARSE, single, **kw)
+        assert got == expected
+        assert blocked_panels == single_panels
+        assert (len(blocked_panels) == COARSE.max_subdivisions) == capped
+
+
+def test_block_evaluation_keeps_early_stop():
+    f = parse_field_spec("harmonic:n2m1:x1")
+    region = ball((0.1, -0.2), 0.8)
+    blocked, blocked_panels = _counted_density(variational._dirichlet_density)
+    single, single_panels = _counted_density(variational._dirichlet_density)
+    got = integrate_region(f, region, COARSE, blocked, need_values=False)
+    expected = _panel_by_panel(f, region, COARSE, single, need_values=False)
+    assert got == expected
+    # the stop fires inside a block, and later panels of it see no density call
+    assert len(blocked_panels) == len(single_panels) < COARSE.max_subdivisions
+    assert len(blocked_panels) % 20 != 0
+
+
+def test_block_evaluation_keeps_outer_variation_notes(monkeypatch):
+    f = make_branch_field(3, 2)
+    honest = outer_battery(BUMP, 2, 2)[0]
+    lying = OuterTestField(psi=honest.psi, dpsi_dx=honest.dpsi_dx,
+                           dpsi_du=honest.dpsi_du, support=honest.support,
+                           growth_du=0.0, growth_linear=honest.growth_linear,
+                           label="outer:lying", breakpoints=honest.breakpoints)
+    blocked_sink = []
+    got = outer_variation(f, lying, COARSE, warnings_sink=blocked_sink)
+    monkeypatch.setattr(variational, "integrate_region", _panel_by_panel)
+    single_sink = []
+    expected = outer_variation(f, lying, COARSE, warnings_sink=single_sink)
+    assert got == expected
+    assert blocked_sink and blocked_sink == single_sink
+
+
+def test_capped_wound_ball_field_call_counts():
+    f, calls = _counted_field(_winding3_wound_field())
+    dirichlet_energy(f, ball((0.0, 0.0), 1.0), COARSE)
+    # 64 capped panels of 256 nodes, 20 panels per 5120-node block
+    assert calls == {"values": 0, "gradients": 4}
+    f, calls = _counted_field(_winding3_wound_field())
+    dirichlet_energy(f, ball((0.0, 0.0), 1.0), QUAD)
+    assert calls == {"values": 0, "gradients": 64}
