@@ -32,6 +32,8 @@ from .variational import (
     QuadratureSpec,
     REFERENCE_QUAD,
     Region,
+    _dirichlet_density,
+    _mass_density,
     annulus,
     ball,
     integrate_region,
@@ -180,15 +182,11 @@ def _require_origin_cutoff(cutoff: CutoffProfile) -> None:
         raise ValueError("weighted checks require a cutoff centered at the origin")
 
 
-def _two_sided_report(name, f, params, lhs_fn, rhs_fn, quad, extra=None,
-                      signed_lhs=False):
-    """Evaluate both sides at the reference and a refined resolution,
-    assemble the standard ratio report with the convergence flag."""
-    lhs = lhs_fn(quad)
-    rhs = rhs_fn(quad)
-    fine = quad.refined()
-    lhs2 = lhs_fn(fine)
-    rhs2 = rhs_fn(fine)
+def _two_sided_report(name, f, params, sides, quad, extra=None, signed_lhs=False):
+    """Evaluate sides(q) -> (lhs, rhs) at the reference and a refined
+    resolution, assemble the standard ratio report with the convergence flag."""
+    lhs, rhs = sides(quad)
+    lhs2, rhs2 = sides(quad.refined())
 
     # a side sitting at roundoff level relative to the dominant magnitude
     # carries no convergence information, so it passes automatically
@@ -230,6 +228,13 @@ def _two_sided_report(name, f, params, lhs_fn, rhs_fn, quad, extra=None,
     )
 
 
+def _carleman_rhs(cutoff: CutoffProfile, tau: float, r, dmag, mass):
+    """The common right side density |Dchi| (|Df|^2 / |x|^{2 tau - 1}
+    + |f|^2 / |x|^{2 tau + 1}), from the per-node |Df|^2 and |f|^2."""
+    dchi = np.abs(cutoff.dchi_r(r))
+    return dchi * (dmag / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
+
+
 def carleman_sides(f: QField, w: WeightSpec, cutoff: CutoffProfile,
                    quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
     """Both sides of the full weighted estimate.
@@ -238,6 +243,8 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: CutoffProfile,
                           + |Df_i . x - eta f_i|^2 / |x|^{2 tau + 2} ),
     rhs = int |Dchi| sum_i ( |Df_i|^2 / |x|^{2 tau - 1}
                              + |f_i|^2 / |x|^{2 tau + 1} ).
+    When eps > 0 the left side under the other exponent variant is
+    reported too, from the same sweep as the reference-resolution sides.
     """
     _require_origin_cutoff(cutoff)
     eta = w.eta(f.n)
@@ -245,41 +252,39 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: CutoffProfile,
     support = cutoff.support(f.n)
     bps = cutoff.breakpoints()
     exponent = w.mass_exponent()
+    extra = {"eta": eta, "mass_exponent": exponent}
+    exponents = (exponent,)
+    if w.eps > 0.0:
+        other = "statement" if w.exponent_variant == "proof" else "proof"
+        other_exp = w.mass_exponent(other)
+        extra["mass_exponent_" + other] = other_exp
+        exponents += (other_exp,)
 
-    def lhs_density_for(expval):
+    def density_for(exps):
+        """(lhs, rhs, lhs under each further exponent in exps)."""
         def density(X, r, vals, grads):
             chi = cutoff.chi_r(r)
             radial = np.einsum("nqmk,nk->nqm", grads, X)
             sq = radial - eta * vals
             main = np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
-            mass = np.einsum("nqm,nqm->n", vals, vals)
-            return chi * (w.eps ** 2 * mass / r ** expval + main)
+            mass = _mass_density(X, r, vals, grads)
+            lhs = tuple(chi * (w.eps ** 2 * mass / r ** e + main) for e in exps)
+            rhs = _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
+            return (lhs[0], rhs) + lhs[1:]
         return density
 
-    def rhs_density(X, r, vals, grads):
-        dchi = np.abs(cutoff.dchi_r(r))
-        dmag = np.einsum("nqmk,nqmk->n", grads, grads)
-        mass = np.einsum("nqm,nqm->n", vals, vals)
-        return dchi * (dmag / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
+    def sides(q):
+        exps = exponents if q is quad else exponents[:1]
+        lhs, rhs, *variant = integrate_region(f, support, q, density_for(exps), breakpoints=bps)
+        if variant:
+            extra["lhs_" + other + "_variant"] = variant[0]
+        return lhs, rhs
 
-    def lhs_fn(q):
-        return integrate_region(f, support, q, lhs_density_for(exponent), breakpoints=bps)
-
-    def rhs_fn(q):
-        return integrate_region(f, support, q, rhs_density, breakpoints=bps)
-
-    extra = {"eta": eta, "mass_exponent": exponent}
-    if w.eps > 0.0:
-        other = "statement" if w.exponent_variant == "proof" else "proof"
-        other_exp = w.mass_exponent(other)
-        extra["mass_exponent_" + other] = other_exp
-        extra["lhs_" + other + "_variant"] = integrate_region(
-            f, support, quad, lhs_density_for(other_exp), breakpoints=bps)
     return _two_sided_report(
         "carleman", f,
         {"tau": tau, "eps": w.eps, "exponent_variant": w.exponent_variant,
          "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
-        lhs_fn, rhs_fn, quad, extra=extra)
+        sides, quad, extra=extra)
 
 
 def first_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
@@ -291,28 +296,21 @@ def first_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
     support = cutoff.support(f.n)
     bps = cutoff.breakpoints()
 
-    def lhs_density(X, r, vals, grads):
+    def density(X, r, vals, grads):
         chi = cutoff.chi_r(r)
         radial = np.einsum("nqmk,nk->nqm", grads, X)
         sq = radial - eta * vals
-        return chi * np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
+        lhs = chi * np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
+        return lhs, _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads),
+                                  _mass_density(X, r, vals, grads))
 
-    def rhs_density(X, r, vals, grads):
-        dchi = np.abs(cutoff.dchi_r(r))
-        dmag = np.einsum("nqmk,nqmk->n", grads, grads)
-        mass = np.einsum("nqm,nqm->n", vals, vals)
-        return dchi * (dmag / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
-
-    def lhs_fn(q):
-        return integrate_region(f, support, q, lhs_density, breakpoints=bps)
-
-    def rhs_fn(q):
-        return integrate_region(f, support, q, rhs_density, breakpoints=bps)
+    def sides(q):
+        return integrate_region(f, support, q, density, breakpoints=bps)
 
     return _two_sided_report(
         "first-carleman", f,
         {"tau": tau, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
-        lhs_fn, rhs_fn, quad, extra={"eta": eta})
+        sides, quad, extra={"eta": eta})
 
 
 def pre_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
@@ -331,29 +329,22 @@ def pre_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
     support = cutoff.support(f.n)
     bps = cutoff.breakpoints()
 
-    def lhs_density(X, r, vals, grads):
+    def density(X, r, vals, grads):
         chi = cutoff.chi_r(r)
         radial = np.einsum("nqmk,nk->nqm", grads, X) / r[:, None, None]
         rad_sq = np.einsum("nqm,nqm->n", radial, radial)
-        mass = np.einsum("nqm,nqm->n", vals, vals)
-        return chi * (rad_sq / r ** (2.0 * tau) - eta ** 2 * mass / r ** (2.0 * tau + 2.0))
+        mass = _mass_density(X, r, vals, grads)
+        lhs = chi * (rad_sq / r ** (2.0 * tau) - eta ** 2 * mass / r ** (2.0 * tau + 2.0))
+        return lhs, _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
 
-    def rhs_density(X, r, vals, grads):
-        dchi = np.abs(cutoff.dchi_r(r))
-        dmag = np.einsum("nqmk,nqmk->n", grads, grads)
-        mass = np.einsum("nqm,nqm->n", vals, vals)
-        return dchi * (dmag / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
-
-    def lhs_fn(q):
-        return integrate_region(f, support, q, lhs_density, breakpoints=bps)
-
-    def rhs_fn(q):
-        return (eta / tau) * integrate_region(f, support, q, rhs_density, breakpoints=bps)
+    def sides(q):
+        lhs, rhs = integrate_region(f, support, q, density, breakpoints=bps)
+        return lhs, (eta / tau) * rhs
 
     return _two_sided_report(
         "pre-carleman", f,
         {"tau": tau, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
-        lhs_fn, rhs_fn, quad, extra={"eta": eta}, signed_lhs=True)
+        sides, quad, extra={"eta": eta}, signed_lhs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +426,7 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
 
 
 UNDERFLOW_MASS = 1e-280
+ABSORPTION_HALVINGS = 200
 
 
 def doubling_check(f: QField, x, r: float, kappa_x: float,
@@ -448,14 +440,19 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
     reports C_est(eps) = mass(B_2eps) / mass(B_eps) over `levels` dyadic
     scales from there. Pass requires every C_est finite with relative drift
     at most drift_tol; a vanishing denominator yields a diagnostic verdict.
+    eta_abs must be positive. When the criterion still fails after
+    ABSORPTION_HALVINGS halvings of r, the report says so and cannot pass.
     """
+    if not eta_abs > 0.0:
+        raise ValueError("eta_abs must be positive, got %g" % eta_abs)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     eps = float(r)
     guard = 0
-    while eps ** (2.0 * eta_abs) >= 0.5 and guard < 200:
+    while eps ** (2.0 * eta_abs) >= 0.5 and guard < ABSORPTION_HALVINGS:
         eps *= 0.5
         guard += 1
     r_x = eps
+    absorbed = r_x ** (2.0 * eta_abs) < 0.5
     scales, ratios = [], []
     trivial = False
     for j in range(levels):
@@ -470,9 +467,10 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
         ratios.append(numer / denom)
     tau_abs = (2.0 * kappa_x + f.n + 4.0 * eta_abs) / 2.0
     expected = 2.0 ** (2.0 * kappa_x + f.n)
+    notes = []
     if trivial:
         verdict = "diagnostic"
-        notes = ("squared mass below underflow threshold: trivial near x",)
+        notes.append("squared mass below underflow threshold: trivial near x")
         drift = 0.0
     else:
         finite = all(math.isfinite(c) for c in ratios)
@@ -481,7 +479,12 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
             drift = max(abs(a - b) / max(abs(b), 1e-300)
                         for a, b in zip(ratios[:-1], ratios[1:]))
         verdict = "pass" if (finite and drift <= drift_tol) else "fail"
-        notes = ()
+    if not absorbed:
+        notes.append("absorption criterion eps^(2 eta_abs) < 1/2 not met after %d halvings "
+                     "(value %r); the scales are not in the absorbed regime"
+                     % (ABSORPTION_HALVINGS, r_x ** (2.0 * eta_abs)))
+        if verdict == "pass":
+            verdict = "fail"
     return CheckReport(
         name="doubling",
         field_spec=f.tag,
@@ -495,7 +498,7 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
                     "expected_homogeneous": expected, "drift": drift},
         resolutions=quad.meta(),
         verdict=verdict,
-        notes=notes,
+        notes=tuple(notes),
     )
 
 
@@ -643,32 +646,21 @@ def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
     bps = tuple(sorted(set(cutoff.breakpoints()) | set(bent.knot_radii())))
     bulge = bent.sup_dphi_minus_1 + bent.sup_d2phi
 
-    def weight(r):
-        return np.exp(-2.0 * tau * bent.phi(np.log(r)))
-
-    def lhs_density(X, r, vals, grads):
+    def density(X, r, vals, grads):
+        """(lhs, rhs boundary term, rhs bulk integral), weight taken once."""
+        weight = np.exp(-2.0 * tau * bent.phi(np.log(r)))
         chi = cutoff.chi_r(r)
+        dchi = np.abs(cutoff.dchi_r(r))
         radial = np.einsum("nqmk,nk->nqm", grads, X) / r[:, None, None]
         sq = radial - (eta / r)[:, None, None] * vals
-        return chi * np.einsum("nqm,nqm->n", sq, sq) * weight(r)
-
-    def boundary_density(X, r, vals, grads):
-        dchi = np.abs(cutoff.dchi_r(r))
-        dmag = np.einsum("nqmk,nqmk->n", grads, grads)
-        mass = np.einsum("nqm,nqm->n", vals, vals)
-        return dchi * (r * dmag + mass / r) * weight(r)
-
-    def bulk_density(X, r, vals, grads):
-        chi = cutoff.chi_r(r)
-        dmag = np.einsum("nqmk,nqmk->n", grads, grads)
-        mass = np.einsum("nqm,nqm->n", vals, vals)
-        return chi * (dmag + mass / r ** 2) * weight(r)
+        dmag = _dirichlet_density(X, r, vals, grads)
+        mass = _mass_density(X, r, vals, grads)
+        return (chi * np.einsum("nqm,nqm->n", sq, sq) * weight,
+                dchi * (r * dmag + mass / r) * weight,
+                chi * (dmag + mass / r ** 2) * weight)
 
     def run(q):
-        lhs = integrate_region(f, support, q, lhs_density, breakpoints=bps)
-        boundary = integrate_region(f, support, q, boundary_density, breakpoints=bps)
-        bulk_int = integrate_region(f, support, q, bulk_density, breakpoints=bps)
-        return lhs, boundary, bulk_int
+        return integrate_region(f, support, q, density, breakpoints=bps)
 
     lhs, boundary, bulk_int = run(quad)
     lhs2, boundary2, bulk2 = run(quad.refined())

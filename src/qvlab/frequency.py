@@ -22,6 +22,7 @@ from .report import CheckReport
 from .variational import (
     QuadratureSpec,
     REFERENCE_QUAD,
+    _mass_density,
     annulus,
     ball,
     dirichlet_energy,
@@ -37,10 +38,6 @@ SLOPE_CEILING = 50.0
 
 class ZeroHeightError(ValueError):
     """The boundary trace vanishes, so the frequency ratio is undefined."""
-
-
-def _mass_density(X, r, vals, grads):
-    return np.einsum("nqm,nqm->n", vals, vals)
 
 
 def height(f: QField, x, r: float, quad: QuadratureSpec = REFERENCE_QUAD) -> float:
@@ -290,14 +287,13 @@ def homogeneity_deficit(f: QField, x, inner: float, outer: float, kappa: float,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     region = annulus(x, inner, outer)
 
-    def defect(X, r, vals, grads):
+    def density(X, r, vals, grads):
         rel = X - x[None, :]
         radial = np.einsum("nqmk,nk->nqm", grads, rel)
         diff = radial - kappa * vals
-        return np.einsum("nqm,nqm->n", diff, diff)
+        return np.einsum("nqm,nqm->n", diff, diff), _mass_density(X, r, vals, grads)
 
-    num = integrate_region(f, region, quad, defect)
-    den = l2_mass(f, region, quad)
+    num, den = integrate_region(f, region, quad, density)
     if den <= 0.0:
         raise ZeroHeightError("squared mass vanishes on the deficit window")
     return num / den

@@ -202,17 +202,52 @@ def _panel_nodes(n: int, quad: QuadratureSpec) -> int:
     return quad.radial_order * quad.angular_nodes * (quad.polar_nodes if n == 3 else 1)
 
 
+class _PanelSum:
+    """Per-panel contributions of one integrand and its early-stop state."""
+
+    def __init__(self):
+        self.contributions = []
+        self.running = 0.0
+        self.lull = 0
+        self.done = False
+
+    def add(self, contrib: float, tol: float, watch: bool) -> None:
+        """Record one panel; watch is whether the early stop may fire."""
+        self.contributions.append(contrib)
+        if watch and self.running != 0.0:
+            if abs(contrib) <= tol * abs(self.running):
+                self.lull += 1
+                self.done = self.lull >= 2
+            else:
+                self.lull = 0
+        self.running += contrib
+
+
+def _entries(dens):
+    """A density result as a tuple of per-node arrays, and whether it was one array."""
+    if isinstance(dens, tuple):
+        return dens, False
+    return (dens,), True
+
+
 def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: Callable,
                      *, need_values: bool = True, need_gradients: bool = True,
-                     breakpoints=(), early_stop: bool = True) -> float:
+                     breakpoints=(), early_stop: bool = True) -> float | tuple:
     """Integrate density(X, r, values, gradients) over a ball or annulus.
 
     density receives the sample points (K, n), their radii about the region
     center, sheet values (K, q, m) and gradients (K, q, m, n) (None when not
-    requested) and returns a per-node scalar array. Panels are processed
-    outermost first; when the region reaches the center, refinement stops
-    once two consecutive levels contribute below tail_rel_tol of the running
-    total.
+    requested) and returns a per-node scalar array, or a tuple of such
+    arrays. Panels are processed outermost first; when the region reaches
+    the center, refinement stops once two consecutive levels contribute
+    below tail_rel_tol of the running total.
+
+    A single array gives a float. A tuple gives a tuple of floats, one per
+    entry, from one sweep over the panels: each entry keeps its own panel
+    sums and its own early stop, so each result is bit for bit the one a
+    separate call with that entry alone would return. The sweep ends when
+    every entry has stopped; entries that stopped earlier ignore the later
+    panels.
 
     The field is evaluated once per block of consecutive panels: as many
     panels as fit in the node count of one REFERENCE_QUAD panel in the
@@ -245,35 +280,36 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
                        None if vals is None else vals[lo:hi],
                        None if grads is None else grads[lo:hi])
 
-    contributions = []
-    running = 0.0
-    lull = 0
+    watch = early_stop and inner == 0.0
+    sums = None
     for X, r, w, vals, grads in evaluated_panels():
-        dens = density(X, r, vals, grads)
-        contrib = tree_sum(dens * w)
-        contributions.append(contrib)
-        if early_stop and inner == 0.0 and running != 0.0:
-            if abs(contrib) <= quad.tail_rel_tol * abs(running):
-                lull += 1
-                if lull >= 2:
-                    running += contrib
-                    break
-            else:
-                lull = 0
-        running += contrib
-    return tree_sum(contributions)
+        dens, single = _entries(density(X, r, vals, grads))
+        if sums is None:
+            sums = [_PanelSum() for _ in dens]
+        for acc, d in zip(sums, dens):
+            if not acc.done:
+                acc.add(tree_sum(d * w), quad.tail_rel_tol, watch)
+        if all(acc.done for acc in sums):
+            break
+    totals = tuple(tree_sum(acc.contributions) for acc in sums)
+    return totals[0] if single else totals
 
 
 def sphere_integral(f: QField, center, r: float, quad: QuadratureSpec, density: Callable,
-                    *, need_values: bool = True, need_gradients: bool = False) -> float:
-    """Integrate density over the sphere of radius r about center."""
+                    *, need_values: bool = True, need_gradients: bool = False) -> float | tuple:
+    """Integrate density over the sphere of radius r about center.
+
+    As in integrate_region, a density that returns a tuple of per-node
+    arrays gives a tuple of integrals, each bit for bit a separate call.
+    """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dirs, wdir = _angular_nodes(f.n, quad)
     X = center[None, :] + r * dirs
     vals = f.values_fn(X) if need_values else None
     grads = f.gradients_fn(X) if need_gradients else None
-    dens = density(X, np.full(X.shape[0], float(r)), vals, grads)
-    return tree_sum(dens * wdir * r ** (f.n - 1))
+    dens, single = _entries(density(X, np.full(X.shape[0], float(r)), vals, grads))
+    totals = tuple(tree_sum(d * wdir * r ** (f.n - 1)) for d in dens)
+    return totals[0] if single else totals
 
 
 def _dirichlet_density(X, r, vals, grads):
@@ -331,8 +367,12 @@ class RadialBump:
     def breakpoints(self):
         return (self.a_in, self.a_lo, self.a_hi, self.a_out)
 
+    def _origin(self, n: int) -> tuple:
+        """The center in R^n: the given one when it has n coordinates, else 0."""
+        return tuple(self.center) if len(self.center) == n else (0.0,) * n
+
     def support(self, n: int) -> Region:
-        center = tuple(self.center) if len(self.center) == n else tuple([0.0] * n)
+        center = self._origin(n)
         if self.a_in == 0.0:
             return Region(kind="ball", center=center, radii=(0.0, self.a_out))
         return Region(kind="annulus", center=center, radii=(self.a_in, self.a_out))
@@ -350,13 +390,14 @@ class RadialBump:
         return np.where(r < self.a_lo, up, np.where(r > self.a_hi, down, 0.0))
 
     def chi(self, X, center=None) -> np.ndarray:
-        c = np.asarray(center if center is not None else self.center, dtype=float)
-        r = np.linalg.norm(np.asarray(X, dtype=float) - c[None, :], axis=1)
+        X = np.asarray(X, dtype=float)
+        c = np.asarray(center if center is not None else self._origin(X.shape[1]), dtype=float)
+        r = np.linalg.norm(X - c[None, :], axis=1)
         return self.chi_r(r)
 
     def grad_chi(self, X, center=None) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        c = np.asarray(center if center is not None else self.center, dtype=float)
+        c = np.asarray(center if center is not None else self._origin(X.shape[1]), dtype=float)
         rel = X - c[None, :]
         r = np.linalg.norm(rel, axis=1)
         safe = np.where(r == 0.0, 1.0, r)
@@ -394,14 +435,10 @@ class InnerVectorField:
     breakpoints: tuple = ()
 
 
-def outer_variation(f: QField, test: OuterTestField, quad: QuadratureSpec = REFERENCE_QUAD,
-                    warnings_sink: list | None = None) -> float:
-    """First variation of the energy under f_i -> f_i + t psi(x, f_i).
-
-    Returns the integral of sum_i [ <D_x psi(x, f_i) : Df_i>
-    + <D_u psi(x, f_i) Df_i : Df_i> ] over the support of psi.
-    """
-    violations = [0, 0.0]
+def _outer_density(f: QField, test: OuterTestField, violations: list | None = None):
+    """Density of the outer variation under test; when violations is a
+    [count, max |D_u psi|] pair, growth-certificate failures at the sampled
+    nodes are tallied into it."""
 
     def density(X, r, vals, grads):
         total = np.zeros(X.shape[0])
@@ -412,7 +449,7 @@ def outer_variation(f: QField, test: OuterTestField, quad: QuadratureSpec = REFE
             du = test.dpsi_du(X, U)
             total += np.einsum("nmk,nmk->n", dx, G)
             total += np.einsum("nab,nbk,nak->n", du, G, G)
-            if warnings_sink is not None:
+            if violations is not None:
                 du_norm = np.sqrt(np.einsum("nab,nab->n", du, du))
                 psi_val = test.psi(X, U)
                 lin = np.sqrt(np.einsum("nm,nm->n", psi_val, psi_val)) + \
@@ -425,22 +462,19 @@ def outer_variation(f: QField, test: OuterTestField, quad: QuadratureSpec = REFE
                     violations[1] = max(violations[1], float(du_norm.max()))
         return total
 
-    value = integrate_region(f, test.support, quad, density,
-                             breakpoints=test.breakpoints)
-    if warnings_sink is not None and violations[0]:
+    return density
+
+
+def _note_growth(violations: list, warnings_sink: list) -> None:
+    if violations[0]:
         warnings_sink.append(
             "growth certificate violated at %d quadrature nodes (max |D_u psi| %g)"
             % (violations[0], violations[1])
         )
-    return value
 
 
-def inner_variation(f: QField, test: InnerVectorField,
-                    quad: QuadratureSpec = REFERENCE_QUAD) -> float:
-    """First variation of the energy under x -> x + t phi(x).
-
-    Returns 2 int sum_i <Df_i : Df_i Dphi> - int |Df|^2 div phi.
-    """
+def _inner_density(test: InnerVectorField):
+    """Density of the inner variation under test."""
 
     def density(X, r, vals, grads):
         dphi = test.dphi(X)
@@ -450,7 +484,31 @@ def inner_variation(f: QField, test: InnerVectorField,
         dir_density = np.einsum("nqmk,nqmk->n", grads, grads)
         return stress - dir_density * div
 
-    return integrate_region(f, test.support, quad, density, need_values=False,
+    return density
+
+
+def outer_variation(f: QField, test: OuterTestField, quad: QuadratureSpec = REFERENCE_QUAD,
+                    warnings_sink: list | None = None) -> float:
+    """First variation of the energy under f_i -> f_i + t psi(x, f_i).
+
+    Returns the integral of sum_i [ <D_x psi(x, f_i) : Df_i>
+    + <D_u psi(x, f_i) Df_i : Df_i> ] over the support of psi.
+    """
+    violations = None if warnings_sink is None else [0, 0.0]
+    value = integrate_region(f, test.support, quad, _outer_density(f, test, violations),
+                             breakpoints=test.breakpoints)
+    if violations is not None:
+        _note_growth(violations, warnings_sink)
+    return value
+
+
+def inner_variation(f: QField, test: InnerVectorField,
+                    quad: QuadratureSpec = REFERENCE_QUAD) -> float:
+    """First variation of the energy under x -> x + t phi(x).
+
+    Returns 2 int sum_i <Df_i : Df_i Dphi> - int |Df|^2 div phi.
+    """
+    return integrate_region(f, test.support, quad, _inner_density(test), need_values=False,
                             breakpoints=test.breakpoints)
 
 
@@ -602,14 +660,26 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
     support = bump.support(f.n)
     warnings: list = []
 
-    def run(q: QuadratureSpec):
-        o = [outer_variation(f, t, q, warnings_sink=warnings) for t in outers]
-        i = [inner_variation(f, t, q) for t in inners]
-        return o, i
+    def run(q: QuadratureSpec, *extra):
+        """The extra integrals, then the outer and the inner variations, all
+        from one sweep over the shared support. Growth certificates are
+        sampled on every node the sweep visits: on a ball support that
+        includes panels past an outer integral's own early stop."""
+        tallies = [[0, 0.0] for _ in outers]
+        parts = extra + tuple(_outer_density(f, t, v) for t, v in zip(outers, tallies)) + \
+            tuple(_inner_density(t) for t in inners)
 
-    dir_support = dirichlet_energy(f, support, quad, breakpoints=bump.breakpoints())
+        def density(X, r, vals, grads):
+            return tuple(part(X, r, vals, grads) for part in parts)
+
+        values = integrate_region(f, support, q, density, breakpoints=bump.breakpoints())
+        for v in tallies:
+            _note_growth(v, warnings)
+        return values
+
+    dir_support, *variations = run(quad, _dirichlet_density)
+    o_ref, i_ref = variations[:len(outers)], variations[len(outers):]
     threshold = max(STATIONARITY_REL_TOL * dir_support, 1e-15)
-    o_ref, i_ref = run(quad)
     pairs = {}
     worst = 0.0
     for a, oval in enumerate(o_ref):
@@ -624,10 +694,8 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
     if refine:
         coarse = QuadratureSpec(radial_order=6, angular_nodes=24, polar_nodes=8)
         mid = QuadratureSpec(radial_order=10, angular_nodes=48, polar_nodes=12)
-        o_c, i_c = run(coarse)
-        o_m, i_m = run(mid)
-        res_c = max(max(abs(v) for v in o_c), max(abs(v) for v in i_c))
-        res_m = max(max(abs(v) for v in o_m), max(abs(v) for v in i_m))
+        res_c = max(abs(v) for v in run(coarse))
+        res_m = max(abs(v) for v in run(mid))
         floor = 1e-10 * (1.0 + dir_support)
         decay_ok = res_m <= max(0.25 * res_c, floor)
         decay = {"residual_coarse": res_c, "residual_mid": res_m, "floor": floor}
@@ -663,19 +731,15 @@ def caccioppoli_check(f: QField, cutoff, quad: QuadratureSpec = REFERENCE_QUAD,
     support = cutoff.support(f.n)
     bps = cutoff.breakpoints()
 
-    def lhs_density(X, r, vals, grads):
+    def density(X, r, vals, grads):
         chi = cutoff.chi(X)
-        return chi * chi * np.einsum("nqmk,nqmk->n", grads, grads)
-
-    def rhs_density(X, r, vals, grads):
         g = cutoff.grad_chi(X)
         g2 = np.einsum("nk,nk->n", g, g)
-        return g2 * np.einsum("nqm,nqm->n", vals, vals)
+        return (chi * chi * _dirichlet_density(X, r, vals, grads),
+                g2 * _mass_density(X, r, vals, grads))
 
     def run(q):
-        lhs = integrate_region(f, support, q, lhs_density, need_values=False, breakpoints=bps)
-        rhs = integrate_region(f, support, q, rhs_density, need_gradients=False, breakpoints=bps)
-        return lhs, rhs
+        return integrate_region(f, support, q, density, breakpoints=bps)
 
     lhs, rhs = run(quad)
     lhs2, rhs2 = run(quad.refined())

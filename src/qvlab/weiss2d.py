@@ -40,6 +40,7 @@ from .report import CheckReport, atomic_write_text, canonical_json
 from .variational import (
     REFERENCE_QUAD,
     QuadratureSpec,
+    _mass_density,
     ball,
     dirichlet_energy,
     sphere_integral,
@@ -434,10 +435,6 @@ def solve_disk(pieces, tag: str | None = None, quad: QuadratureSpec = REFERENCE_
 # Weiss energy
 
 
-def _mass_density(X, r, vals, grads):
-    return np.einsum("nqm,nqm->n", vals, vals)
-
-
 def weiss_energy(f: QField, x, kappa: float, r: float,
                  quad: QuadratureSpec = REFERENCE_QUAD,
                  exponent_dim: int | None = None) -> float:
@@ -479,24 +476,17 @@ def _rescaled_boundary_terms(f: QField, x, kappa: float, r: float,
     int_{S^1} sum_i |Df_{x,r,i} . y - kappa f_{x,r,i}|^2).
     """
 
-    def mass_density(X, rr, vals, grads):
-        return np.einsum("nqm,nqm->n", vals, vals)
-
-    def tang_density(X, rr, vals, grads):
+    def density(X, rr, vals, grads):
         rel = (X - np.asarray(x, dtype=float)[None, :]) / rr[:, None]
         tang = np.stack([-rel[:, 1], rel[:, 0]], axis=1)
         tangential = np.einsum("nqmk,nk->nqm", grads, tang)
-        return np.einsum("nqm,nqm->n", tangential, tangential)
-
-    def square_density(X, rr, vals, grads):
-        rel = (X - np.asarray(x, dtype=float)[None, :]) / rr[:, None]
         radial = np.einsum("nqmk,nk->nqm", grads, rel)
         sq = rr[:, None, None] * radial - kappa * vals
-        return np.einsum("nqm,nqm->n", sq, sq)
+        return (_mass_density(X, rr, vals, grads),
+                np.einsum("nqm,nqm->n", tangential, tangential),
+                np.einsum("nqm,nqm->n", sq, sq))
 
-    mass = sphere_integral(f, x, r, quad, mass_density)
-    t_sq = sphere_integral(f, x, r, quad, tang_density, need_gradients=True)
-    s_sq = sphere_integral(f, x, r, quad, square_density, need_gradients=True)
+    mass, t_sq, s_sq = sphere_integral(f, x, r, quad, density, need_gradients=True)
     # the integrals above are over the circle of radius r with arclength
     # measure; rescale to the unit circle and divide by r^(2 kappa)
     h1 = mass / r ** (1.0 + 2.0 * kappa)

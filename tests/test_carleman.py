@@ -230,6 +230,28 @@ def test_doubling_homogeneous_matches_oracle():
     assert rep.quantities["absorption_value"] < 0.5
 
 
+@pytest.mark.parametrize("eta_abs", [0.0, -0.1, math.nan])
+def test_doubling_rejects_nonpositive_eta_abs(eta_abs):
+    with pytest.raises(ValueError, match="eta_abs must be positive"):
+        doubling_check(make_branch_field(3, 2), (0.0, 0.0), 0.25, 1.5, FAST, eta_abs=eta_abs)
+
+
+def test_doubling_unmet_absorption_is_noted_and_not_passed():
+    # eps^(2 eta_abs) < 1/2 needs about 500 halvings of 1/4 at eta_abs = 1e-3,
+    # past the guard; the ratios of the linear field are still the homogeneous
+    # 2^4 down there, so only the unmet criterion can fail the report
+    f = make_harmonic_sheets([[parse_polynomial("x1", 2)]])
+    rep = doubling_check(f, (0.0, 0.0), 0.25, 1.0, FAST, eta_abs=1e-3)
+    assert rep.quantities["absorption_value"] >= 0.5
+    assert rep.quantities["absorption_scale"] == 0.25 * 0.5 ** 200
+    assert rep.quantities["c_est"] == pytest.approx([16.0] * 3, rel=1e-9)
+    assert rep.quantities["drift"] <= 0.25
+    assert rep.verdict == "fail"
+    assert rep.notes == ("absorption criterion eps^(2 eta_abs) < 1/2 not met after 200 "
+                         "halvings (value %r); the scales are not in the absorbed regime"
+                         % rep.quantities["absorption_value"],)
+
+
 def test_doubling_trivial_is_diagnostic():
     rep = doubling_check(make_trivial(2), (0.0, 0.0), 0.25, 0.0, FAST)
     assert rep.verdict == "diagnostic"

@@ -307,6 +307,14 @@ def test_malformed_chi_exits_2(capsys):
     assert "disk:0.5" in err
 
 
+def test_doubling_zero_eta_abs_exits_2(capsys):
+    code, out, err = run_cli(capsys, "check", "doubling", "--field", "branch:3/2",
+                             "--kappa", "1.5", "--eta-abs", "0", *FQ)
+    assert code == 2
+    assert out == ""
+    assert err == "qvlab: error: eta_abs must be positive, got 0\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["nosuchcmd"]) == 2
     capsys.readouterr()

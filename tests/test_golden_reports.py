@@ -1,0 +1,114 @@
+"""Golden-report gate: sha256 of canonical report bytes at radial 8 x angular 32.
+
+Each case runs one check on one field of the example library and hashes
+the canonical JSON it serializes to (profiles, which are lists of rows,
+go through the same canonical_json). The digests were recorded before the
+multi-density panel sweep landed; any change to the quadrature engine or
+the checks that moves a single report byte fails here. To record new
+digests after an intended change in the mathematics, run this file as a
+script and paste its output into DIGESTS.
+"""
+
+import hashlib
+
+import pytest
+
+from qvlab import carleman, frequency, variational, weiss2d
+from qvlab.fields import parse_field_spec
+from qvlab.report import canonical_json
+
+Q = variational.QuadratureSpec(radial_order=8, angular_nodes=32)
+ORIGIN = (0.0, 0.0)
+
+FIELDS = {
+    "branch-three-halves": ("branch:3/2", 1.5),
+    "harmonic-pair": ("harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2", 1.0),
+    "wound-s0": ("wound:0,2,4,1.8", 1.0),
+}
+
+
+def _checks(f, kappa):
+    linear = carleman.linear_cutoff(0.1, 0.2, 0.4, 0.8)
+    smoothed = carleman.smoothed_cutoff(0.05, 0.1, 0.3, 0.45)
+    bent = carleman.build_phi_delta(0.1, 0.05, 0.4)
+    return {
+        "stationarity": lambda: variational.stationarity_battery(f, Q),
+        "carleman": lambda: carleman.carleman_sides(
+            f, carleman.WeightSpec(tau=1.5, eps=0.3), linear, Q),
+        "first-carleman": lambda: carleman.first_carleman_sides(f, 1.25, smoothed, Q),
+        "pre-carleman": lambda: carleman.pre_carleman_sides(f, 1.25, linear, Q),
+        "modified-carleman": lambda: carleman.modified_carleman_sides(
+            f, 1.5, bent, smoothed, Q),
+        "caccioppoli": lambda: variational.caccioppoli_check(
+            f, variational.DEFAULT_BATTERY_BUMP, Q),
+        "deficit-profile": lambda: frequency.deficit_profile(f, ORIGIN, kappa, quad=Q),
+        "frequency-identity": lambda: frequency.frequency_identity_check(
+            f, ORIGIN, 0.2, 0.4, Q, nodes=4),
+        "weiss-derivative": lambda: weiss2d.weiss_derivative_check(f, ORIGIN, kappa, 0.4, quad=Q),
+    }
+
+
+CHECKS = tuple(_checks(None, 1.0))
+
+DIGESTS = {
+    "branch-three-halves/stationarity": "8783d2c3f65aaa829701f5190da5f867efc68d6b31b66e257cdc315f4e510cef",
+    "branch-three-halves/carleman": "2462de26283d896cdfe666e930286a176661ed769d2807895f20a32c1b918cae",
+    "branch-three-halves/first-carleman": "166988b0671a482860de54b10bed78c0b4194febe2b886a9bde0d4cea6d0fe3f",
+    "branch-three-halves/pre-carleman": "13c753d14c3e80d86c817134c5a57502cd8a355eb7d9a36032906006ac150b52",
+    "branch-three-halves/modified-carleman": "2287b43f67cbf70207f926743c3094b3b621a63669938668fa48188aab90a76b",
+    "branch-three-halves/caccioppoli": "b71eab07fe6d9532dc0ff76b36186dae9cb0f0b1f9968c127780e29fe7ef4e14",
+    "branch-three-halves/deficit-profile": "4a7071e32decd813c98093804092f1525226b0d47329708535cd04836e716e21",
+    "branch-three-halves/frequency-identity": "a32950c7a108caccc8f9a517c0588b262800b5019b65937b74543e456234f0de",
+    "branch-three-halves/weiss-derivative": "b9765d3468e505c9ea25ac4a8f15dcf9800374b42b880c1c3a7d210f5754ddc0",
+    "harmonic-pair/stationarity": "d9577be36448b1267d720e783144901ac8a19b548304a944d3404b1884e4e6e5",
+    "harmonic-pair/carleman": "58d2cbaa5f4ee8e0fe3a71ac966cf6a8e414a16d6d8797c99ea47d1d821f40e4",
+    "harmonic-pair/first-carleman": "292a56e6644fba9e6916753b34f706f870b156cdc91a262e60d372b296cac51e",
+    "harmonic-pair/pre-carleman": "bd267530fe61b5dcf58251aa72ed02d5de6995108c520bc398e50d6a9095ca93",
+    "harmonic-pair/modified-carleman": "15493e939cac8adf53572f7f3f74b08ae7297d771298bce8ca8f2a548828bbfb",
+    "harmonic-pair/caccioppoli": "405af2259a212bcc8b4770f1db617050b527e277b87d68cf0022e9e0221890d4",
+    "harmonic-pair/deficit-profile": "561b5d2ce407639d9ed556ff4c67f1ba05aaca2c9f4b64063992524ba1627e49",
+    "harmonic-pair/frequency-identity": "8f810c47b2ed12505d99cdc35369b390590341607e9f9321be75b3478a14542d",
+    "harmonic-pair/weiss-derivative": "4bc63d31d86033db77d9ca4820bf8e0065a1c6b6fadf44a13e3105a89861bb90",
+    "wound-s0/stationarity": "04e0d2e155f1595b5f3944acb9677c286ace0a26bd264bf2fa30f2bb85acf6c4",
+    "wound-s0/carleman": "2096d87e857aa20e5b86c80d938ba5851d832cc96ed0331268756e3c3959a389",
+    "wound-s0/first-carleman": "fb86163cfd9025c7b11b4e15579da47b5ab2012961450d10140612875ae0fbd5",
+    "wound-s0/pre-carleman": "70abbee581b985d3cfa256b6ffb21a39b871dc8abfa1cff643544899ef8062e7",
+    "wound-s0/modified-carleman": "e12e244467ee8adf96619aa1008232e34c25d66ab364429b6937f42447315028",
+    "wound-s0/caccioppoli": "d45acf697b7734be0e1a0e913274f04522d7416a7b82189fe4b8df7b265a3e1b",
+    "wound-s0/deficit-profile": "00234b091c54698d0fca620856d941db5364bfd7fbc219e444b4bf33579bfc48",
+    "wound-s0/frequency-identity": "137aeae13fde86da9b4df4d685fb86ada40e62cd731101c619a607542ebcde23",
+    "wound-s0/weiss-derivative": "7d630a208d5e59021cc473c97ade3ec3d547f3bab03562bf0f532fd222a3a2ad",
+    "wound-s0/construction-cert": "b33cde025d0b1c06351ce1e5421c383b5d7c2b85049bc718ea78f6eb71332455",
+}
+
+_FIELD_CACHE = {}
+
+
+def _field(name):
+    if name not in _FIELD_CACHE:
+        _FIELD_CACHE[name] = parse_field_spec(FIELDS[name][0])
+    return _FIELD_CACHE[name]
+
+
+def _digest(field_name, check):
+    f = _field(field_name)
+    if check == "construction-cert":
+        payload = f.construction_cert
+    else:
+        result = _checks(f, FIELDS[field_name][1])[check]()
+        payload = result.to_dict() if hasattr(result, "to_dict") else result
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+CASES = [(name, check) for name in FIELDS for check in CHECKS] + \
+    [("wound-s0", "construction-cert")]
+
+
+@pytest.mark.parametrize("field_name,check", CASES)
+def test_golden_report_bytes(field_name, check):
+    assert _digest(field_name, check) == DIGESTS["%s/%s" % (field_name, check)]
+
+
+if __name__ == "__main__":
+    for field_name, check in CASES:
+        print('    "%s/%s": "%s",' % (field_name, check, _digest(field_name, check)))

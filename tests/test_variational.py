@@ -496,3 +496,143 @@ def test_capped_wound_ball_field_call_counts():
     f, calls = _counted_field(_winding3_wound_field())
     dirichlet_energy(f, ball((0.0, 0.0), 1.0), QUAD)
     assert calls == {"values": 0, "gradients": 64}
+
+
+# ---------------------------------------------------------------------------
+# several densities from one panel sweep
+
+
+def _stacked(*densities):
+    def density(X, r, vals, grads):
+        return tuple(d(X, r, vals, grads) for d in densities)
+    return density
+
+
+def test_tuple_density_matches_separate_calls_on_annulus():
+    f = make_branch_field(3, 2)
+    region = annulus((0.0, 0.0), 0.15, 0.9)
+    parts = [variational._dirichlet_density, variational._mass_density,
+             variational._outer_density(f, outer_battery(BUMP, 2, 2)[0]),
+             variational._inner_density(inner_battery(BUMP, 2)[1])]
+    got = integrate_region(f, region, QUAD, _stacked(*parts), breakpoints=BUMP.breakpoints())
+    assert isinstance(got, tuple) and len(got) == len(parts)
+    expected = tuple(integrate_region(f, region, QUAD, d, breakpoints=BUMP.breakpoints())
+                     for d in parts)
+    assert got == expected
+    # a single-array density still returns a plain float
+    assert type(integrate_region(f, region, QUAD, parts[0])) is float
+
+
+def test_tuple_density_entries_stop_early_on_their_own():
+    f = parse_field_spec("harmonic:n2m1:x1")
+    region = ball((0.0, 0.0), 0.8)
+    # |f|^2 ~ r^2 falls by 16 per level and |Df|^2 = 1 by 4, so the mass stops
+    # at about half the depth of the energy
+    mass, mass_panels = _counted_density(variational._mass_density)
+    energy, energy_panels = _counted_density(variational._dirichlet_density)
+    expected = (integrate_region(f, region, COARSE, mass, need_gradients=False),
+                integrate_region(f, region, COARSE, energy, need_values=False))
+    assert len(mass_panels) < len(energy_panels) < COARSE.max_subdivisions
+    both, both_panels = _counted_density(_stacked(variational._mass_density,
+                                                  variational._dirichlet_density))
+    assert integrate_region(f, region, COARSE, both) == expected
+    assert len(both_panels) == len(energy_panels)
+
+
+def test_tuple_density_stopped_entry_ignores_later_panels():
+    f = parse_field_spec("harmonic:n2m1:x1")
+    region = ball((0.0, 0.0), 0.8)
+
+    def spike(X, r, vals, grads):
+        # zero below 0.5 stops the entry two panels later; the spike at the
+        # center must then stay out of its sum
+        return np.where(r > 0.5, 1.0, np.where(r < 1e-3, 1e20, 0.0))
+
+    alone = integrate_region(f, region, COARSE, spike)
+    assert alone == integrate_region(f, ball((0.0, 0.0), 0.8), COARSE,
+                                     lambda X, r, v, g: np.where(r > 0.5, 1.0, 0.0))
+    got = integrate_region(f, region, COARSE, _stacked(spike, variational._dirichlet_density))
+    assert got == (alone, dirichlet_energy(f, region, COARSE))
+
+
+def test_tuple_density_matches_separate_calls_on_capped_wound_ball():
+    f = _winding3_wound_field()
+    region = ball((0.0, 0.0), 0.5)
+    energy, energy_panels = _counted_density(variational._dirichlet_density)
+    expected = (integrate_region(f, region, COARSE, variational._mass_density,
+                                 need_gradients=False),
+                integrate_region(f, region, COARSE, energy, need_values=False))
+    assert len(energy_panels) == COARSE.max_subdivisions
+    g, calls = _counted_field(f)
+    got = integrate_region(g, region, COARSE, _stacked(variational._mass_density,
+                                                       variational._dirichlet_density))
+    assert got == expected
+    assert calls == {"values": 4, "gradients": 4}
+
+
+def test_tuple_density_matches_separate_calls_on_sphere():
+    f = _winding3_wound_field()
+    parts = (variational._mass_density, variational._dirichlet_density)
+    got = sphere_integral(f, (0.0, 0.0), 0.3, QUAD, _stacked(*parts), need_gradients=True)
+    expected = tuple(sphere_integral(f, (0.0, 0.0), 0.3, QUAD, d, need_gradients=True)
+                     for d in parts)
+    assert got == expected
+    assert type(sphere_integral(f, (0.0, 0.0), 0.3, QUAD, parts[0])) is float
+
+
+def test_multi_integral_check_field_call_counts():
+    """One field evaluation per block for all the integrals of a check.
+
+    At REFERENCE_QUAD every panel is its own block. The Carleman cutoff
+    (0.1, 0.2, 0.6, 0.9) and the battery bump both split into 3-4 panels;
+    the refined resolution keeps one panel per block, the battery's coarse
+    and mid resolutions fit all panels in one block.
+    """
+    from qvlab import carleman, frequency
+
+    cut = carleman.linear_cutoff(0.1, 0.2, 0.6, 0.9)
+    bent = carleman.build_phi_delta(0.1, 0.05, 0.4)
+    cases = [
+        # lhs, rhs and the variant lhs: 4 panels, reference plus refined
+        (lambda f: carleman.carleman_sides(f, carleman.WeightSpec(tau=1.5, eps=0.3), cut), 8),
+        (lambda f: carleman.first_carleman_sides(f, 1.5, cut), 8),
+        (lambda f: carleman.pre_carleman_sides(f, 1.5, cut), 8),
+        # the bend's knots split the cutoff into 7 panels
+        (lambda f: carleman.modified_carleman_sides(f, 1.5, bent, cut), 14),
+        # 3 panels at reference, one block each at coarse and mid
+        (lambda f: stationarity_battery(f), 5),
+        (lambda f: caccioppoli_check(f, BUMP), 6),
+        (lambda f: frequency.homogeneity_deficit(f, (0.0, 0.0), 0.25, 0.5, 1.5), 1),
+    ]
+    for check, count in cases:
+        f, calls = _counted_field(parse_field_spec("branch:3/2"))
+        check(f)
+        assert calls == {"values": count, "gradients": count}
+
+
+# ---------------------------------------------------------------------------
+# three-dimensional cutoffs
+
+
+def test_three_dimensional_stationarity_and_caccioppoli():
+    f = parse_field_spec("harmonic:n3m1:x1")
+    bump = variational.DEFAULT_BATTERY_BUMP
+    assert bump.center == (0.0, 0.0)
+    X = np.array([[0.0, 0.0, 0.45], [0.1, 0.0, 0.0]])
+    assert bump.chi(X).tolist() == [1.0, 0.0]
+    assert bump.grad_chi(X).shape == (2, 3)
+    rep = stationarity_battery(f, QuadratureSpec(radial_order=4, angular_nodes=8, polar_nodes=4))
+    assert rep.verdict == "pass", rep.quantities
+    rep = caccioppoli_check(f, bump, QuadratureSpec(radial_order=8, angular_nodes=8,
+                                                     polar_nodes=4))
+    assert rep.verdict == "pass", rep.notes
+    # second route: |Df|^2 = 1 and x1^2 averages to r^2 / 3 on spheres
+    from scipy.integrate import quad as scalar_quad
+
+    bps = list(bump.breakpoints())
+    lhs = 4.0 * math.pi * scalar_quad(lambda r: bump.chi_r(r) ** 2 * r * r,
+                                      bps[0], bps[-1], points=bps[1:-1])[0]
+    rhs = 4.0 * math.pi / 3.0 * scalar_quad(lambda r: bump.dchi_r(r) ** 2 * r ** 4,
+                                            bps[0], bps[-1], points=bps[1:-1])[0]
+    assert rep.quantities["lhs"] == pytest.approx(lhs, rel=1e-10)
+    assert rep.quantities["rhs"] == pytest.approx(rhs, rel=1e-10)
