@@ -29,9 +29,10 @@ import numpy as np
 from .fields import QField
 from .report import CheckReport
 from .variational import (
+    CutoffConstructionError,
     QuadratureSpec,
     REFERENCE_QUAD,
-    Region,
+    RadialBump,
     _dirichlet_density,
     _mass_density,
     annulus,
@@ -41,103 +42,37 @@ from .variational import (
 )
 
 CONVERGENCE_REL_TOL = 1e-4
-LINEAR_SLOPE_CAP = 1.0
-SMOOTH_SLOPE_CAP = 15.0 / 8.0  # peak slope of the quintic ramp
-
-
-class CutoffConstructionError(ValueError):
-    pass
 
 
 class BentWeightError(ValueError):
     pass
 
 
-def _quintic(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+def _annular_cutoff(kind, a_in, a_lo, a_hi, a_out) -> RadialBump:
+    """A RadialBump that vanishes near the origin, where the power weights
+    of the estimates are singular."""
+    if not (0.0 < a_in < a_lo <= a_hi < a_out):
+        raise CutoffConstructionError(
+            "cutoff radii must satisfy 0 < a_in < a_lo <= a_hi < a_out, got %r"
+            % ((a_in, a_lo, a_hi, a_out),))
+    return RadialBump(a_in, a_lo, a_hi, a_out, kind=kind)
 
 
-def _quintic_d(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 30.0 * t * t * (1.0 - t) ** 2, 0.0)
+def linear_cutoff(a_in, a_lo, a_hi, a_out) -> RadialBump:
+    """Annular cutoff with linear ramps (the default of the estimates)."""
+    return _annular_cutoff("piecewise-linear-annular", a_in, a_lo, a_hi, a_out)
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Annular cutoff vanishing near the origin.
-
-    kind "piecewise-linear-annular" ramps linearly (the default used in the
-    estimates); "smoothed" uses quintic ramps to confirm that verdicts do
-    not depend on cutoff regularity. chi is 1 on [a_lo, a_hi] and 0 outside
-    [a_in, a_out]; the slope bound |Dchi| <= cap / min ramp width holds with
-    cap 1 (linear) or 15/8 (smoothed).
-    """
-
-    kind: str
-    radii: tuple
-    center: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.kind not in ("piecewise-linear-annular", "smoothed"):
-            raise CutoffConstructionError("unknown cutoff kind %r" % (self.kind,))
-        a_in, a_lo, a_hi, a_out = self.radii
-        if not (0.0 < a_in < a_lo <= a_hi < a_out):
-            raise CutoffConstructionError(
-                "cutoff radii must satisfy 0 < a_in < a_lo <= a_hi < a_out, got %r"
-                % (self.radii,))
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-    @property
-    def min_ramp(self) -> float:
-        a_in, a_lo, a_hi, a_out = self.radii
-        return min(a_lo - a_in, a_out - a_hi)
-
-    @property
-    def slope_bound(self) -> float:
-        cap = LINEAR_SLOPE_CAP if self.kind == "piecewise-linear-annular" else SMOOTH_SLOPE_CAP
-        return cap / self.min_ramp
-
-    def breakpoints(self):
-        return self.radii
-
-    def support(self, n: int) -> Region:
-        center = self.center if len(self.center) == n else (0.0,) * n
-        return annulus(center, self.radii[0], self.radii[3])
-
-    def chi_r(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        a_in, a_lo, a_hi, a_out = self.radii
-        up = (r - a_in) / (a_lo - a_in)
-        down = (a_out - r) / (a_out - a_hi)
-        if self.kind == "smoothed":
-            up = _quintic(up)
-            down = _quintic(down)
-        else:
-            up = np.clip(up, 0.0, 1.0)
-            down = np.clip(down, 0.0, 1.0)
-        return np.where(r < a_lo, up, np.where(r > a_hi, down, 1.0))
-
-    def dchi_r(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        a_in, a_lo, a_hi, a_out = self.radii
-        if self.kind == "smoothed":
-            up = _quintic_d((r - a_in) / (a_lo - a_in)) / (a_lo - a_in)
-            down = -_quintic_d((a_out - r) / (a_out - a_hi)) / (a_out - a_hi)
-        else:
-            up = np.where((r > a_in) & (r < a_lo), 1.0 / (a_lo - a_in), 0.0)
-            down = np.where((r > a_hi) & (r < a_out), -1.0 / (a_out - a_hi), 0.0)
-        return np.where(r < a_lo, up, np.where(r > a_hi, down, 0.0))
+def smoothed_cutoff(a_in, a_lo, a_hi, a_out) -> RadialBump:
+    """Annular cutoff with quintic ramps, to confirm that verdicts do not
+    depend on cutoff regularity."""
+    return _annular_cutoff("smoothed", a_in, a_lo, a_hi, a_out)
 
 
-def linear_cutoff(a_in, a_lo, a_hi, a_out) -> CutoffProfile:
-    return CutoffProfile(kind="piecewise-linear-annular", radii=(a_in, a_lo, a_hi, a_out))
-
-
-def smoothed_cutoff(a_in, a_lo, a_hi, a_out) -> CutoffProfile:
-    return CutoffProfile(kind="smoothed", radii=(a_in, a_lo, a_hi, a_out))
+def eps_recipe(r_lo: float, r_hi: float) -> float:
+    """The three-sphere eps for the radius ratio r_hi / r_lo:
+    1 / sqrt(1 + log(r_hi / r_lo)^2)."""
+    return 1.0 / math.sqrt(1.0 + math.log(r_hi / r_lo) ** 2)
 
 
 @dataclass(frozen=True)
@@ -177,27 +112,51 @@ def eta_tuned_tau(kappa: float, n: int) -> float:
 # shared machinery for the weighted two-sided checks
 
 
-def _require_origin_cutoff(cutoff: CutoffProfile) -> None:
+def _require_origin_cutoff(cutoff: RadialBump) -> None:
     if any(c != 0.0 for c in cutoff.center):
         raise ValueError("weighted checks require a cutoff centered at the origin")
+    if not cutoff.a_in > 0.0:
+        raise ValueError("weighted checks require a cutoff with a_in > 0: the power "
+                         "weights are singular at the origin")
 
 
-def _two_sided_report(name, f, params, sides, quad, extra=None, signed_lhs=False):
+def _converged(pairs) -> bool:
+    """Two-resolution agreement of (reference, refined) pairs within
+    CONVERGENCE_REL_TOL relative. A pair at roundoff level relative to the
+    largest magnitude among all pairs carries no convergence information, so
+    it passes automatically."""
+    scale = max(abs(v) for pair in pairs for v in pair)
+    return all(max(abs(a), abs(b)) <= 1e-12 * scale
+               or abs(a - b) <= CONVERGENCE_REL_TOL * max(abs(a), abs(b), 1e-30)
+               for a, b in pairs)
+
+
+def _ratio_verdict(lhs, rhs, converged):
+    """Ratio, verdict and notes of a nonnegative left side against its right
+    side: pass when the ratio is finite and both resolutions agree; a
+    vanishing right side passes only with a vanishing left side."""
+    notes = []
+    if not converged:
+        notes.append("two-resolution disagreement above %g relative" % CONVERGENCE_REL_TOL)
+    if rhs == 0.0:
+        return (0.0, "pass", notes) if lhs == 0.0 else (math.inf, "fail", notes)
+    ratio = lhs / rhs
+    return ratio, "pass" if (math.isfinite(ratio) and converged) else "fail", notes
+
+
+def _over_cutoff(f, cutoff, q, density):
+    """integrate_region of density over the cutoff's support, split at its radii."""
+    return integrate_region(f, cutoff.support(f.n), q, density, breakpoints=cutoff.breakpoints())
+
+
+def _two_sided_report(name, f, params, cutoff, sides, quad, extra=None, signed_lhs=False):
     """Evaluate sides(q) -> (lhs, rhs) at the reference and a refined
-    resolution, assemble the standard ratio report with the convergence flag."""
+    resolution, assemble the standard ratio report with the convergence flag
+    and the cutoff's kind and radii."""
+    _require_origin_cutoff(cutoff)
     lhs, rhs = sides(quad)
     lhs2, rhs2 = sides(quad.refined())
-
-    # a side sitting at roundoff level relative to the dominant magnitude
-    # carries no convergence information, so it passes automatically
-    scale = max(abs(lhs), abs(rhs), abs(lhs2), abs(rhs2))
-
-    def _converged(a, b):
-        if max(abs(a), abs(b)) <= 1e-12 * scale:
-            return True
-        return abs(a - b) <= CONVERGENCE_REL_TOL * max(abs(a), abs(b), 1e-30)
-
-    converged = _converged(lhs, lhs2) and _converged(rhs, rhs2)
+    converged = _converged(((lhs, lhs2), (rhs, rhs2)))
     notes = []
     if not converged:
         notes.append("two-resolution disagreement above %g relative" % CONVERGENCE_REL_TOL)
@@ -220,7 +179,7 @@ def _two_sided_report(name, f, params, sides, quad, extra=None, signed_lhs=False
     return CheckReport(
         name=name,
         field_spec=f.tag,
-        params=params,
+        params={**params, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
         quantities=quantities,
         resolutions=quad.meta(),
         verdict=verdict,
@@ -228,14 +187,14 @@ def _two_sided_report(name, f, params, sides, quad, extra=None, signed_lhs=False
     )
 
 
-def _carleman_rhs(cutoff: CutoffProfile, tau: float, r, dmag, mass):
+def _carleman_rhs(cutoff: RadialBump, tau: float, r, dmag, mass):
     """The common right side density |Dchi| (|Df|^2 / |x|^{2 tau - 1}
     + |f|^2 / |x|^{2 tau + 1}), from the per-node |Df|^2 and |f|^2."""
     dchi = np.abs(cutoff.dchi_r(r))
     return dchi * (dmag / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
 
 
-def carleman_sides(f: QField, w: WeightSpec, cutoff: CutoffProfile,
+def carleman_sides(f: QField, w: WeightSpec, cutoff: RadialBump,
                    quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
     """Both sides of the full weighted estimate.
 
@@ -246,11 +205,8 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: CutoffProfile,
     When eps > 0 the left side under the other exponent variant is
     reported too, from the same sweep as the reference-resolution sides.
     """
-    _require_origin_cutoff(cutoff)
     eta = w.eta(f.n)
     tau = w.tau
-    support = cutoff.support(f.n)
-    bps = cutoff.breakpoints()
     exponent = w.mass_exponent()
     extra = {"eta": eta, "mass_exponent": exponent}
     exponents = (exponent,)
@@ -275,26 +231,20 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: CutoffProfile,
 
     def sides(q):
         exps = exponents if q is quad else exponents[:1]
-        lhs, rhs, *variant = integrate_region(f, support, q, density_for(exps), breakpoints=bps)
+        lhs, rhs, *variant = _over_cutoff(f, cutoff, q, density_for(exps))
         if variant:
             extra["lhs_" + other + "_variant"] = variant[0]
         return lhs, rhs
 
     return _two_sided_report(
-        "carleman", f,
-        {"tau": tau, "eps": w.eps, "exponent_variant": w.exponent_variant,
-         "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
-        sides, quad, extra=extra)
+        "carleman", f, {"tau": tau, "eps": w.eps, "exponent_variant": w.exponent_variant},
+        cutoff, sides, quad, extra=extra)
 
 
-def first_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
+def first_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
                          quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
     """The completed-square estimate: eps = 0, no mass term on the left."""
-    _require_origin_cutoff(cutoff)
-    w = WeightSpec(tau=tau)
-    eta = w.eta(f.n)
-    support = cutoff.support(f.n)
-    bps = cutoff.breakpoints()
+    eta = WeightSpec(tau=tau).eta(f.n)
 
     def density(X, r, vals, grads):
         chi = cutoff.chi_r(r)
@@ -304,16 +254,12 @@ def first_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
         return lhs, _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads),
                                   _mass_density(X, r, vals, grads))
 
-    def sides(q):
-        return integrate_region(f, support, q, density, breakpoints=bps)
-
-    return _two_sided_report(
-        "first-carleman", f,
-        {"tau": tau, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
-        sides, quad, extra={"eta": eta})
+    return _two_sided_report("first-carleman", f, {"tau": tau}, cutoff,
+                             lambda q: _over_cutoff(f, cutoff, q, density), quad,
+                             extra={"eta": eta})
 
 
-def pre_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
+def pre_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
                        quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
     """The pre-square estimate with signed left side.
 
@@ -323,11 +269,7 @@ def pre_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
                                          + |f_i|^2 / |x|^{2 tau + 1} ).
     The left side may be negative, in which case the bound holds trivially.
     """
-    _require_origin_cutoff(cutoff)
-    w = WeightSpec(tau=tau)
-    eta = w.eta(f.n)
-    support = cutoff.support(f.n)
-    bps = cutoff.breakpoints()
+    eta = WeightSpec(tau=tau).eta(f.n)
 
     def density(X, r, vals, grads):
         chi = cutoff.chi_r(r)
@@ -338,13 +280,11 @@ def pre_carleman_sides(f: QField, tau: float, cutoff: CutoffProfile,
         return lhs, _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
 
     def sides(q):
-        lhs, rhs = integrate_region(f, support, q, density, breakpoints=bps)
+        lhs, rhs = _over_cutoff(f, cutoff, q, density)
         return lhs, (eta / tau) * rhs
 
-    return _two_sided_report(
-        "pre-carleman", f,
-        {"tau": tau, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
-        sides, quad, extra={"eta": eta}, signed_lhs=True)
+    return _two_sided_report("pre-carleman", f, {"tau": tau}, cutoff, sides, quad,
+                             extra={"eta": eta}, signed_lhs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +338,11 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
     rhs = m1 / r1 ** (2.0 * tau) + m3 / r3 ** (2.0 * tau)
     if log32 > log21:
         case = "rescale-to-r1"
-        eps = 1.0 / math.sqrt(1.0 + log21 ** 2)
+        eps = eps_recipe(r1, r2)
     else:
         case = "rescale-to-r3"
-        eps = 1.0 / math.sqrt(1.0 + log32 ** 2)
-    notes = []
-    if rhs == 0.0:
-        c_est = 0.0 if lhs == 0.0 else math.inf
-        verdict = "pass" if lhs == 0.0 else "fail"
-    else:
-        c_est = lhs / rhs
-        verdict = "pass" if (math.isfinite(c_est) and converged) else "fail"
-    if not converged:
-        notes.append("two-resolution disagreement above %g relative" % CONVERGENCE_REL_TOL)
+        eps = eps_recipe(r2, r3)
+    c_est, verdict, notes = _ratio_verdict(lhs, rhs, converged)
     return CheckReport(
         name="three-sphere",
         field_spec=f.tag,
@@ -629,7 +561,7 @@ def build_phi_delta(delta: float, r1: float, r2: float) -> BentWeight:
 
 
 def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
-                            cutoff: CutoffProfile,
+                            cutoff: RadialBump,
                             quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
     """Both sides of the bent-weight estimate, three integrals reported.
 
@@ -664,22 +596,9 @@ def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
 
     lhs, boundary, bulk_int = run(quad)
     lhs2, boundary2, bulk2 = run(quad.refined())
-    pairs = ((lhs, lhs2), (boundary, boundary2), (bulk_int, bulk2))
-    scale = max(abs(v) for pair in pairs for v in pair)
-    converged = all(
-        max(abs(a), abs(b)) <= 1e-12 * scale
-        or abs(a - b) <= CONVERGENCE_REL_TOL * max(abs(a), abs(b), 1e-30)
-        for a, b in pairs)
+    converged = _converged(((lhs, lhs2), (boundary, boundary2), (bulk_int, bulk2)))
     rhs = boundary + bulge * bulk_int
-    notes = []
-    if not converged:
-        notes.append("two-resolution disagreement above %g relative" % CONVERGENCE_REL_TOL)
-    if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else math.inf
-        verdict = "pass" if lhs == 0.0 else "fail"
-    else:
-        ratio = lhs / rhs
-        verdict = "pass" if (math.isfinite(ratio) and converged) else "fail"
+    ratio, verdict, notes = _ratio_verdict(lhs, rhs, converged)
     return CheckReport(
         name="modified-carleman",
         field_spec=f.tag,
@@ -700,37 +619,35 @@ def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
 # sweep helper
 
 
+def carleman_row(f: QField, tau: float, eps: float, cutoff: RadialBump,
+                 quad: QuadratureSpec = REFERENCE_QUAD, exponent_variant: str = "proof"):
+    """One row of the weighted-estimate sweep: carleman_sides at (tau, eps)."""
+    w = WeightSpec(tau=float(tau), eps=float(eps), exponent_variant=exponent_variant)
+    rep = carleman_sides(f, w, cutoff, quad)
+    return {
+        "field": f.tag,
+        "tau": float(tau),
+        "eps": float(eps),
+        "cutoff_kind": cutoff.kind,
+        "cutoff_radii": cutoff.radii,
+        "lhs": rep.quantities["lhs"],
+        "rhs": rep.quantities["rhs"],
+        "ratio": rep.quantities["ratio"],
+        "verdict": rep.verdict,
+    }
+
+
 def carleman_tau_sweep(f: QField, taus, cutoffs, quad: QuadratureSpec = REFERENCE_QUAD,
                        eps_for=None, exponent_variant: str = "proof"):
     """Rows of the (tau x cutoff) sweep for one field.
 
     eps_for(cutoff) supplies the eps used at each cutoff (default: the
-    three-sphere recipe value 1 / sqrt(1 + log(a_hi/a_lo)^2) from the
-    cutoff's plateau ratio). Returns a list of row dictionaries matching
-    the sweep CSV schema.
+    three-sphere recipe eps_recipe(a_lo, a_hi) of the cutoff's plateau).
     """
     rows = []
     for cutoff in cutoffs:
-        if eps_for is None:
-            ratio = cutoff.radii[2] / cutoff.radii[1]
-            eps = 1.0 / math.sqrt(1.0 + math.log(ratio) ** 2)
-        else:
-            eps = eps_for(cutoff)
-        for tau in taus:
-            w = WeightSpec(tau=float(tau), eps=float(eps),
-                           exponent_variant=exponent_variant)
-            rep = carleman_sides(f, w, cutoff, quad)
-            rows.append({
-                "field": f.tag,
-                "tau": float(tau),
-                "eps": float(eps),
-                "cutoff_kind": cutoff.kind,
-                "cutoff_radii": cutoff.radii,
-                "lhs": rep.quantities["lhs"],
-                "rhs": rep.quantities["rhs"],
-                "ratio": rep.quantities["ratio"],
-                "verdict": rep.verdict,
-            })
+        eps = eps_recipe(cutoff.a_lo, cutoff.a_hi) if eps_for is None else eps_for(cutoff)
+        rows.extend(carleman_row(f, tau, eps, cutoff, quad, exponent_variant) for tau in taus)
     return rows
 
 

@@ -38,7 +38,7 @@ from . import weiss2d
 from .fields import FieldSpecError
 from .qcore import QPoint, metric_g
 from .report import CheckReport, atomic_write_text, config_hash
-from .variational import QuadratureSpec, RadialBump, ball
+from .variational import CutoffConstructionError, QuadratureSpec, RadialBump, ball
 
 
 class UsageError(ValueError):
@@ -280,7 +280,7 @@ def _parse_cutoff(text: str, smoothed: bool):
     build = carleman.smoothed_cutoff if smoothed else carleman.linear_cutoff
     try:
         return build(*radii)
-    except carleman.CutoffConstructionError as exc:
+    except CutoffConstructionError as exc:
         raise UsageError("--chi %r: %s" % (text, exc))
 
 
@@ -288,7 +288,7 @@ def _parse_bump(text: str) -> RadialBump:
     radii = _parse_floats(text, 4, "--bump")
     try:
         return RadialBump(*radii)
-    except ValueError as exc:
+    except CutoffConstructionError as exc:
         raise UsageError("--bump %r: %s" % (text, exc))
 
 
@@ -339,11 +339,7 @@ def _cmd_check_carleman(args, ctx: _Context) -> None:
     if args.eta_tuned:
         report = carleman.first_carleman_sides(f, args.tau, cutoff, ctx.quad)
     else:
-        if args.eps is not None:
-            eps = args.eps
-        else:
-            ratio = cutoff.radii[2] / cutoff.radii[1]
-            eps = 1.0 / math.sqrt(1.0 + math.log(ratio) ** 2)
+        eps = args.eps if args.eps is not None else carleman.eps_recipe(cutoff.a_lo, cutoff.a_hi)
         try:
             w = carleman.WeightSpec(tau=args.tau, eps=eps, exponent_variant=args.variant)
         except ValueError as exc:
@@ -697,18 +693,17 @@ def _sweep_row_base() -> dict:
     return {col: "" for col in SWEEP_COLUMNS}
 
 
+def _cutoff_cells(cutoff) -> dict:
+    a_in, a_lo, a_hi, a_out = cutoff.radii
+    return {"cutoff_kind": cutoff.kind, "a_in": a_in, "a_lo": a_lo, "a_hi": a_hi,
+            "a_out": a_out}
+
+
 def _carleman_row(f, tau, eps, cutoff, quad, res):
-    w = carleman.WeightSpec(tau=tau, eps=eps)
-    rep = carleman.carleman_sides(f, w, cutoff, quad)
-    row = _sweep_row_base()
-    row.update(case="carleman", field=f.tag, tau=tau, eps=eps,
-               cutoff_kind=cutoff.kind,
-               a_in=cutoff.radii[0], a_lo=cutoff.radii[1],
-               a_hi=cutoff.radii[2], a_out=cutoff.radii[3],
-               lhs=rep.quantities["lhs"], rhs=rep.quantities["rhs"],
-               ratio=rep.quantities["ratio"], resolution=res,
-               verdict=rep.verdict)
-    return row
+    row = carleman.carleman_row(f, tau, eps, cutoff, quad)
+    del row["cutoff_radii"]
+    return {**_sweep_row_base(), **row, **_cutoff_cells(cutoff),
+            "case": "carleman", "resolution": res}
 
 
 def _modified_row(f, tau, delta, cutoff, bent_radii, quad, res):
@@ -716,12 +711,9 @@ def _modified_row(f, tau, delta, cutoff, bent_radii, quad, res):
     rep = carleman.modified_carleman_sides(f, tau, bent, cutoff, quad)
     row = _sweep_row_base()
     row.update(case="modified", field=f.tag, tau=tau, delta=delta,
-               cutoff_kind=cutoff.kind,
-               a_in=cutoff.radii[0], a_lo=cutoff.radii[1],
-               a_hi=cutoff.radii[2], a_out=cutoff.radii[3],
                lhs=rep.quantities["lhs"], rhs=rep.quantities["rhs"],
                ratio=rep.quantities["ratio"], resolution=res,
-               verdict=rep.verdict)
+               verdict=rep.verdict, **_cutoff_cells(cutoff))
     return row
 
 
@@ -758,7 +750,7 @@ def _cmd_sweep(args, ctx: _Context) -> None:
     for _, f in built:
         for cutoff in cutoffs:
             if sweep.eps is None:
-                eps_grid = (1.0 / math.sqrt(1.0 + math.log(cutoff.radii[2] / cutoff.radii[1]) ** 2),)
+                eps_grid = (carleman.eps_recipe(cutoff.a_lo, cutoff.a_hi),)
             else:
                 eps_grid = sweep.eps
             for eps in eps_grid:
@@ -849,7 +841,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", required=True, help="annulus:a_in,a_lo,a_hi,a_out")
     p.add_argument("--eps", type=float, help="mass-term weight (default: plateau recipe)")
     p.add_argument("--variant", choices=("proof", "statement"), default="proof")
-    p.add_argument("--smoothed", action="store_true", help="use the C^1 ramp cutoff")
+    p.add_argument("--smoothed", action="store_true", help="use the C^2 quintic ramp cutoff")
     p.add_argument("--eta-tuned", action="store_true",
                    help="completed-square estimate with eps = 0")
     p.set_defaults(handler=_cmd_check_carleman)

@@ -335,15 +335,23 @@ def l2_mass(f: QField, region: Region, quad: QuadratureSpec = REFERENCE_QUAD,
 
 
 # ---------------------------------------------------------------------------
-# radial plateau bump
+# radial cutoff
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
+class CutoffConstructionError(ValueError):
+    """Cutoff radii out of order, or an unknown ramp kind."""
+
+
+# peak slope of each ramp shape on [0, 1]
+_RAMP_SLOPE = {"smoothed": 15.0 / 8.0, "piecewise-linear-annular": 1.0}
+
+
+def _quintic(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _smoothstep_d(t: np.ndarray) -> np.ndarray:
+def _quintic_d(t: np.ndarray) -> np.ndarray:
     inside = (t > 0.0) & (t < 1.0)
     t = np.clip(t, 0.0, 1.0)
     return np.where(inside, 30.0 * t * t * (1.0 - t) ** 2, 0.0)
@@ -351,21 +359,42 @@ def _smoothstep_d(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialBump:
-    """C^2 radial plateau bump: zero outside [a_in, a_out], one on [a_lo, a_hi],
-    quintic ramps between."""
+    """Radial plateau cutoff: zero outside [a_in, a_out], one on [a_lo, a_hi].
+
+    kind "smoothed" uses quintic ramps, which are C^2 (first and second
+    derivatives vanish at both ends); "piecewise-linear-annular" ramps
+    linearly. With a_in = 0 the support is a ball. |Dchi| <= slope_bound,
+    the ramp's peak slope (15/8 quintic, 1 linear) over the narrower ramp.
+    """
 
     a_in: float
     a_lo: float
     a_hi: float
     a_out: float
     center: tuple = (0.0, 0.0)
+    kind: str = "smoothed"
 
     def __post_init__(self):
+        if self.kind not in _RAMP_SLOPE:
+            raise CutoffConstructionError("unknown cutoff kind %r" % (self.kind,))
         if not (0.0 <= self.a_in < self.a_lo <= self.a_hi < self.a_out):
-            raise ValueError("bump radii must satisfy a_in < a_lo <= a_hi < a_out")
+            raise CutoffConstructionError(
+                "cutoff radii must satisfy 0 <= a_in < a_lo <= a_hi < a_out, got %r"
+                % (self.radii,))
+        for name, value in zip(("a_in", "a_lo", "a_hi", "a_out"), self.radii):
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+
+    @property
+    def radii(self) -> tuple:
+        return (self.a_in, self.a_lo, self.a_hi, self.a_out)
 
     def breakpoints(self):
-        return (self.a_in, self.a_lo, self.a_hi, self.a_out)
+        return self.radii
+
+    @property
+    def slope_bound(self) -> float:
+        return _RAMP_SLOPE[self.kind] / min(self.a_lo - self.a_in, self.a_out - self.a_hi)
 
     def _origin(self, n: int) -> tuple:
         """The center in R^n: the given one when it has n coordinates, else 0."""
@@ -379,26 +408,34 @@ class RadialBump:
 
     def chi_r(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        up = _smoothstep((r - self.a_in) / (self.a_lo - self.a_in))
-        down = _smoothstep((self.a_out - r) / (self.a_out - self.a_hi))
+        up = (r - self.a_in) / (self.a_lo - self.a_in)
+        down = (self.a_out - r) / (self.a_out - self.a_hi)
+        if self.kind == "smoothed":
+            up, down = _quintic(up), _quintic(down)
+        else:
+            up, down = np.clip(up, 0.0, 1.0), np.clip(down, 0.0, 1.0)
         return np.where(r < self.a_lo, up, np.where(r > self.a_hi, down, 1.0))
 
     def dchi_r(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        up = _smoothstep_d((r - self.a_in) / (self.a_lo - self.a_in)) / (self.a_lo - self.a_in)
-        down = -_smoothstep_d((self.a_out - r) / (self.a_out - self.a_hi)) / (self.a_out - self.a_hi)
+        rise, fall = self.a_lo - self.a_in, self.a_out - self.a_hi
+        if self.kind == "smoothed":
+            up = _quintic_d((r - self.a_in) / rise) / rise
+            down = -_quintic_d((self.a_out - r) / fall) / fall
+        else:
+            up = np.where((r > self.a_in) & (r < self.a_lo), 1.0 / rise, 0.0)
+            down = np.where((r > self.a_hi) & (r < self.a_out), -1.0 / fall, 0.0)
         return np.where(r < self.a_lo, up, np.where(r > self.a_hi, down, 0.0))
 
-    def chi(self, X, center=None) -> np.ndarray:
+    def _offsets(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        c = np.asarray(center if center is not None else self._origin(X.shape[1]), dtype=float)
-        r = np.linalg.norm(X - c[None, :], axis=1)
-        return self.chi_r(r)
+        return X - np.asarray(self._origin(X.shape[1]), dtype=float)[None, :]
 
-    def grad_chi(self, X, center=None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        c = np.asarray(center if center is not None else self._origin(X.shape[1]), dtype=float)
-        rel = X - c[None, :]
+    def chi(self, X) -> np.ndarray:
+        return self.chi_r(np.linalg.norm(self._offsets(X), axis=1))
+
+    def grad_chi(self, X) -> np.ndarray:
+        rel = self._offsets(X)
         r = np.linalg.norm(rel, axis=1)
         safe = np.where(r == 0.0, 1.0, r)
         return (self.dchi_r(r) / safe)[:, None] * rel
@@ -568,7 +605,11 @@ def outer_battery(bump: RadialBump, n: int, m: int):
     def du_rot(X, U):
         return bump.chi(X)[:, None, None] * R[None, :, :]
 
-    slope = 30.0 / 8.0 / min(bump.a_lo - bump.a_in, bump.a_out - bump.a_hi)
+    # the sampled bound |psi| + |D_x psi| <= (1 + |Dchi|) |u| needs only
+    # 1 + slope_bound; the factor 2 is headroom over the peak slope, so the
+    # declared constant is never tight, for either ramp kind (slope_bound is
+    # that kind's own peak |Dchi|)
+    slope = 2.0 * bump.slope_bound
     return [
         make("outer:chi*u", psi_id, dx_id, du_id, math.sqrt(m), 1.0 + slope),
         make("outer:chi*const", psi_const, dx_const, du_const, 0.0, (1.0 + slope)),

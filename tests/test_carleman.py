@@ -16,7 +16,6 @@ import pytest
 from qvlab.carleman import (
     BentWeightError,
     CutoffConstructionError,
-    CutoffProfile,
     RadiusHypothesisError,
     WeightSpec,
     build_phi_delta,
@@ -33,7 +32,7 @@ from qvlab.carleman import (
     three_sphere_check,
 )
 from qvlab.fields import make_branch_field, make_harmonic_sheets, make_trivial, parse_polynomial, superpose
-from qvlab.variational import QuadratureSpec
+from qvlab.variational import QuadratureSpec, RadialBump
 
 FAST = QuadratureSpec(radial_order=12, angular_nodes=64, polar_nodes=16)
 CUT = linear_cutoff(0.1, 0.2, 0.6, 0.9)
@@ -51,7 +50,7 @@ def test_cutoff_validation_and_plateau():
     with pytest.raises(CutoffConstructionError):
         linear_cutoff(0.0, 0.2, 0.6, 0.9)
     with pytest.raises(CutoffConstructionError):
-        CutoffProfile(kind="gaussian", radii=(0.1, 0.2, 0.6, 0.9))
+        RadialBump(0.1, 0.2, 0.6, 0.9, kind="gaussian")
     r = np.array([0.05, 0.15, 0.4, 0.95])
     np.testing.assert_allclose(CUT.chi_r(r), [0.0, 0.5, 1.0, 0.0])
     assert CUT.slope_bound == pytest.approx(1.0 / 0.1)
@@ -154,10 +153,27 @@ def test_pre_carleman_trivial():
 
 
 def test_cutoff_must_be_centered_at_origin():
-    shifted = CutoffProfile(kind="piecewise-linear-annular",
-                            radii=(0.1, 0.2, 0.6, 0.9), center=(0.3, 0.0))
+    shifted = RadialBump(0.1, 0.2, 0.6, 0.9, center=(0.3, 0.0),
+                         kind="piecewise-linear-annular")
     with pytest.raises(ValueError):
         first_carleman_sides(make_branch_field(1, 2), 1.0, shifted, FAST)
+
+
+def test_weighted_checks_reject_ball_cutoff():
+    # the power weights are singular at the origin, so a cutoff whose
+    # support reaches it (a_in = 0) is refused by every weighted check
+    ball_cut = RadialBump(0.0, 0.2, 0.6, 0.9)
+    f = make_branch_field(3, 2)
+    bent = build_phi_delta(0.05, 0.01, 0.25)
+    checks = (
+        lambda: carleman_sides(f, WeightSpec(tau=1.5, eps=0.3), ball_cut, FAST),
+        lambda: first_carleman_sides(f, 1.5, ball_cut, FAST),
+        lambda: pre_carleman_sides(f, 1.5, ball_cut, FAST),
+        lambda: modified_carleman_sides(f, 1.5, bent, ball_cut, FAST),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match="a_in > 0"):
+            check()
 
 
 # ---------------------------------------------------------------------------

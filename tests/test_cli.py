@@ -7,6 +7,7 @@ provenance, determinism, file formats), not the numerics, which have their
 own suites.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -397,6 +398,28 @@ def test_sweep_delta_and_kappa_grids(capsys, tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     cases = {line.split(",", 1)[0] for line in lines[2:]}
     assert cases == {"carleman", "modified", "epiperimetric"}
+
+
+SWEEP_GOLDEN_CSV = "2920d6f3565f9110c2932340eb76def8544357a2d03b54206c01e1fe064c2c82"
+SWEEP_GOLDEN_REPORT = "c15bd31753f94f0ceb714fd0c53187a598a5316d8e7b404bd8d3751bad4a62af"
+
+
+def test_sweep_golden_bytes(capsys, tmp_path):
+    """sha256 of the CSV and the report of one sweep with carleman, modified
+    and epiperimetric rows at radial 8 x angular 32, recorded before the two
+    cutoff types were merged; any change to a row or report byte fails here."""
+    cfg = _sweep_config(tmp_path, fields=["branch:3/2", "harmonic:n2m1:x1"],
+                        taus=[1.5, 2.0], deltas=[0.02], kappas=[1.5])
+    code, out, _ = run_cli(capsys, "sweep", "--config-sweep", str(cfg),
+                           "--quad-radial", "8", "--quad-angular", "32")
+    assert code == 0
+    csv_text = (tmp_path / "sweep.csv").read_text()
+    report_text = (tmp_path / "sweep_report.json").read_text()
+    assert out == report_text
+    cases = {line.split(",", 1)[0] for line in csv_text.strip().split("\n")[2:]}
+    assert cases == {"carleman", "modified", "epiperimetric"}
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == SWEEP_GOLDEN_CSV
+    assert hashlib.sha256(report_text.encode()).hexdigest() == SWEEP_GOLDEN_REPORT
 
 
 def test_sweep_empty_grid_exits_2(capsys, tmp_path):

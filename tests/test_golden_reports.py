@@ -3,7 +3,9 @@
 Each case runs one check on one field of the example library and hashes
 the canonical JSON it serializes to (profiles, which are lists of rows,
 go through the same canonical_json). The digests were recorded before the
-multi-density panel sweep landed; any change to the quadrature engine or
+multi-density panel sweep landed, and the stationarity-ball, three-sphere
+and carleman-sweep ones before the two radial cutoff types were merged
+into RadialBump; any change to the quadrature engine or
 the checks that moves a single report byte fails here. To record new
 digests after an intended change in the mathematics, run this file as a
 script and paste its output into DIGESTS.
@@ -31,8 +33,10 @@ def _checks(f, kappa):
     linear = carleman.linear_cutoff(0.1, 0.2, 0.4, 0.8)
     smoothed = carleman.smoothed_cutoff(0.05, 0.1, 0.3, 0.45)
     bent = carleman.build_phi_delta(0.1, 0.05, 0.4)
+    ball_bump = variational.RadialBump(0.0, 0.2, 0.5, 0.8)
     return {
         "stationarity": lambda: variational.stationarity_battery(f, Q),
+        "stationarity-ball": lambda: variational.stationarity_battery(f, Q, bump=ball_bump),
         "carleman": lambda: carleman.carleman_sides(
             f, carleman.WeightSpec(tau=1.5, eps=0.3), linear, Q),
         "first-carleman": lambda: carleman.first_carleman_sides(f, 1.25, smoothed, Q),
@@ -45,6 +49,9 @@ def _checks(f, kappa):
         "frequency-identity": lambda: frequency.frequency_identity_check(
             f, ORIGIN, 0.2, 0.4, Q, nodes=4),
         "weiss-derivative": lambda: weiss2d.weiss_derivative_check(f, ORIGIN, kappa, 0.4, quad=Q),
+        "three-sphere": lambda: carleman.three_sphere_check(f, ORIGIN, 0.05, 0.11, 0.24, 1.5, Q),
+        "carleman-sweep": lambda: carleman.carleman_tau_sweep(
+            f, (1.0, 2.0), (linear, smoothed), Q),
     }
 
 
@@ -52,6 +59,7 @@ CHECKS = tuple(_checks(None, 1.0))
 
 DIGESTS = {
     "branch-three-halves/stationarity": "8783d2c3f65aaa829701f5190da5f867efc68d6b31b66e257cdc315f4e510cef",
+    "branch-three-halves/stationarity-ball": "aecb4e9b179f6669843ffd970b9777addbdb8ff1a8fd526370be27055981bb8f",
     "branch-three-halves/carleman": "2462de26283d896cdfe666e930286a176661ed769d2807895f20a32c1b918cae",
     "branch-three-halves/first-carleman": "166988b0671a482860de54b10bed78c0b4194febe2b886a9bde0d4cea6d0fe3f",
     "branch-three-halves/pre-carleman": "13c753d14c3e80d86c817134c5a57502cd8a355eb7d9a36032906006ac150b52",
@@ -60,7 +68,10 @@ DIGESTS = {
     "branch-three-halves/deficit-profile": "4a7071e32decd813c98093804092f1525226b0d47329708535cd04836e716e21",
     "branch-three-halves/frequency-identity": "a32950c7a108caccc8f9a517c0588b262800b5019b65937b74543e456234f0de",
     "branch-three-halves/weiss-derivative": "b9765d3468e505c9ea25ac4a8f15dcf9800374b42b880c1c3a7d210f5754ddc0",
+    "branch-three-halves/three-sphere": "894db89627b84f65bfa792fd25c0e4ef1c5e9022cdd59b4656ba0c4965cbeab0",
+    "branch-three-halves/carleman-sweep": "105e5d5a1f7698385849405bb9c649228fe9598d686480cb523012cc04ce9bd0",
     "harmonic-pair/stationarity": "d9577be36448b1267d720e783144901ac8a19b548304a944d3404b1884e4e6e5",
+    "harmonic-pair/stationarity-ball": "8e3384ed0f2c4e4b41598bd5d93792c59b33c69c329d10e2c94042a3adb5c149",
     "harmonic-pair/carleman": "58d2cbaa5f4ee8e0fe3a71ac966cf6a8e414a16d6d8797c99ea47d1d821f40e4",
     "harmonic-pair/first-carleman": "292a56e6644fba9e6916753b34f706f870b156cdc91a262e60d372b296cac51e",
     "harmonic-pair/pre-carleman": "bd267530fe61b5dcf58251aa72ed02d5de6995108c520bc398e50d6a9095ca93",
@@ -69,7 +80,10 @@ DIGESTS = {
     "harmonic-pair/deficit-profile": "561b5d2ce407639d9ed556ff4c67f1ba05aaca2c9f4b64063992524ba1627e49",
     "harmonic-pair/frequency-identity": "8f810c47b2ed12505d99cdc35369b390590341607e9f9321be75b3478a14542d",
     "harmonic-pair/weiss-derivative": "4bc63d31d86033db77d9ca4820bf8e0065a1c6b6fadf44a13e3105a89861bb90",
+    "harmonic-pair/three-sphere": "cebde0e86707a437a273ce9d182aedf2c33063ffd0088a1f7355da6712253119",
+    "harmonic-pair/carleman-sweep": "7d54ea27d69e1070f433cab4a68780700396787117e223d405e0677ac698e0e1",
     "wound-s0/stationarity": "04e0d2e155f1595b5f3944acb9677c286ace0a26bd264bf2fa30f2bb85acf6c4",
+    "wound-s0/stationarity-ball": "8f88c27c3479cb282b9f0cd57e12711a8ebb12914c54836236f7fda4099abc2c",
     "wound-s0/carleman": "2096d87e857aa20e5b86c80d938ba5851d832cc96ed0331268756e3c3959a389",
     "wound-s0/first-carleman": "fb86163cfd9025c7b11b4e15579da47b5ab2012961450d10140612875ae0fbd5",
     "wound-s0/pre-carleman": "70abbee581b985d3cfa256b6ffb21a39b871dc8abfa1cff643544899ef8062e7",
@@ -78,6 +92,8 @@ DIGESTS = {
     "wound-s0/deficit-profile": "00234b091c54698d0fca620856d941db5364bfd7fbc219e444b4bf33579bfc48",
     "wound-s0/frequency-identity": "137aeae13fde86da9b4df4d685fb86ada40e62cd731101c619a607542ebcde23",
     "wound-s0/weiss-derivative": "7d630a208d5e59021cc473c97ade3ec3d547f3bab03562bf0f532fd222a3a2ad",
+    "wound-s0/three-sphere": "2529a98beb019e78ee127dcfffdadacf02f6e142c0a433411205935ca70ace43",
+    "wound-s0/carleman-sweep": "95bd01ee49b12108a27c11e2a192f2f20369427d9740870fdd337e15797ae7de",
     "wound-s0/construction-cert": "b33cde025d0b1c06351ce1e5421c383b5d7c2b85049bc718ea78f6eb71332455",
 }
 

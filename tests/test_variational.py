@@ -25,7 +25,7 @@ from qvlab.fields import (
     parse_polynomial,
     random_wound_pieces,
 )
-from qvlab import variational
+from qvlab import carleman, variational
 from qvlab.variational import (
     CACCIOPPOLI_C_MAX,
     QuadratureSpec,
@@ -194,6 +194,33 @@ def test_bump_plateau_and_support():
         RadialBump(0.3, 0.15, 0.6, 0.9)
 
 
+def test_bump_kinds_slope_and_ball_support():
+    smooth = RadialBump(0.15, 0.3, 0.6, 0.9)
+    linear = RadialBump(0.15, 0.3, 0.6, 0.9, kind="piecewise-linear-annular")
+    assert smooth.kind == "smoothed"
+    assert smooth.radii == smooth.breakpoints() == (0.15, 0.3, 0.6, 0.9)
+    assert smooth.slope_bound == pytest.approx(15.0 / 8.0 / 0.15)
+    assert linear.slope_bound == pytest.approx(1.0 / 0.15)
+    r = np.linspace(0.0, 1.0, 1001)
+    for bump in (smooth, linear):
+        assert np.max(np.abs(bump.dchi_r(r))) <= bump.slope_bound * (1.0 + 1e-12)
+    np.testing.assert_allclose(linear.chi_r(np.array([0.225, 0.75])), [0.5, 0.5])
+    assert smooth.support(2).kind == "annulus"
+    ball_bump = RadialBump(0.0, 0.2, 0.6, 0.9)
+    assert ball_bump.support(2) == Region(kind="ball", center=(0.0, 0.0), radii=(0.0, 0.9))
+    with pytest.raises(variational.CutoffConstructionError):
+        RadialBump(0.1, 0.2, 0.6, 0.9, kind="gaussian")
+
+
+def test_outer_battery_growth_is_twice_the_peak_slope():
+    for kind in ("smoothed", "piecewise-linear-annular"):
+        bump = RadialBump(0.15, 0.3, 0.6, 0.9, kind=kind)
+        for test in outer_battery(bump, 2, 2):
+            assert test.growth_linear == 1.0 + 2.0 * bump.slope_bound
+    # the quintic constant is bit for bit the former 30/8 over the narrower ramp
+    assert outer_battery(BUMP, 2, 2)[0].growth_linear == 1.0 + 30.0 / 8.0 / 0.15
+
+
 def test_bump_derivative_matches_finite_differences():
     bump = RadialBump(0.15, 0.3, 0.6, 0.9)
     r = np.array([0.18, 0.22, 0.27, 0.45, 0.65, 0.75, 0.85])
@@ -341,6 +368,32 @@ def test_caccioppoli_branch_field_within_constant():
     report = caccioppoli_check(make_branch_field(3, 2), BUMP, FAST)
     assert report.verdict == "pass"
     assert 0.0 < report.quantities["c_est"] <= CACCIOPPOLI_C_MAX
+
+
+def test_caccioppoli_on_carleman_cutoffs_matches_radial_closed_form():
+    # branch:3/2 has Q = 2 sheets of degree kappa = 3/2, so the sheet sums
+    # are |f|^2 = Q r^(2 kappa) and |Df|^2 = 2 Q kappa^2 r^(2 kappa - 2) at
+    # every angle; both sides reduce to radial integrals against the cutoff
+    from scipy.integrate import quad as scalar_quad
+
+    kappa, q = 1.5, 2
+    f = make_branch_field(3, 2)
+    for cutoff in (carleman.linear_cutoff(0.1, 0.2, 0.6, 0.9),
+                   carleman.smoothed_cutoff(0.05, 0.1, 0.3, 0.45)):
+        rep = caccioppoli_check(f, cutoff, FAST)
+        a_in, a_lo, a_hi, a_out = cutoff.radii
+
+        def radial(g):
+            return 2.0 * math.pi * scalar_quad(lambda r: g(r) * r, a_in, a_out,
+                                               points=(a_lo, a_hi))[0]
+
+        lhs = radial(lambda r: cutoff.chi_r(r) ** 2
+                     * 2.0 * q * kappa ** 2 * r ** (2.0 * kappa - 2.0))
+        rhs = radial(lambda r: cutoff.dchi_r(r) ** 2 * q * r ** (2.0 * kappa))
+        assert rep.quantities["lhs"] == pytest.approx(lhs, rel=1e-10)
+        assert rep.quantities["rhs"] == pytest.approx(rhs, rel=1e-10)
+        assert rep.verdict == "pass", rep.quantities
+        assert rep.params["cutoff_radii"] == cutoff.radii
 
 
 def test_caccioppoli_trivial_field():
@@ -588,7 +641,7 @@ def test_multi_integral_check_field_call_counts():
     the refined resolution keeps one panel per block, the battery's coarse
     and mid resolutions fit all panels in one block.
     """
-    from qvlab import carleman, frequency
+    from qvlab import frequency
 
     cut = carleman.linear_cutoff(0.1, 0.2, 0.6, 0.9)
     bent = carleman.build_phi_delta(0.1, 0.05, 0.4)
