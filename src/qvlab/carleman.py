@@ -131,17 +131,22 @@ def _converged(pairs) -> bool:
                for a, b in pairs)
 
 
-def _ratio_verdict(lhs, rhs, converged):
-    """Ratio, verdict and notes of a nonnegative left side against its right
-    side: pass when the ratio is finite and both resolutions agree; a
-    vanishing right side passes only with a vanishing left side."""
+def _ratio_verdict(lhs, rhs, converged, signed_lhs=False):
+    """Ratio, verdict and notes of a left side against its right side: pass
+    when both resolutions agree and the ratio is finite, or the left side is
+    signed and not positive (the bound then holds trivially). A vanishing
+    right side passes unless the left side is positive."""
     notes = []
     if not converged:
         notes.append("two-resolution disagreement above %g relative" % CONVERGENCE_REL_TOL)
     if rhs == 0.0:
-        return (0.0, "pass", notes) if lhs == 0.0 else (math.inf, "fail", notes)
+        if lhs > 0.0:
+            notes.append("right side vanished while left side is positive")
+            return math.inf, "fail", notes
+        return 0.0, "pass", notes
     ratio = lhs / rhs
-    return ratio, "pass" if (math.isfinite(ratio) and converged) else "fail", notes
+    ok = converged and (math.isfinite(ratio) or (signed_lhs and lhs <= 0.0))
+    return ratio, "pass" if ok else "fail", notes
 
 
 def _over_cutoff(f, cutoff, q, density):
@@ -157,21 +162,7 @@ def _two_sided_report(name, f, params, cutoff, sides, quad, extra=None, signed_l
     lhs, rhs = sides(quad)
     lhs2, rhs2 = sides(quad.refined())
     converged = _converged(((lhs, lhs2), (rhs, rhs2)))
-    notes = []
-    if not converged:
-        notes.append("two-resolution disagreement above %g relative" % CONVERGENCE_REL_TOL)
-    if rhs == 0.0:
-        if lhs > 0.0:
-            verdict = "fail"
-            ratio = math.inf
-            notes.append("right side vanished while left side is positive")
-        else:
-            verdict = "pass"
-            ratio = 0.0
-    else:
-        ratio = lhs / rhs
-        trivially_true = signed_lhs and lhs <= 0.0
-        verdict = "pass" if converged and (math.isfinite(ratio) or trivially_true) else "fail"
+    ratio, verdict, notes = _ratio_verdict(lhs, rhs, converged, signed_lhs)
     quantities = {"lhs": lhs, "rhs": rhs, "ratio": ratio,
                   "lhs_refined": lhs2, "rhs_refined": rhs2}
     if extra:
@@ -359,11 +350,12 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
 
 UNDERFLOW_MASS = 1e-280
 ABSORPTION_HALVINGS = 200
+DOUBLING_DRIFT_TOL = 0.25
 
 
 def doubling_check(f: QField, x, r: float, kappa_x: float,
                    quad: QuadratureSpec = REFERENCE_QUAD, eta_abs: float = 0.1,
-                   levels: int = 3, drift_tol: float = 0.25) -> CheckReport:
+                   levels: int = 3) -> CheckReport:
     """Doubling constant of the squared mass at self-selected small scales.
 
     Starting from r the op scans dyadically downward until the absorption
@@ -371,12 +363,17 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
     higher-radius term of the underlying argument can be reabsorbed), then
     reports C_est(eps) = mass(B_2eps) / mass(B_eps) over `levels` dyadic
     scales from there. Pass requires every C_est finite with relative drift
-    at most drift_tol; a vanishing denominator yields a diagnostic verdict.
-    eta_abs must be positive. When the criterion still fails after
-    ABSORPTION_HALVINGS halvings of r, the report says so and cannot pass.
+    at most DOUBLING_DRIFT_TOL; a vanishing denominator yields a diagnostic
+    verdict. r and eta_abs must be positive and levels at least 1. When the
+    criterion still fails after ABSORPTION_HALVINGS halvings of r, the report
+    says so and cannot pass.
     """
     if not eta_abs > 0.0:
         raise ValueError("eta_abs must be positive, got %g" % eta_abs)
+    if not r > 0.0:
+        raise ValueError("r must be positive, got %g" % r)
+    if levels < 1:
+        raise ValueError("levels must be at least 1, got %d" % levels)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     eps = float(r)
     guard = 0
@@ -410,7 +407,7 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
         if len(ratios) >= 2:
             drift = max(abs(a - b) / max(abs(b), 1e-300)
                         for a, b in zip(ratios[:-1], ratios[1:]))
-        verdict = "pass" if (finite and drift <= drift_tol) else "fail"
+        verdict = "pass" if (finite and drift <= DOUBLING_DRIFT_TOL) else "fail"
     if not absorbed:
         notes.append("absorption criterion eps^(2 eta_abs) < 1/2 not met after %d halvings "
                      "(value %r); the scales are not in the absorbed regime"
@@ -421,7 +418,7 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
         name="doubling",
         field_spec=f.tag,
         params={"center": tuple(x_arr.tolist()), "r": r, "kappa_x": kappa_x,
-                "eta_abs": eta_abs, "levels": levels, "drift_tol": drift_tol},
+                "eta_abs": eta_abs, "levels": levels, "drift_tol": DOUBLING_DRIFT_TOL},
         quantities={"absorption_scale": r_x,
                     "absorption_value": r_x ** (2.0 * eta_abs),
                     "tau_abs": tau_abs,
@@ -620,9 +617,9 @@ def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
 
 
 def carleman_row(f: QField, tau: float, eps: float, cutoff: RadialBump,
-                 quad: QuadratureSpec = REFERENCE_QUAD, exponent_variant: str = "proof"):
+                 quad: QuadratureSpec = REFERENCE_QUAD):
     """One row of the weighted-estimate sweep: carleman_sides at (tau, eps)."""
-    w = WeightSpec(tau=float(tau), eps=float(eps), exponent_variant=exponent_variant)
+    w = WeightSpec(tau=float(tau), eps=float(eps))
     rep = carleman_sides(f, w, cutoff, quad)
     return {
         "field": f.tag,
@@ -637,17 +634,13 @@ def carleman_row(f: QField, tau: float, eps: float, cutoff: RadialBump,
     }
 
 
-def carleman_tau_sweep(f: QField, taus, cutoffs, quad: QuadratureSpec = REFERENCE_QUAD,
-                       eps_for=None, exponent_variant: str = "proof"):
-    """Rows of the (tau x cutoff) sweep for one field.
-
-    eps_for(cutoff) supplies the eps used at each cutoff (default: the
-    three-sphere recipe eps_recipe(a_lo, a_hi) of the cutoff's plateau).
-    """
+def carleman_tau_sweep(f: QField, taus, cutoffs, quad: QuadratureSpec = REFERENCE_QUAD):
+    """Rows of the (tau x cutoff) sweep for one field, each cutoff at the
+    three-sphere eps recipe eps_recipe(a_lo, a_hi) of its plateau."""
     rows = []
     for cutoff in cutoffs:
-        eps = eps_recipe(cutoff.a_lo, cutoff.a_hi) if eps_for is None else eps_for(cutoff)
-        rows.extend(carleman_row(f, tau, eps, cutoff, quad, exponent_variant) for tau in taus)
+        eps = eps_recipe(cutoff.a_lo, cutoff.a_hi)
+        rows.extend(carleman_row(f, tau, eps, cutoff, quad) for tau in taus)
     return rows
 
 

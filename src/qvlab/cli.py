@@ -35,7 +35,6 @@ from . import fields
 from . import frequency
 from . import variational
 from . import weiss2d
-from .fields import FieldSpecError
 from .qcore import QPoint, metric_g
 from .report import CheckReport, atomic_write_text, config_hash
 from .variational import CutoffConstructionError, QuadratureSpec, RadialBump, ball
@@ -63,14 +62,6 @@ DEFAULT_CONFIG = {
     "quad_polar": 32,
     "n_nodes": 512,
     "seed": 0,
-}
-
-_CONFIG_KEY_TYPES = {
-    "quad_radial": int,
-    "quad_angular": int,
-    "quad_polar": int,
-    "n_nodes": int,
-    "seed": int,
 }
 
 SWEEP_COLUMNS = (
@@ -112,13 +103,11 @@ def example_library():
 
 
 def _workers() -> int:
-    raw = os.environ.get("QVLAB_WORKERS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("QVLAB_WORKERS", "1")
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError("QVLAB_WORKERS must be a positive integer, got %r" % raw)
+        value = 0
     if value < 1:
         raise UsageError("QVLAB_WORKERS must be a positive integer, got %r" % raw)
     return value
@@ -135,7 +124,7 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise UsageError("config %s must hold a JSON object" % path)
     for key, value in raw.items():
-        if key not in _CONFIG_KEY_TYPES:
+        if key not in DEFAULT_CONFIG:
             raise UsageError("unknown config key %r in %s" % (key, path))
         if not isinstance(value, int) or isinstance(value, bool):
             raise UsageError("config key %r must be an integer, got %r" % (key, value))
@@ -148,7 +137,7 @@ def _effective_config(args) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         cfg.update(_load_config_file(args.config))
-    for key in _CONFIG_KEY_TYPES:
+    for key in DEFAULT_CONFIG:
         flag = getattr(args, key, None)
         if flag is not None:
             if key != "seed" and flag < 1:
@@ -250,10 +239,6 @@ class _Context:
         return 1 if any(r.verdict == "fail" for r in self.reports) else 0
 
 
-def _parse_field(spec: str):
-    return fields.parse_field_spec(spec)
-
-
 def _parse_floats(text: str, count: int | None, what: str):
     try:
         values = tuple(float(tok) for tok in text.split(","))
@@ -326,7 +311,7 @@ def _cmd_examples(args, ctx: _Context) -> None:
 
 
 def _cmd_check_stationarity(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     bump = _parse_bump(args.bump) if args.bump else None
     report = variational.stationarity_battery(f, ctx.quad, bump=bump,
                                               refine=not args.no_refine)
@@ -334,33 +319,27 @@ def _cmd_check_stationarity(args, ctx: _Context) -> None:
 
 
 def _cmd_check_carleman(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     cutoff = _parse_cutoff(args.chi, args.smoothed)
     if args.eta_tuned:
         report = carleman.first_carleman_sides(f, args.tau, cutoff, ctx.quad)
     else:
         eps = args.eps if args.eps is not None else carleman.eps_recipe(cutoff.a_lo, cutoff.a_hi)
-        try:
-            w = carleman.WeightSpec(tau=args.tau, eps=eps, exponent_variant=args.variant)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        w = carleman.WeightSpec(tau=args.tau, eps=eps, exponent_variant=args.variant)
         report = carleman.carleman_sides(f, w, cutoff, ctx.quad)
     ctx.emit(report, args.out)
 
 
 def _cmd_check_three_sphere(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
     r1, r2, r3 = _parse_floats(args.radii, 3, "--radii")
-    try:
-        report = carleman.three_sphere_check(f, x, r1, r2, r3, args.tau, ctx.quad)
-    except carleman.RadiusHypothesisError as exc:
-        raise UsageError(str(exc))
+    report = carleman.three_sphere_check(f, x, r1, r2, r3, args.tau, ctx.quad)
     ctx.emit(report, args.out)
 
 
 def _cmd_check_doubling(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
     kappa, _ = _resolve_kappa(args.kappa, f, ctx, x)
     report = carleman.doubling_check(f, x, args.r, kappa, ctx.quad,
@@ -369,24 +348,17 @@ def _cmd_check_doubling(args, ctx: _Context) -> None:
 
 
 def _cmd_check_caccioppoli(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
-    bump = _parse_bump(args.bump)
-    kwargs = {}
-    if args.c_max is not None:
-        kwargs["c_max"] = args.c_max
-    report = variational.caccioppoli_check(f, bump, ctx.quad, **kwargs)
+    f = fields.parse_field_spec(args.field)
+    report = variational.caccioppoli_check(f, _parse_bump(args.bump), ctx.quad, args.c_max)
     ctx.emit(report, args.out)
 
 
 def _cmd_frequency(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
     if args.identity:
         r_lo, r_hi = _parse_floats(args.identity, 2, "--identity")
-        try:
-            report = frequency.frequency_identity_check(f, x, r_lo, r_hi, ctx.quad)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        report = frequency.frequency_identity_check(f, x, r_lo, r_hi, ctx.quad)
         ctx.emit(report, args.out)
         return
     if args.r is not None:
@@ -414,13 +386,10 @@ def _cmd_frequency(args, ctx: _Context) -> None:
 
 
 def _cmd_vanishing_order(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
-    try:
-        est = frequency.vanishing_order(f, x, r_max=args.r_max,
-                                        n_radii=args.n_radii, quad=ctx.quad)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    est = frequency.vanishing_order(f, x, r_max=args.r_max, n_radii=args.n_radii,
+                                    quad=ctx.quad)
     report = CheckReport(
         name="vanishing-order",
         field_spec=f.tag,
@@ -437,7 +406,7 @@ def _cmd_vanishing_order(args, ctx: _Context) -> None:
 
 
 def _cmd_deficit(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
     kappa, kappa_prov = _resolve_kappa(args.kappa, f, ctx, x)
     rows = frequency.deficit_profile(f, x, kappa, r_max=args.r_max,
@@ -464,7 +433,7 @@ def _cmd_deficit(args, ctx: _Context) -> None:
 
 
 def _cmd_weiss(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
     kappa, kappa_prov = _resolve_kappa(args.kappa, f, ctx, x)
     if args.derivative:
@@ -472,7 +441,7 @@ def _cmd_weiss(args, ctx: _Context) -> None:
             report = weiss2d.weiss_derivative_check(f, x, kappa, args.r, h=args.h,
                                                     quad=ctx.quad,
                                                     exponent_dim=args.exponent_dim)
-        except (weiss2d.StepSizeError, ValueError) as exc:
+        except weiss2d.StepSizeError as exc:
             raise UsageError(str(exc))
         report = replace(report, params={**report.params, **kappa_prov})
         ctx.emit(report, args.out)
@@ -500,11 +469,8 @@ def _cmd_weiss(args, ctx: _Context) -> None:
         )
         ctx.emit(report, args.out)
         return
-    try:
-        value = weiss2d.weiss_energy(f, x, kappa, args.r, quad=ctx.quad,
-                                     exponent_dim=args.exponent_dim)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = weiss2d.weiss_energy(f, x, kappa, args.r, quad=ctx.quad,
+                                 exponent_dim=args.exponent_dim)
     report = CheckReport(
         name="weiss-energy",
         field_spec=f.tag,
@@ -522,25 +488,19 @@ def _cmd_epiperimetric(args, ctx: _Context) -> None:
         pieces = _load_pieces(args.boundary)
         probe = weiss2d.solve_disk(pieces, certify=False)
     else:
-        probe = _parse_field(args.field)
+        probe = fields.parse_field_spec(args.field)
         if probe.n != 2:
             raise UsageError("epiperimetric needs a planar field, got n=%d" % probe.n)
         pieces = weiss2d.analyze_trace(probe, n_nodes=ctx.cfg["n_nodes"])
     kappa, kappa_prov = _resolve_kappa(args.kappa, probe, ctx)
-    try:
-        report = weiss2d.epiperimetric_check(pieces, kappa, n_nodes=ctx.cfg["n_nodes"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = weiss2d.epiperimetric_check(pieces, kappa, n_nodes=ctx.cfg["n_nodes"])
     report = replace(report, params={**report.params, **kappa_prov})
     ctx.emit(report, args.out)
 
 
 def _cmd_solve2d(args, ctx: _Context) -> None:
     pieces = _load_pieces(args.boundary)
-    try:
-        f = weiss2d.solve_disk(pieces, quad=ctx.quad)
-    except FieldSpecError as exc:
-        raise UsageError(str(exc))
+    f = weiss2d.solve_disk(pieces, quad=ctx.quad)
     cert = dict(f.construction_cert or {})
     if args.samples:
         radii = _parse_floats(args.sample_radii, None, "--sample-radii")
@@ -582,7 +542,7 @@ def _blowup_probes(n: int) -> np.ndarray:
 
 
 def _cmd_blowup(args, ctx: _Context) -> None:
-    f = _parse_field(args.field)
+    f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
     if args.levels < 2:
         raise UsageError("--levels must be at least 2 to compare successive rescalings")
@@ -740,7 +700,7 @@ def _cmd_sweep(args, ctx: _Context) -> None:
     out_csv = args.out_csv or sweep.out_csv
     out_report = args.out or sweep.out_report
 
-    built = [(spec, _parse_field(spec)) for spec in sweep.fields]
+    built = [(spec, fields.parse_field_spec(spec)) for spec in sweep.fields]
     quad = ctx.quad
     res = "radial=%d;angular=%d;polar=%d" % (quad.radial_order, quad.angular_nodes,
                                              quad.polar_nodes)
@@ -868,7 +828,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--field", required=True)
     p.add_argument("--bump", default="0.15,0.3,0.6,0.9")
-    p.add_argument("--c-max", type=float, default=None)
+    p.add_argument("--c-max", type=float, default=variational.CACCIOPPOLI_C_MAX)
     p.set_defaults(handler=_cmd_check_caccioppoli)
 
     p = sub.add_parser("frequency", help="frequency value, profile, or identity")
@@ -964,9 +924,6 @@ def main(argv=None) -> int:
     except ArtifactError as exc:
         sys.stderr.write("qvlab: error: %s\n" % exc)
         return 1
-    except (UsageError, FieldSpecError, PlotDataError) as exc:
-        sys.stderr.write("qvlab: error: %s\n" % exc)
-        return 2
     except ValueError as exc:
         sys.stderr.write("qvlab: error: %s\n" % exc)
         return 2

@@ -528,21 +528,22 @@ def random_wound_field(seed: int, Q: int, L: int, decay: float) -> QField:
 # ---------------------------------------------------------------------------
 # singular set probe
 
+RING_NODES = 16
+
 
 @dataclass(frozen=True)
 class ProbeGrid:
     """Cell-centered lattice on [-half_width, half_width]^2 plus dyadic rings.
 
     The base lattice uses cell centers, so a branch point sitting on a cell
-    corner is avoided by half a cell automatically; rings of radius
-    half_width * 2^-level around each declared branch point refine the probe
-    toward the scales where sheet collapse happens.
+    corner is avoided by half a cell automatically; rings of RING_NODES
+    points and radius half_width * 2^-level around each declared branch
+    point refine the probe toward the scales where sheet collapse happens.
     """
 
     half_width: float = 1.0
     cells_per_side: int = 64
     zoom_levels: int = 20
-    ring_nodes: int = 16
 
 
 @dataclass(frozen=True)
@@ -582,7 +583,7 @@ def singular_set_probe(f: QField, grid: ProbeGrid, tol: float) -> ProbeResult:
             )
     points = [base]
     pitches = [np.full(base.shape[0], h)]
-    angles = 2.0 * math.pi * (np.arange(grid.ring_nodes) + 0.5) / grid.ring_nodes
+    angles = 2.0 * math.pi * (np.arange(RING_NODES) + 0.5) / RING_NODES
     ring_dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     for b in f.branch_set:
         b = np.asarray(b, dtype=float)

@@ -22,6 +22,7 @@ from .report import CheckReport
 from .variational import (
     QuadratureSpec,
     REFERENCE_QUAD,
+    _dirichlet_density,
     _mass_density,
     annulus,
     ball,
@@ -34,6 +35,9 @@ from .variational import (
 
 MASS_FLOOR = 1e-280
 SLOPE_CEILING = 50.0
+FIT_WINDOW = 4
+EPS_USC = 0.05
+USC_STENCIL = 8
 
 
 class ZeroHeightError(ValueError):
@@ -56,7 +60,7 @@ def linear_cutoff_dirichlet(f: QField, x, r: float,
 
     def density(X, rho, vals, grads):
         phi = np.minimum(1.0, np.maximum(0.0, 2.0 - rho / r))
-        return phi * np.einsum("nqmk,nqmk->n", grads, grads)
+        return phi * _dirichlet_density(X, rho, vals, grads)
 
     return integrate_region(f, ball(x, 2.0 * r), quad, density, need_values=False,
                             breakpoints=(r,))
@@ -67,7 +71,7 @@ def scaled_shell_mass(f: QField, x, r: float,
     """Distance-weighted shell mass (1/r) int_{B_2r \\ B_r} |f|^2 / |y - x|."""
 
     def density(X, rho, vals, grads):
-        return np.einsum("nqm,nqm->n", vals, vals) / rho
+        return _mass_density(X, rho, vals, grads) / rho
 
     return integrate_region(f, annulus(x, r, 2.0 * r), quad, density,
                             need_gradients=False) / r
@@ -169,21 +173,20 @@ def _annular_mean(f: QField, x, r: float, quad: QuadratureSpec) -> float:
 
 
 def vanishing_order(f: QField, x, r_max: float = 0.5, n_radii: int = 8,
-                    quad: QuadratureSpec = REFERENCE_QUAD, window: int = 4) -> KappaEstimate:
+                    quad: QuadratureSpec = REFERENCE_QUAD) -> KappaEstimate:
     """Fit the growth exponent of annular mean masses at dyadic scales.
 
     The mean of |f|^2 over the annulus B_2r \\ B_r(x) scales like r^{2 kappa}
     at a point of vanishing order kappa (and tends to |f(x)|^2 > 0, slope 0,
     where the field does not vanish). The estimate is the slope of
-    log(mean) against 2 log(r) over sliding windows of dyadic radii; the
-    innermost window wins and the drift between windows is reported. The
+    log(mean) against 2 log(r) over sliding windows of FIT_WINDOW dyadic
+    radii; the innermost window wins and the drift between windows is
+    reported. The
     infinite-order flag is raised when the mean falls below MASS_FLOOR or
     when two consecutive windows exceed SLOPE_CEILING.
     """
     if n_radii < 4:
         raise ValueError("need at least 4 dyadic radii, got %d" % n_radii)
-    if window < 2 or window > n_radii:
-        raise ValueError("window must have between 2 and n_radii points")
     radii = tuple(r_max * 0.5 ** j for j in range(n_radii))
     means = tuple(_annular_mean(f, x, r, quad) for r in radii)
 
@@ -197,12 +200,12 @@ def vanishing_order(f: QField, x, r_max: float = 0.5, n_radii: int = 8,
     # is itself evidence of infinite order
     usable = [j for j, hit in enumerate(floor_hit) if not hit]
     slopes = []
-    for start in range(len(usable) - window + 1):
-        idx = usable[start:start + window]
+    for start in range(len(usable) - FIT_WINDOW + 1):
+        idx = usable[start:start + FIT_WINDOW]
         t = np.array([2.0 * math.log(radii[j]) for j in idx])
         y = np.array([math.log(means[j]) for j in idx])
-        slope, _ = np.polyfit(t, y, 1)
-        slopes.append(float(slope))
+        coef = np.polyfit(t, y, 1)
+        slopes.append(float(coef[0]))
     if not slopes:
         return KappaEstimate(kappa=math.inf, infinite_order=True, radii=radii,
                              means=means, window_slopes=(), drift=0.0, residual=0.0,
@@ -216,10 +219,7 @@ def vanishing_order(f: QField, x, r_max: float = 0.5, n_radii: int = 8,
                              means=means, window_slopes=tuple(slopes), drift=0.0,
                              residual=0.0, note="mean mass decays faster than any power")
 
-    idx = usable[-window:]
-    t = np.array([2.0 * math.log(radii[j]) for j in idx])
-    y = np.array([math.log(means[j]) for j in idx])
-    coef = np.polyfit(t, y, 1)
+    # t, y and coef still hold the innermost window's fit
     fit = np.polyval(coef, t)
     residual = float(np.sqrt(np.mean((y - fit) ** 2)))
     drift = 0.0
@@ -310,12 +310,11 @@ def deficit_profile(f: QField, x, kappa: float, r_max: float = 0.5, n_windows: i
 
 
 def semicontinuity_probe(f: QField, x, d: float, quad: QuadratureSpec = REFERENCE_QUAD,
-                         eps_usc: float = 0.05, stencil: int = 8,
                          r_max: float | None = None, n_radii: int = 6) -> CheckReport:
-    """Compare the vanishing order at x with an 8-point stencil at distance d.
+    """Compare the vanishing order at x with USC_STENCIL points at distance d.
 
     Upper semicontinuity predicts every neighbor order is at most the
-    center order plus eps_usc. Neighbor annuli reach radius 2 r_max, which
+    center order plus EPS_USC. Neighbor annuli reach radius 2 r_max, which
     must stay below the stencil distance so they never wrap the center.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -326,8 +325,8 @@ def semicontinuity_probe(f: QField, x, d: float, quad: QuadratureSpec = REFERENC
                          "the stencil distance d")
     center_est = vanishing_order(f, x, quad=quad)
     neighbor_kappas = []
-    for j in range(stencil):
-        theta = 2.0 * math.pi * j / stencil
+    for j in range(USC_STENCIL):
+        theta = 2.0 * math.pi * j / USC_STENCIL
         step = np.zeros_like(x)
         step[0] = d * math.cos(theta)
         step[1] = d * math.sin(theta)
@@ -335,12 +334,12 @@ def semicontinuity_probe(f: QField, x, d: float, quad: QuadratureSpec = REFERENC
         neighbor_kappas.append(est.kappa)
     finite_neighbors = [k for k in neighbor_kappas if math.isfinite(k)]
     worst = max(finite_neighbors) if finite_neighbors else -math.inf
-    ok = (not math.isfinite(center_est.kappa)) or worst <= center_est.kappa + eps_usc
+    ok = (not math.isfinite(center_est.kappa)) or worst <= center_est.kappa + EPS_USC
     return CheckReport(
         name="order-semicontinuity",
         field_spec=f.tag,
-        params={"center": tuple(x.tolist()), "distance": d, "eps_usc": eps_usc,
-                "stencil": stencil, "r_max": r_max},
+        params={"center": tuple(x.tolist()), "distance": d, "eps_usc": EPS_USC,
+                "stencil": USC_STENCIL, "r_max": r_max},
         quantities={"kappa_center": center_est.kappa,
                     "kappa_neighbors": list(neighbor_kappas),
                     "max_finite_neighbor": worst},

@@ -136,16 +136,13 @@ def optimal_matching(p: QPoint, q: QPoint) -> MatchingPlan:
     cost = _cost_matrix(p, q)
     n = p.q
     if n <= EXHAUSTIVE_Q_MAX:
-        perms = _permutations_array(n)
-        costs = cost[np.arange(n)[None, :], perms].sum(axis=1)
-        idx = int(np.argmin(costs))
-        return MatchingPlan(tuple(int(v) for v in perms[idx]), float(costs[idx]))
-    rows, cols = linear_sum_assignment(cost)
-    best_cost = float(cost[rows, cols].sum())
-    tol = _TIE_REL * (1.0 + abs(best_cost))
-    perm = _lex_min_assignment(cost, best_cost, tol)
-    final_cost = float(cost[np.arange(n), list(perm)].sum())
-    return MatchingPlan(perm, final_cost)
+        perm = tuple(int(v) for v in batch_match_permutations(cost[None])[0])
+    else:
+        rows, cols = linear_sum_assignment(cost)
+        best_cost = float(cost[rows, cols].sum())
+        tol = _TIE_REL * (1.0 + abs(best_cost))
+        perm = _lex_min_assignment(cost, best_cost, tol)
+    return MatchingPlan(perm, float(cost[np.arange(n), list(perm)].sum()))
 
 
 def metric_g(p: QPoint, q: QPoint) -> float:

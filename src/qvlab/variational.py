@@ -106,10 +106,11 @@ class QuadratureSpec:
         if not (0.0 < self.refinement_ratio < 1.0):
             raise ValueError("refinement ratio must lie in (0, 1)")
 
-    def refined(self, factor: int = 2) -> "QuadratureSpec":
-        return replace(self, radial_order=self.radial_order * factor,
-                       angular_nodes=self.angular_nodes * factor,
-                       polar_nodes=self.polar_nodes * factor)
+    def refined(self) -> "QuadratureSpec":
+        """The rule with every node count doubled."""
+        return replace(self, radial_order=self.radial_order * 2,
+                       angular_nodes=self.angular_nodes * 2,
+                       polar_nodes=self.polar_nodes * 2)
 
     def meta(self) -> dict:
         return {
@@ -232,7 +233,7 @@ def _entries(dens):
 
 def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: Callable,
                      *, need_values: bool = True, need_gradients: bool = True,
-                     breakpoints=(), early_stop: bool = True) -> float | tuple:
+                     breakpoints=()) -> float | tuple:
     """Integrate density(X, r, values, gradients) over a ball or annulus.
 
     density receives the sample points (K, n), their radii about the region
@@ -280,7 +281,7 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
                        None if vals is None else vals[lo:hi],
                        None if grads is None else grads[lo:hi])
 
-    watch = early_stop and inner == 0.0
+    watch = inner == 0.0
     sums = None
     for X, r, w, vals, grads in evaluated_panels():
         dens, single = _entries(density(X, r, vals, grads))
@@ -518,8 +519,7 @@ def _inner_density(test: InnerVectorField):
         df_dphi = np.einsum("nqml,nlk->nqmk", grads, dphi)
         stress = 2.0 * np.einsum("nqmk,nqmk->n", grads, df_dphi)
         div = np.einsum("nkk->n", dphi)
-        dir_density = np.einsum("nqmk,nqmk->n", grads, grads)
-        return stress - dir_density * div
+        return stress - _dirichlet_density(X, r, vals, grads) * div
 
     return density
 
@@ -565,116 +565,68 @@ def _rotation_matrix(m: int) -> np.ndarray:
     return R
 
 
+def _affine_outer(bump: RadialBump, n: int, label: str, A: np.ndarray,
+                  c: np.ndarray) -> OuterTestField:
+    """psi(x, u) = chi(x) (A u + c): D_x psi = (A u + c) (x) grad chi and
+    D_u psi = chi A, so |D_u psi| <= |A| (Frobenius)."""
+
+    def psi(X, U):
+        return bump.chi(X)[:, None] * (U @ A.T + c)
+
+    def dpsi_dx(X, U):
+        return (U @ A.T + c)[:, :, None] * bump.grad_chi(X)[:, None, :]
+
+    def dpsi_du(X, U):
+        return bump.chi(X)[:, None, None] * A[None, :, :]
+
+    # for A an isometry or 0 and |c| <= 1, |psi| + |D_x psi| <= (1 + |Dchi|)
+    # (1 + |u|) needs only 1 + slope_bound; the factor 2 is headroom over the
+    # peak slope, so the declared constant is never tight for either ramp kind
+    return OuterTestField(psi=psi, dpsi_dx=dpsi_dx, dpsi_du=dpsi_du, support=bump.support(n),
+                          growth_du=float(np.linalg.norm(A)),
+                          growth_linear=1.0 + 2.0 * bump.slope_bound,
+                          label=label, breakpoints=bump.breakpoints())
+
+
+def _affine_inner(bump: RadialBump, n: int, label: str, J: np.ndarray,
+                  c: np.ndarray) -> InnerVectorField:
+    """phi(x) = chi(x) (J x + c), with Dphi = chi J + (J x + c) (x) grad chi."""
+
+    def phi(X):
+        return bump.chi(X)[:, None] * (X @ J.T + c)
+
+    def dphi(X):
+        return bump.chi(X)[:, None, None] * J[None, :, :] + \
+            np.einsum("nk,nl->nkl", X @ J.T + c, bump.grad_chi(X))
+
+    return InnerVectorField(phi=phi, dphi=dphi, support=bump.support(n), label=label,
+                            breakpoints=bump.breakpoints())
+
+
 def outer_battery(bump: RadialBump, n: int, m: int):
-    """Three value deformations: chi u, chi const, chi Ru (R a fixed rotation)."""
-    support = bump.support(n)
-    bps = bump.breakpoints()
-    const = np.zeros(m)
-    const[0] = 1.0
-    R = _rotation_matrix(m)
-
-    def make(label, psi, dx, du, gdu, glin):
-        return OuterTestField(psi=psi, dpsi_dx=dx, dpsi_du=du, support=support,
-                              growth_du=gdu, growth_linear=glin, label=label,
-                              breakpoints=bps)
-
-    def psi_id(X, U):
-        return bump.chi(X)[:, None] * U
-
-    def dx_id(X, U):
-        return U[:, :, None] * bump.grad_chi(X)[:, None, :]
-
-    def du_id(X, U):
-        return bump.chi(X)[:, None, None] * np.eye(m)[None, :, :]
-
-    def psi_const(X, U):
-        return bump.chi(X)[:, None] * const[None, :]
-
-    def dx_const(X, U):
-        return const[None, :, None] * bump.grad_chi(X)[:, None, :]
-
-    def du_const(X, U):
-        return np.zeros((X.shape[0], m, m))
-
-    def psi_rot(X, U):
-        return bump.chi(X)[:, None] * (U @ R.T)
-
-    def dx_rot(X, U):
-        return (U @ R.T)[:, :, None] * bump.grad_chi(X)[:, None, :]
-
-    def du_rot(X, U):
-        return bump.chi(X)[:, None, None] * R[None, :, :]
-
-    # the sampled bound |psi| + |D_x psi| <= (1 + |Dchi|) |u| needs only
-    # 1 + slope_bound; the factor 2 is headroom over the peak slope, so the
-    # declared constant is never tight, for either ramp kind (slope_bound is
-    # that kind's own peak |Dchi|)
-    slope = 2.0 * bump.slope_bound
-    return [
-        make("outer:chi*u", psi_id, dx_id, du_id, math.sqrt(m), 1.0 + slope),
-        make("outer:chi*const", psi_const, dx_const, du_const, 0.0, (1.0 + slope)),
-        make("outer:chi*Ru", psi_rot, dx_rot, du_rot, math.sqrt(m), 1.0 + slope),
-    ]
+    """Three value deformations chi (A u + c): chi u, chi e_1 and chi R u,
+    R the quarter turn of _rotation_matrix."""
+    zero = np.zeros(m)
+    return [_affine_outer(bump, n, label, A, c) for label, A, c in (
+        ("outer:chi*u", np.eye(m), zero),
+        ("outer:chi*const", np.zeros((m, m)), np.eye(m)[0]),
+        ("outer:chi*Ru", _rotation_matrix(m), zero),
+    )]
 
 
 def inner_battery(bump: RadialBump, n: int):
-    """Four domain deformations: radial bump, rotation, constant direction, shear."""
-    support = bump.support(n)
-    bps = bump.breakpoints()
-
-    def radial(X):
-        return bump.chi(X)[:, None] * X
-
-    def d_radial(X):
-        g = bump.grad_chi(X)
-        return bump.chi(X)[:, None, None] * np.eye(n)[None, :, :] + \
-            np.einsum("nk,nl->nkl", X, g)
-
-    def rotation(X):
-        out = np.zeros_like(X)
-        out[:, 0] = -X[:, 1]
-        out[:, 1] = X[:, 0]
-        return bump.chi(X)[:, None] * out
-
-    def d_rotation(X):
-        J = np.zeros((n, n))
-        J[0, 1] = -1.0
-        J[1, 0] = 1.0
-        vec = np.zeros_like(X)
-        vec[:, 0] = -X[:, 1]
-        vec[:, 1] = X[:, 0]
-        return bump.chi(X)[:, None, None] * J[None, :, :] + \
-            np.einsum("nk,nl->nkl", vec, bump.grad_chi(X))
-
-    def constant(X):
-        out = np.zeros_like(X)
-        out[:, 0] = 1.0
-        return bump.chi(X)[:, None] * out
-
-    def d_constant(X):
-        vec = np.zeros_like(X)
-        vec[:, 0] = 1.0
-        return np.einsum("nk,nl->nkl", vec, bump.grad_chi(X))
-
-    def shear(X):
-        out = np.zeros_like(X)
-        out[:, 0] = X[:, 1]
-        return bump.chi(X)[:, None] * out
-
-    def d_shear(X):
-        J = np.zeros((n, n))
-        J[0, 1] = 1.0
-        vec = np.zeros_like(X)
-        vec[:, 0] = X[:, 1]
-        return bump.chi(X)[:, None, None] * J[None, :, :] + \
-            np.einsum("nk,nl->nkl", vec, bump.grad_chi(X))
-
-    return [
-        InnerVectorField(phi=radial, dphi=d_radial, support=support, label="inner:radial", breakpoints=bps),
-        InnerVectorField(phi=rotation, dphi=d_rotation, support=support, label="inner:rotation", breakpoints=bps),
-        InnerVectorField(phi=constant, dphi=d_constant, support=support, label="inner:constant", breakpoints=bps),
-        InnerVectorField(phi=shear, dphi=d_shear, support=support, label="inner:shear", breakpoints=bps),
-    ]
+    """Four domain deformations chi (J x + c): radial bump, rotation,
+    constant direction, shear."""
+    shear = np.zeros((n, n))
+    shear[0, 1] = 1.0
+    generator = shear.T - shear  # the infinitesimal quarter turn, not R
+    zero = np.zeros(n)
+    return [_affine_inner(bump, n, label, J, c) for label, J, c in (
+        ("inner:radial", np.eye(n), zero),
+        ("inner:rotation", generator, zero),
+        ("inner:constant", np.zeros((n, n)), np.eye(n)[0]),
+        ("inner:shear", shear, zero),
+    )]
 
 
 DEFAULT_BATTERY_BUMP = RadialBump(0.15, 0.3, 0.6, 0.9)

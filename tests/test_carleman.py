@@ -252,6 +252,19 @@ def test_doubling_rejects_nonpositive_eta_abs(eta_abs):
         doubling_check(make_branch_field(3, 2), (0.0, 0.0), 0.25, 1.5, FAST, eta_abs=eta_abs)
 
 
+@pytest.mark.parametrize("r,levels,message", [
+    (0.25, 0, "levels must be at least 1"),
+    (-0.25, 3, "r must be positive"),
+    (0.0, 3, "r must be positive"),
+    (math.nan, 3, "r must be positive"),
+])
+def test_doubling_rejects_degenerate_scales(r, levels, message):
+    # levels = 0 used to pass with no scales; r < 0 raised TypeError from a
+    # complex power
+    with pytest.raises(ValueError, match=message):
+        doubling_check(make_branch_field(3, 2), (0.0, 0.0), r, 1.5, FAST, levels=levels)
+
+
 def test_doubling_unmet_absorption_is_noted_and_not_passed():
     # eps^(2 eta_abs) < 1/2 needs about 500 halvings of 1/4 at eta_abs = 1e-3,
     # past the guard; the ratios of the linear field are still the homogeneous

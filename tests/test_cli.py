@@ -316,6 +316,57 @@ def test_doubling_zero_eta_abs_exits_2(capsys):
     assert err == "qvlab: error: eta_abs must be positive, got 0\n"
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--levels", "0", "levels must be at least 1, got 0"),
+    ("--r", "-0.25", "r must be positive, got -0.25"),
+])
+def test_doubling_degenerate_scales_exit_2(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "check", "doubling", "--field", "branch:3/2",
+                             "--kappa", "1.5", flag, value, *FQ)
+    assert code == 2
+    assert out == ""
+    assert err == "qvlab: error: %s\n" % message
+
+
+def _write_mixed_boundary(path):
+    scalar = weiss2d.FourierPiece(winding=1, a0=(0.0,), modes=((1, (0.8,), (0.0,)),))
+    planar = weiss2d.FourierPiece(winding=1, a0=(0.0, 0.0),
+                                  modes=((1, (0.8, 0.1), (0.0, 0.0)),))
+    weiss2d.save_boundary_data(str(path), [scalar, planar])
+
+
+# errors a library call raises as ValueError reach main unwrapped; the
+# messages were recorded when each handler still rewrapped them
+LIBRARY_ERRORS = [
+    (("check", "carleman", "--field", "branch:3/2", "--tau", "-1",
+      "--chi", "annulus:0.1,0.2,0.6,0.8"), "tau must be positive"),
+    (("check", "three-sphere", "--field", "branch:3/2", "--radii", "0.1,0.15,0.9",
+      "--tau", "2.0"), "ratio r2/r1 = 1.5 must exceed 2"),
+    (("frequency", "--field", "branch:3/2", "--identity", "0.4,0.2"),
+     "need 0 < r_lo < r_hi"),
+    (("vanishing-order", "--field", "branch:3/2", "--n-radii", "3"),
+     "need at least 4 dyadic radii, got 3"),
+    (("weiss", "--field", "branch:3/2", "--kappa", "-1"),
+     "homogeneity degree kappa must be positive"),
+    (("weiss", "--field", "branch:3/2", "--kappa", "1.5", "--derivative", "--h", "-1"),
+     "need 0 < h < r for centered differencing"),
+    (("epiperimetric", "--field", "branch:3/2", "--kappa", "-1"),
+     "homogeneity degree kappa must be positive"),
+    (("solve2d", "--boundary", "MIXED"), "boundary pieces disagree on target dimension"),
+]
+
+
+@pytest.mark.parametrize("argv,message", LIBRARY_ERRORS)
+def test_library_value_errors_exit_2(capsys, tmp_path, argv, message):
+    mixed = tmp_path / "mixed.json"
+    _write_mixed_boundary(mixed)
+    argv = [str(mixed) if a == "MIXED" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, *FQ)
+    assert code == 2
+    assert out == ""
+    assert err == "qvlab: error: %s\n" % message
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["nosuchcmd"]) == 2
     capsys.readouterr()

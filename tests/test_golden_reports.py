@@ -1,16 +1,23 @@
 """Golden-report gate: sha256 of canonical report bytes at radial 8 x angular 32.
 
-Each case runs one check on one field of the example library and hashes
-the canonical JSON it serializes to (profiles, which are lists of rows,
-go through the same canonical_json). The digests were recorded before the
-multi-density panel sweep landed, and the stationarity-ball, three-sphere
-and carleman-sweep ones before the two radial cutoff types were merged
-into RadialBump; any change to the quadrature engine or
-the checks that moves a single report byte fails here. To record new
-digests after an intended change in the mathematics, run this file as a
-script and paste its output into DIGESTS.
+Each case runs one check on one field of the example library, or the
+stationarity battery on a three-dimensional field, and hashes the
+canonical JSON it serializes to (profiles, which are lists of rows, go
+through the same canonical_json, and other dataclass results through
+dataclasses.asdict). The digests were recorded before the multi-density
+panel sweep landed; the stationarity-ball, three-sphere and carleman-sweep
+ones before the two radial cutoff types were merged into RadialBump; and
+the vanishing-order, semicontinuity, doubling, frequency-variant and
+three-dimensional stationarity ones before the deformation battery was
+built from affine data. Only in three dimensions does the inner rotation
+generator differ from the outer quarter turn R, so only the last case
+tells the two apart. Any change to the quadrature engine or the checks
+that moves a single report byte fails here. To record new digests after
+an intended change in the mathematics, run this file as a script and paste
+its output into DIGESTS.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -26,7 +33,9 @@ FIELDS = {
     "branch-three-halves": ("branch:3/2", 1.5),
     "harmonic-pair": ("harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2", 1.0),
     "wound-s0": ("wound:0,2,4,1.8", 1.0),
+    "harmonic-3d": ("harmonic:n3m1:x1*x2|x3", 1.0),
 }
+PLANAR = ("branch-three-halves", "harmonic-pair", "wound-s0")
 
 
 def _checks(f, kappa):
@@ -52,6 +61,12 @@ def _checks(f, kappa):
         "three-sphere": lambda: carleman.three_sphere_check(f, ORIGIN, 0.05, 0.11, 0.24, 1.5, Q),
         "carleman-sweep": lambda: carleman.carleman_tau_sweep(
             f, (1.0, 2.0), (linear, smoothed), Q),
+        "vanishing-order": lambda: frequency.vanishing_order(f, ORIGIN, quad=Q),
+        "vanishing-order-off-centre": lambda: frequency.vanishing_order(
+            f, (0.5, 0.0), r_max=0.1, quad=Q),
+        "semicontinuity": lambda: frequency.semicontinuity_probe(f, ORIGIN, 0.3, Q),
+        "doubling": lambda: carleman.doubling_check(f, ORIGIN, 0.25, kappa, Q),
+        "frequency-variants": lambda: frequency.variant_agreement(f, ORIGIN, 0.3, Q),
     }
 
 
@@ -95,6 +110,22 @@ DIGESTS = {
     "wound-s0/three-sphere": "2529a98beb019e78ee127dcfffdadacf02f6e142c0a433411205935ca70ace43",
     "wound-s0/carleman-sweep": "95bd01ee49b12108a27c11e2a192f2f20369427d9740870fdd337e15797ae7de",
     "wound-s0/construction-cert": "b33cde025d0b1c06351ce1e5421c383b5d7c2b85049bc718ea78f6eb71332455",
+    "branch-three-halves/vanishing-order": "b7fec545968b597ff90575b253227f9a58f67c73c288eec4bbaa3f50c4a38c27",
+    "branch-three-halves/vanishing-order-off-centre": "59c9276adad692128c78abe377859afd181ff42bc4e0bdcf0945f16fcc487174",
+    "branch-three-halves/semicontinuity": "1556608781c06664b6f16e8b93010fadd8017d4a43649b4e9c530dcb28c215b6",
+    "branch-three-halves/doubling": "1d2d6de2e9b22590150412861f81cccffe6267211e7296bc2ab2f52a81626a7c",
+    "branch-three-halves/frequency-variants": "9ca1f316ad15ad2849b49901d60dc235c910e90cbc2267f2e709e04e43cc9ab6",
+    "harmonic-pair/vanishing-order": "1d3f26075f9d00b3c98556d0bc1a53a56e736efea1bb5faf0ad85818063b76e8",
+    "harmonic-pair/vanishing-order-off-centre": "ae5b4789c4d48ab2862c989bbcdd782b911fadfe9bb9370474ba3263b3701d19",
+    "harmonic-pair/semicontinuity": "885abd87a9950ab296493c8c29d582e47116ef03de6d515c4c49619ead3418b9",
+    "harmonic-pair/doubling": "171ea552c2ecdcaa57bca6b54ffbb3a2737f924492c9cf021a6269695ed7b336",
+    "harmonic-pair/frequency-variants": "cc2ce422132f5b2a97b6ff6aec815e7e0f41f161b656830d95908b8eb4486afb",
+    "wound-s0/vanishing-order": "945c4a91bee82fc4c0dc2a66853af013a207ddc8ba1e65175b69fa35c1e8be50",
+    "wound-s0/vanishing-order-off-centre": "c4e61b2ee1d76431c0dd08a74e1733facf2946c37149bd86df95e5254182c0e1",
+    "wound-s0/semicontinuity": "af46218c0a988ee2a2307eae071b01647893839ef5dc497f02ace14da00c41f9",
+    "wound-s0/doubling": "f2617ac8c2bc1077ac837c494af4abade0279eca5bd65339da1ac73843939caa",
+    "wound-s0/frequency-variants": "7fbeb5dba76351a21c77b445927cfc358588054d6e40438586c53d6aa3dc9fa3",
+    "harmonic-3d/stationarity": "b730c425a0ff85cfdd818f1e096b4733e1cf3c87b957cfbfb125c4d9cdba7a49",
 }
 
 _FIELD_CACHE = {}
@@ -112,12 +143,17 @@ def _digest(field_name, check):
         payload = f.construction_cert
     else:
         result = _checks(f, FIELDS[field_name][1])[check]()
-        payload = result.to_dict() if hasattr(result, "to_dict") else result
+        if hasattr(result, "to_dict"):
+            payload = result.to_dict()
+        elif dataclasses.is_dataclass(result):
+            payload = dataclasses.asdict(result)
+        else:
+            payload = result
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-CASES = [(name, check) for name in FIELDS for check in CHECKS] + \
-    [("wound-s0", "construction-cert")]
+CASES = [(name, check) for name in PLANAR for check in CHECKS] + \
+    [("wound-s0", "construction-cert"), ("harmonic-3d", "stationarity")]
 
 
 @pytest.mark.parametrize("field_name,check", CASES)
