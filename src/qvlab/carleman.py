@@ -38,7 +38,9 @@ from .variational import (
     annulus,
     ball,
     integrate_region,
+    integrate_regions,
     l2_mass,
+    mass_job,
 )
 
 CONVERGENCE_REL_TOL = 1e-4
@@ -382,12 +384,23 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
         guard += 1
     r_x = eps
     absorbed = r_x ** (2.0 * eta_abs) < 0.5
+    # ball(2 scale_{j+1}) is ball(scale_j): the ladder has levels + 1 balls,
+    # all integrated in one panel sweep
+    ladder = [r_x * 0.5 ** j for j in range(levels)]
+    radii = list(dict.fromkeys(s for scale in ladder for s in (scale, 2.0 * scale)))
+    try:
+        masses = dict(zip(radii, integrate_regions(
+            f, [mass_job(ball(x_arr, s)) for s in radii], quad)))
+        mass = masses.__getitem__
+    except ValueError:
+        # ball by ball, the ladder raises the error it always raised first
+        def mass(s):
+            return l2_mass(f, ball(x_arr, s), quad)
     scales, ratios = [], []
     trivial = False
-    for j in range(levels):
-        scale = r_x * 0.5 ** j
-        denom = l2_mass(f, ball(x_arr, scale), quad)
-        numer = l2_mass(f, ball(x_arr, 2.0 * scale), quad)
+    for scale in ladder:
+        denom = mass(scale)
+        numer = mass(2.0 * scale)
         scales.append(scale)
         if denom <= UNDERFLOW_MASS:
             trivial = True
@@ -504,12 +517,12 @@ class BentWeight:
         else:
             flat = np.zeros(t.shape)
             mid = np.zeros(t.shape)
-        rise = _hermite(t, ta, tm, -ta, -1.0, 2.0 * tm, 2.0, order)
-        fall = _hermite(t, tm2, tb, 2.0 * tm2, 2.0, -tb, -1.0, order)
-        out = np.where(t <= ta, flat,
-                       np.where(t < tm, rise,
-                                np.where(t <= tm2, mid,
-                                         np.where(t < tb, fall, flat))))
+        out = np.where((t >= tm) & (t <= tm2), mid, flat)
+        # each cubic connector only on its own open window
+        rise = (t > ta) & (t < tm)
+        fall = (t > tm2) & (t < tb)
+        out[rise] = _hermite(t[rise], ta, tm, -ta, -1.0, 2.0 * tm, 2.0, order)
+        out[fall] = _hermite(t[fall], tm2, tb, 2.0 * tm2, 2.0, -tb, -1.0, order)
         return out
 
 

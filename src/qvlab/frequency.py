@@ -22,12 +22,14 @@ from .report import CheckReport
 from .variational import (
     QuadratureSpec,
     REFERENCE_QUAD,
+    RegionJob,
     _dirichlet_density,
     _mass_density,
     annulus,
     ball,
-    dirichlet_energy,
+    dirichlet_job,
     integrate_region,
+    integrate_regions,
     l2_mass,
     sphere_integral,
     tree_sum,
@@ -38,6 +40,8 @@ SLOPE_CEILING = 50.0
 FIT_WINDOW = 4
 EPS_USC = 0.05
 USC_STENCIL = 8
+VARIANT_TOL = 1e-6
+IDENTITY_TOL = 1e-6
 
 
 class ZeroHeightError(ValueError):
@@ -49,67 +53,96 @@ def height(f: QField, x, r: float, quad: QuadratureSpec = REFERENCE_QUAD) -> flo
     return sphere_integral(f, x, r, quad, _mass_density)
 
 
-def dirichlet(f: QField, x, r: float, quad: QuadratureSpec = REFERENCE_QUAD) -> float:
-    """Ball Dirichlet energy D(x, r) = int_{B_r(x)} sum_i |Df_i|^2."""
-    return dirichlet_energy(f, ball(x, r), quad)
-
-
-def linear_cutoff_dirichlet(f: QField, x, r: float,
-                            quad: QuadratureSpec = REFERENCE_QUAD) -> float:
-    """Dirichlet energy against the linear ramp cutoff phi(|y - x| / r)."""
+def _ramp_energy(x, r: float) -> RegionJob:
+    """The Dirichlet energy against the linear ramp cutoff phi(|y - x| / r)
+    on B_2r(x), split at r."""
 
     def density(X, rho, vals, grads):
         phi = np.minimum(1.0, np.maximum(0.0, 2.0 - rho / r))
         return phi * _dirichlet_density(X, rho, vals, grads)
 
-    return integrate_region(f, ball(x, 2.0 * r), quad, density, need_values=False,
-                            breakpoints=(r,))
+    return RegionJob(ball(x, 2.0 * r), density, breakpoints=(r,), need_values=False)
 
 
-def scaled_shell_mass(f: QField, x, r: float,
-                      quad: QuadratureSpec = REFERENCE_QUAD) -> float:
-    """Distance-weighted shell mass (1/r) int_{B_2r \\ B_r} |f|^2 / |y - x|."""
+def _shell_density(X, rho, vals, grads):
+    return _mass_density(X, rho, vals, grads) / rho
 
-    def density(X, rho, vals, grads):
-        return _mass_density(X, rho, vals, grads) / rho
 
-    return integrate_region(f, annulus(x, r, 2.0 * r), quad, density,
-                            need_gradients=False) / r
+def _shell_mass(x, r: float) -> RegionJob:
+    """The shell mass int_{B_2r \\ B_r} |f|^2 / |y - x|, before the factor 1/r."""
+    return RegionJob(annulus(x, r, 2.0 * r), _shell_density, need_gradients=False)
+
+
+_HEIGHT_NAMES = {"sharp": "boundary trace", "linear": "shell mass"}
+
+
+def _swept_frequencies(f: QField, x, radii, quad: QuadratureSpec, variants) -> dict:
+    """Each variant's frequency at every radius.
+
+    Heights come first: sharp ones are sphere integrals, and the shells of
+    all radii share one integrate_regions call. The balls and ramp balls of
+    all radii and variants then share a second one, so each radius gets
+    bit for bit the frequency it gets alone. With one radius and variant
+    this is frequency, checks and errors in the same order. With more it
+    runs the checks of each kind for all radii at once, so a failing call
+    may raise another error than the radius-by-radius calls would raise
+    first.
+    """
+    heights, jobs = {}, []
+    for variant in variants:
+        if variant == "sharp":
+            heights[variant] = [height(f, x, r, quad) for r in radii]
+            jobs += [dirichlet_job(ball(x, r)) for r in radii]
+        elif variant == "linear":
+            shells = integrate_regions(f, [_shell_mass(x, r) for r in radii], quad)
+            heights[variant] = [m / r for r, m in zip(radii, shells)]
+            jobs += [_ramp_energy(x, r) for r in radii]
+        else:
+            raise ValueError("variant must be sharp or linear, got %r" % (variant,))
+        for r, h in zip(radii, heights[variant]):
+            if h <= 0.0:
+                raise ZeroHeightError("%s vanishes at r=%g" % (_HEIGHT_NAMES[variant], r))
+    swept = iter(integrate_regions(f, jobs, quad))
+    out = {}
+    for variant, hs in heights.items():
+        energies = [next(swept) for _ in radii]
+        if variant == "sharp":
+            energies = [r * d for r, d in zip(radii, energies)]
+        out[variant] = tuple(d / h for d, h in zip(energies, hs))
+    return out
 
 
 def frequency(f: QField, x, r: float, quad: QuadratureSpec = REFERENCE_QUAD,
               variant: str = "sharp") -> float:
     """Frequency at center x and scale r under the chosen normalization."""
-    if variant == "sharp":
-        h = height(f, x, r, quad)
-        if h <= 0.0:
-            raise ZeroHeightError("boundary trace vanishes at r=%g" % r)
-        return r * dirichlet(f, x, r, quad) / h
-    if variant == "linear":
-        h = scaled_shell_mass(f, x, r, quad)
-        if h <= 0.0:
-            raise ZeroHeightError("shell mass vanishes at r=%g" % r)
-        return linear_cutoff_dirichlet(f, x, r, quad) / h
-    raise ValueError("variant must be sharp or linear, got %r" % (variant,))
+    return _swept_frequencies(f, x, (r,), quad, (variant,))[variant][0]
 
 
-def variant_agreement(f: QField, x, r: float, quad: QuadratureSpec = REFERENCE_QUAD,
-                      tol: float = 1e-6) -> CheckReport:
+def variant_agreement(f: QField, x, r: float,
+                      quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
     """Compare the two frequency normalizations at one scale.
 
     They agree exactly on homogeneous fields; the report is a quadrature
-    consistency check there and a diagnostic elsewhere.
+    consistency check there and a diagnostic elsewhere, with tolerance
+    VARIANT_TOL. B_2r split at r holds every panel of B_r, so one sweep
+    evaluates the gradients of both on the panels of B_2r; the shell
+    B_2r \\ B_r adds values on its one panel.
     """
-    sharp = frequency(f, x, r, quad, "sharp")
-    linear = frequency(f, x, r, quad, "linear")
+    try:
+        both = _swept_frequencies(f, x, (r,), quad, ("sharp", "linear"))
+        sharp, linear = both["sharp"][0], both["linear"][0]
+    except ValueError:
+        # one variant at a time raises the error it always raised first
+        sharp = frequency(f, x, r, quad, "sharp")
+        linear = frequency(f, x, r, quad, "linear")
     gap = abs(sharp - linear)
     return CheckReport(
         name="frequency-variants",
         field_spec=f.tag,
-        params={"center": tuple(np.atleast_1d(x).tolist()), "r": r, "tol": tol},
+        params={"center": tuple(np.atleast_1d(x).tolist()), "r": r, "tol": VARIANT_TOL},
         quantities={"sharp": sharp, "linear": linear, "gap": gap},
         resolutions=quad.meta(),
-        verdict="pass" if gap <= tol else "fail",
+        verdict="pass" if gap <= VARIANT_TOL else "fail",
     )
 
 
@@ -133,10 +166,16 @@ class RadialProfile:
 
 def frequency_profile(f: QField, x, radii, quad: QuadratureSpec = REFERENCE_QUAD,
                       variant: str = "sharp") -> RadialProfile:
-    values = tuple(frequency(f, x, float(r), quad, variant) for r in radii)
+    """The frequency at every radius, from one panel sweep over all balls."""
+    radii = tuple(float(r) for r in radii)
+    try:
+        values = _swept_frequencies(f, x, radii, quad, (variant,))[variant]
+    except ValueError:
+        # radius by radius, the profile raises the error it always raised first
+        values = tuple(frequency(f, x, r, quad, variant) for r in radii)
     return RadialProfile(quantity="frequency-" + variant,
                          center=tuple(np.atleast_1d(x).tolist()),
-                         radii=tuple(float(r) for r in radii), values=values,
+                         radii=radii, values=values,
                          resolutions=quad.meta())
 
 
@@ -236,12 +275,13 @@ def vanishing_order(f: QField, x, r_max: float = 0.5, n_radii: int = 8,
 
 def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
                              quad: QuadratureSpec = REFERENCE_QUAD,
-                             nodes: int = 24, tol: float = 1e-6) -> CheckReport:
+                             nodes: int = 24) -> CheckReport:
     """Integrated height identity between two scales.
 
     Checks log(H(r)/r^{n-1}) - log(H(s)/s^{n-1}) = int_s^r 2 I(t) dt / t by
     Gauss-Legendre quadrature in log t against direct evaluation of both
-    heights. Holds for energy-stationary fields; fails when H vanishes.
+    heights, to IDENTITY_TOL relative. Holds for energy-stationary fields;
+    fails when H vanishes.
     """
     if not (0.0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
@@ -264,11 +304,11 @@ def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
         name="frequency-identity",
         field_spec=f.tag,
         params={"center": tuple(np.atleast_1d(x).tolist()), "r_lo": r_lo,
-                "r_hi": r_hi, "nodes": nodes, "tol": tol},
+                "r_hi": r_hi, "nodes": nodes, "tol": IDENTITY_TOL},
         quantities={"lhs": lhs, "rhs": rhs, "gap": gap, "height_lo": h_lo,
                     "height_hi": h_hi},
         resolutions=quad.meta(),
-        verdict="pass" if gap <= tol * scale else "fail",
+        verdict="pass" if gap <= IDENTITY_TOL * scale else "fail",
     )
 
 

@@ -90,7 +90,9 @@ class QuadratureSpec:
     many as fit in the node count of one REFERENCE_QUAD panel (5120 nodes in
     the plane), so at reference resolution and finer each panel is its own
     block. Results do not depend on the block size: density and summation
-    still run panel by panel.
+    still run panel by panel. integrate_regions does the same over the
+    panels of several regions on one center and evaluates each panel they
+    share once.
     """
 
     radial_order: int = 20
@@ -231,6 +233,121 @@ def _entries(dens):
     return (dens,), True
 
 
+@dataclass(frozen=True)
+class RegionJob:
+    """One integral of integrate_regions: density over region, its panels
+    split at breakpoints, with the field data the density reads."""
+
+    region: Region
+    density: Callable
+    breakpoints: tuple = ()
+    need_values: bool = True
+    need_gradients: bool = True
+
+
+class _JobSums:
+    """Per-entry panel sums of one job; it runs until every entry has stopped."""
+
+    def __init__(self, job: RegionJob):
+        self.job = job
+        self.watch = job.region.radii[0] == 0.0
+        self.sums = None
+        self.single = False
+        self.running = True
+
+    def add(self, X, r, w, vals, grads, tol: float) -> None:
+        job = self.job
+        dens, self.single = _entries(job.density(X, r, vals if job.need_values else None,
+                                                 grads if job.need_gradients else None))
+        if self.sums is None:
+            self.sums = [_PanelSum() for _ in dens]
+        for acc, d in zip(self.sums, dens):
+            if not acc.done:
+                acc.add(tree_sum(d * w), tol, self.watch)
+        self.running = not all(acc.done for acc in self.sums)
+
+    def result(self):
+        totals = tuple(tree_sum(acc.contributions) for acc in self.sums)
+        return totals[0] if self.single else totals
+
+
+def integrate_regions(f: QField, jobs, quad: QuadratureSpec) -> list:
+    """Integrate every job's density over its region in one sweep of radial panels.
+
+    Jobs on different centers raise ValueError; every region is checked
+    against the field's branch points and domain, in job order, before the
+    field is evaluated. Each result is bit for bit what
+    integrate_region returns for that job alone: a float, or a tuple of
+    floats for a tuple density, with the job's own early stop. The sweep
+    runs over the union of the jobs' panels, keyed by their exact (a, b)
+    pair and taken outermost first, so each job still sees its own panels
+    in its own order. A panel that several jobs share (nested balls halve
+    exactly, so the balls of a dyadic profile share all but their innermost
+    panels) is evaluated once, and only while a job that owns it still
+    runs. The field's values are evaluated only on panels of a running job
+    that needs them, and its gradients likewise.
+
+    The field is evaluated once per block of consecutive panels of the
+    union: as many as fit in the node count of one REFERENCE_QUAD panel in
+    the field's dimension, and at least one. density and the summation
+    still run panel by panel, so the results do not depend on the block
+    size.
+    """
+    states = [_JobSums(job) for job in jobs]
+    centers = {state.job.region.center for state in states}
+    if len(centers) > 1:
+        raise ValueError("integrate_regions needs regions on one center, got %s"
+                         % ", ".join(repr(c) for c in sorted(centers)))
+    for state in states:
+        _guard_branch(f, state.job.region)
+    if not states:
+        return []
+    owners: dict = {}
+    for state in states:
+        inner, outer = state.job.region.radii
+        for panel in _radial_panels(inner, outer, quad, state.job.breakpoints):
+            owners.setdefault(panel, []).append(state)
+    order = sorted(owners, key=lambda p: (-p[1], -p[0]))
+
+    dirs, wdir = _angular_nodes(f.n, quad)
+    center = states[0].job.region.center_array
+    xg, wg = _leggauss(quad.radial_order)
+    per_panel = xg.size * dirs.shape[0]
+    block = max(1, _panel_nodes(f.n, REFERENCE_QUAD) // per_panel)
+
+    def evaluated(fn, need, X, chunk):
+        """fn on the panels of chunk that a running owner needs it for (need
+        names the RegionJob flag), as a panel -> rows map."""
+        wanted = [k for k, panel in enumerate(chunk)
+                  if any(state.running and getattr(state.job, need) for state in owners[panel])]
+        if not wanted:
+            return {}
+        rows = X if len(wanted) == len(chunk) else \
+            np.concatenate([X[k * per_panel:(k + 1) * per_panel] for k in wanted])
+        out = fn(rows)
+        return {chunk[k]: out[j * per_panel:(j + 1) * per_panel] for j, k in enumerate(wanted)}
+
+    for start in range(0, len(order), block):
+        if not any(state.running for state in states):
+            break
+        chunk = order[start:start + block]
+        rr = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b) for a, b in chunk])
+        wr = np.concatenate([0.5 * (b - a) * wg for a, b in chunk])
+        X = center[None, None, :] + rr[:, None, None] * dirs[None, :, :]
+        X = X.reshape(-1, f.n)
+        r = np.repeat(rr, dirs.shape[0])
+        w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
+        vals = evaluated(f.values_fn, "need_values", X, chunk)
+        grads = evaluated(f.gradients_fn, "need_gradients", X, chunk)
+        for k, panel in enumerate(chunk):
+            rows = slice(k * per_panel, (k + 1) * per_panel)
+            for state in owners[panel]:
+                if state.running:
+                    state.add(X[rows], r[rows], w[rows], vals.get(panel), grads.get(panel),
+                            quad.tail_rel_tol)
+    return [state.result() for state in states]
+
+
 def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: Callable,
                      *, need_values: bool = True, need_gradients: bool = True,
                      breakpoints=()) -> float | tuple:
@@ -250,63 +367,27 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     every entry has stopped; entries that stopped earlier ignore the later
     panels.
 
-    The field is evaluated once per block of consecutive panels: as many
-    panels as fit in the node count of one REFERENCE_QUAD panel in the
-    field's dimension, and at least one. density and the summation still run
-    panel by panel, so the result does not depend on the block size.
+    This is integrate_regions with one job: the field is evaluated once per
+    block of consecutive panels, and the result does not depend on the
+    block size. Several regions on one center are cheaper in one
+    integrate_regions call, which evaluates the panels they share once.
     """
-    _guard_branch(f, region)
-    inner, outer = region.radii
-    dirs, wdir = _angular_nodes(f.n, quad)
-    center = region.center_array
-    xg, wg = _leggauss(quad.radial_order)
-    panels = _radial_panels(inner, outer, quad, breakpoints)
-    per_panel = xg.size * dirs.shape[0]
-    block = max(1, _panel_nodes(f.n, REFERENCE_QUAD) // per_panel)
-
-    def evaluated_panels():
-        for start in range(0, len(panels), block):
-            chunk = panels[start:start + block]
-            rr = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b) for a, b in chunk])
-            wr = np.concatenate([0.5 * (b - a) * wg for a, b in chunk])
-            X = center[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-            X = X.reshape(-1, f.n)
-            r = np.repeat(rr, dirs.shape[0])
-            w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-            vals = f.values_fn(X) if need_values else None
-            grads = f.gradients_fn(X) if need_gradients else None
-            for lo in range(0, X.shape[0], per_panel):
-                hi = lo + per_panel
-                yield (X[lo:hi], r[lo:hi], w[lo:hi],
-                       None if vals is None else vals[lo:hi],
-                       None if grads is None else grads[lo:hi])
-
-    watch = inner == 0.0
-    sums = None
-    for X, r, w, vals, grads in evaluated_panels():
-        dens, single = _entries(density(X, r, vals, grads))
-        if sums is None:
-            sums = [_PanelSum() for _ in dens]
-        for acc, d in zip(sums, dens):
-            if not acc.done:
-                acc.add(tree_sum(d * w), quad.tail_rel_tol, watch)
-        if all(acc.done for acc in sums):
-            break
-    totals = tuple(tree_sum(acc.contributions) for acc in sums)
-    return totals[0] if single else totals
+    job = RegionJob(region, density, tuple(breakpoints), need_values, need_gradients)
+    return integrate_regions(f, [job], quad)[0]
 
 
 def sphere_integral(f: QField, center, r: float, quad: QuadratureSpec, density: Callable,
-                    *, need_values: bool = True, need_gradients: bool = False) -> float | tuple:
+                    *, need_gradients: bool = False) -> float | tuple:
     """Integrate density over the sphere of radius r about center.
 
+    density always receives the field values; gradients only on request.
     As in integrate_region, a density that returns a tuple of per-node
     arrays gives a tuple of integrals, each bit for bit a separate call.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dirs, wdir = _angular_nodes(f.n, quad)
     X = center[None, :] + r * dirs
-    vals = f.values_fn(X) if need_values else None
+    vals = f.values_fn(X)
     grads = f.gradients_fn(X) if need_gradients else None
     dens, single = _entries(density(X, np.full(X.shape[0], float(r)), vals, grads))
     totals = tuple(tree_sum(d * wdir * r ** (f.n - 1)) for d in dens)
@@ -319,6 +400,16 @@ def _dirichlet_density(X, r, vals, grads):
 
 def _mass_density(X, r, vals, grads):
     return np.einsum("nqm,nqm->n", vals, vals)
+
+
+def dirichlet_job(region: Region) -> RegionJob:
+    """dirichlet_energy of region, as a job of integrate_regions."""
+    return RegionJob(region, _dirichlet_density, need_values=False)
+
+
+def mass_job(region: Region) -> RegionJob:
+    """l2_mass of region, as a job of integrate_regions."""
+    return RegionJob(region, _mass_density, need_gradients=False)
 
 
 def dirichlet_energy(f: QField, region: Region, quad: QuadratureSpec = REFERENCE_QUAD,

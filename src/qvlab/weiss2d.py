@@ -43,6 +43,8 @@ from .variational import (
     _mass_density,
     ball,
     dirichlet_energy,
+    dirichlet_job,
+    integrate_regions,
     sphere_integral,
     stationarity_battery,
 )
@@ -435,6 +437,24 @@ def solve_disk(pieces, tag: str | None = None, quad: QuadratureSpec = REFERENCE_
 # Weiss energy
 
 
+def _weiss_energies(f: QField, x, kappa: float, radii, quad: QuadratureSpec,
+                    exponent_dim: int | None) -> tuple:
+    """weiss_energy at every radius, the ball energies from one panel sweep."""
+    if kappa <= 0:
+        raise ValueError("homogeneity degree kappa must be positive")
+    d = f.n if exponent_dim is None else int(exponent_dim)
+    x = np.asarray(x, dtype=float)
+    for r in radii:
+        if float(np.linalg.norm(x)) + r > f.domain_radius:
+            raise ValueError("ball of radius %g at %s leaves the field's domain"
+                             % (r, x.tolist()))
+    energies = integrate_regions(f, [dirichlet_job(ball(x, r)) for r in radii], quad)
+    return tuple(r ** -(d + 2.0 * kappa - 2.0) * dir_term
+                 - kappa * r ** -(d + 2.0 * kappa - 1.0)
+                 * sphere_integral(f, x, r, quad, _mass_density)
+                 for r, dir_term in zip(radii, energies))
+
+
 def weiss_energy(f: QField, x, kappa: float, r: float,
                  quad: QuadratureSpec = REFERENCE_QUAD,
                  exponent_dim: int | None = None) -> float:
@@ -446,23 +466,19 @@ def weiss_energy(f: QField, x, kappa: float, r: float,
     exponents with the target dimension; scaling of homogeneous fields
     singles out the domain dimension, so that is the default.
     """
-    if kappa <= 0:
-        raise ValueError("homogeneity degree kappa must be positive")
-    d = f.n if exponent_dim is None else int(exponent_dim)
-    x = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(x)) + r > f.domain_radius:
-        raise ValueError("ball of radius %g at %s leaves the field's domain" % (r, x.tolist()))
-    dir_term = dirichlet_energy(f, ball(x, r), quad)
-    boundary = sphere_integral(f, x, r, quad, _mass_density)
-    return (r ** -(d + 2.0 * kappa - 2.0) * dir_term
-            - kappa * r ** -(d + 2.0 * kappa - 1.0) * boundary)
+    return _weiss_energies(f, x, kappa, (r,), quad, exponent_dim)[0]
 
 
 def weiss_profile(f: QField, x, kappa: float, radii,
                   quad: QuadratureSpec = REFERENCE_QUAD,
                   exponent_dim: int | None = None) -> RadialProfile:
+    """weiss_energy at every radius, from one panel sweep over all balls."""
     radii = tuple(float(r) for r in radii)
-    vals = tuple(weiss_energy(f, x, kappa, r, quad, exponent_dim) for r in radii)
+    try:
+        vals = _weiss_energies(f, x, kappa, radii, quad, exponent_dim)
+    except ValueError:
+        # radius by radius, the profile raises the error it always raised first
+        vals = tuple(weiss_energy(f, x, kappa, r, quad, exponent_dim) for r in radii)
     return RadialProfile(quantity="weiss", center=tuple(np.asarray(x, dtype=float)),
                          radii=radii, values=vals, resolutions=quad.meta())
 

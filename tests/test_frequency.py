@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from qvlab import carleman, weiss2d
 from qvlab.fields import (
+    blowup_rescale,
     make_branch_field,
     make_harmonic_sheets,
     make_trivial,
@@ -32,7 +34,7 @@ from qvlab.frequency import (
     vanishing_order,
     variant_agreement,
 )
-from qvlab.variational import QuadratureSpec
+from qvlab.variational import QuadratureSpec, RegionBranchError
 
 FAST = QuadratureSpec(radial_order=12, angular_nodes=64, polar_nodes=16)
 
@@ -83,6 +85,33 @@ def test_frequency_profile_shape():
     assert len(prof.rows()) == 3
     for _, v in prof.rows():
         assert v == pytest.approx(0.5, abs=1e-9)
+
+
+def test_profiles_raise_their_first_error_radius_by_radius():
+    """Errors keep the order of one radius at a time.
+
+    The blown-up zero branch field vanishes everywhere and has its branch
+    point at distance about 0.224 from the origin. Radius by radius the
+    first check to fail is a vanishing height at r = 0.4, before any ball
+    or shell that reaches the branch point is looked at.
+    """
+    zero = blowup_rescale(make_branch_field(3, 2, 0.0), (0.1, 0.05), 0.5, 1.0)
+    coarse = QuadratureSpec(radial_order=8, angular_nodes=32)
+    for variant, what in (("sharp", "boundary trace"), ("linear", "shell mass")):
+        with pytest.raises(ZeroHeightError, match="^%s vanishes at r=0.4$" % what):
+            frequency_profile(zero, (0.0, 0.0), (0.4, 0.2, 0.1), coarse, variant)
+    with pytest.raises(ZeroHeightError, match="^boundary trace vanishes at r=0.3$"):
+        variant_agreement(zero, (0.0, 0.0), 0.3, coarse)
+    with pytest.raises(ValueError, match="^variant must be sharp or linear, got 'cubic'$"):
+        frequency_profile(zero, (0.0, 0.0), (0.4,), coarse, "cubic")
+    assert frequency_profile(zero, (0.0, 0.0), (), coarse, "cubic").values == ()
+    # the increasing Weiss profile first meets the branch point in its
+    # second ball, the doubling ladder in its first
+    branch = blowup_rescale(make_branch_field(3, 2), (0.1, 0.05), 0.5, 1.0)
+    with pytest.raises(RegionBranchError, match=r"ball/\(0.0, 0.3\)"):
+        weiss2d.weiss_profile(branch, (0.0, 0.0), 1.5, (0.15, 0.3, 0.45), coarse)
+    with pytest.raises(RegionBranchError, match=r"ball/\(0.0, 0.25\)"):
+        carleman.doubling_check(branch, (0.0, 0.0), 0.25, 1.5, coarse, eta_abs=1.0, levels=4)
 
 
 def test_vanishing_order_branch():

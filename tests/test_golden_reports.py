@@ -9,7 +9,11 @@ panel sweep landed; the stationarity-ball, three-sphere and carleman-sweep
 ones before the two radial cutoff types were merged into RadialBump; and
 the vanishing-order, semicontinuity, doubling, frequency-variant and
 three-dimensional stationarity ones before the deformation battery was
-built from affine data. Only in three dimensions does the inner rotation
+built from affine data; the nested-radius ones (frequency and Weiss
+profiles at dyadic and increasing radii, a four-level doubling ladder and
+a wider variant pair, also on two wound fields whose balls refine deep or
+to the subdivision cap) before several regions shared one panel sweep. Only in
+three dimensions does the inner rotation
 generator differ from the outer quarter turn R, so only the last case
 tells the two apart. Any change to the quadrature engine or the checks
 that moves a single report byte fails here. To record new digests after
@@ -34,8 +38,13 @@ FIELDS = {
     "harmonic-pair": ("harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2", 1.0),
     "wound-s0": ("wound:0,2,4,1.8", 1.0),
     "harmonic-3d": ("harmonic:n3m1:x1*x2|x3", 1.0),
+    "wound-deep": ("wound:5,3,4,1.8", 0.5),
+    "wound-capped": ("wound:3,3,4,1.8", 1.0 / 3.0),
 }
 PLANAR = ("branch-three-halves", "harmonic-pair", "wound-s0")
+# nested-radius checks: the planar fields plus two wound fields whose ball
+# energies refine deep (54 of 64 levels at radius 0.4) or to the cap
+NESTED = PLANAR + ("wound-deep", "wound-capped")
 
 
 def _checks(f, kappa):
@@ -70,7 +79,22 @@ def _checks(f, kappa):
     }
 
 
+def _nested_checks(f, kappa):
+    checks = {}
+    for label, radii in (("dyadic", (0.4, 0.2, 0.1)), ("increasing", (0.15, 0.3, 0.45))):
+        for variant in ("sharp", "linear"):
+            checks["frequency-profile-%s-%s" % (variant, label)] = \
+                lambda radii=radii, variant=variant: frequency.frequency_profile(
+                    f, ORIGIN, radii, Q, variant)
+        checks["weiss-profile-" + label] = \
+            lambda radii=radii: weiss2d.weiss_profile(f, ORIGIN, kappa, radii, Q)
+    checks["doubling-4"] = lambda: carleman.doubling_check(f, ORIGIN, 0.25, kappa, Q, levels=4)
+    checks["frequency-variants-wide"] = lambda: frequency.variant_agreement(f, ORIGIN, 0.45, Q)
+    return checks
+
+
 CHECKS = tuple(_checks(None, 1.0))
+NESTED_CHECKS = tuple(_nested_checks(None, 1.0))
 
 DIGESTS = {
     "branch-three-halves/stationarity": "8783d2c3f65aaa829701f5190da5f867efc68d6b31b66e257cdc315f4e510cef",
@@ -126,6 +150,46 @@ DIGESTS = {
     "wound-s0/doubling": "f2617ac8c2bc1077ac837c494af4abade0279eca5bd65339da1ac73843939caa",
     "wound-s0/frequency-variants": "7fbeb5dba76351a21c77b445927cfc358588054d6e40438586c53d6aa3dc9fa3",
     "harmonic-3d/stationarity": "b730c425a0ff85cfdd818f1e096b4733e1cf3c87b957cfbfb125c4d9cdba7a49",
+    "branch-three-halves/frequency-profile-sharp-dyadic": "ae680987690e8013c82d1f1132b9794e76c2213f1a3c0e0d01a64c9bbcbb0593",
+    "branch-three-halves/frequency-profile-linear-dyadic": "b85146b649fb61fcba6691df83bb95218b955e908b17ab452665a72711c0bbdb",
+    "branch-three-halves/weiss-profile-dyadic": "1a1eb9b684334210b12697f263cd88d4dfaba052d3dd12528a71b71c356b8d9b",
+    "branch-three-halves/frequency-profile-sharp-increasing": "26e344393e819d413e8db420607fdc848f53c03fec8df6241620bdead8186f46",
+    "branch-three-halves/frequency-profile-linear-increasing": "a1b356ea47324cb633c8c45c3b52ef112d1e3014085240cc48d4ef2711471a3d",
+    "branch-three-halves/weiss-profile-increasing": "a02bc8953dcc6902796a604a318202a3ce5542e7af4e6fc9742305bf339b5eb1",
+    "branch-three-halves/doubling-4": "33eec63b328b996d921e21003b73ee3d7664dfb2d59ebd2f2c314f5e134ff69c",
+    "branch-three-halves/frequency-variants-wide": "757a0457ed3b191d1b24fc7314edaf1edd2f249c631e020969d60442257ddf31",
+    "harmonic-pair/frequency-profile-sharp-dyadic": "99f60a92e1787323b1fd68d97be455906babc7d31abe3d3bcd34c6ed0c5448f7",
+    "harmonic-pair/frequency-profile-linear-dyadic": "d0b19d23e31be173d5b80e0c908c288a76c85ee2873b1bd50b6a17205bd7e889",
+    "harmonic-pair/weiss-profile-dyadic": "25281ee8b2ed395e98deab85275c9cdeaf57e96edbc34e73dc8e41cc892ad9fe",
+    "harmonic-pair/frequency-profile-sharp-increasing": "be9fc4e8cbba2d53b6371a45e794506962c62d01827b43823eab03672de43099",
+    "harmonic-pair/frequency-profile-linear-increasing": "b0d90536d743305a1418249b5de41483cb248f12cc305d5f79d625933945ae97",
+    "harmonic-pair/weiss-profile-increasing": "554c313d3c1c5ed85727fe72db637e80685b8202024c79b70e855c1b006d60ad",
+    "harmonic-pair/doubling-4": "06aef59f73022baf6d47b76aaa1f824b34fe0f0b860dadf7fcedbfe8435d1388",
+    "harmonic-pair/frequency-variants-wide": "d32ded431e8c73ff6541322acab82d319b7fe6237d91767fed997c1a539a91e2",
+    "wound-s0/frequency-profile-sharp-dyadic": "c9fea73f7046acee7a9d3432e9b5327b19039ea43411a210dd03e386f6bf4392",
+    "wound-s0/frequency-profile-linear-dyadic": "d0b965851180191fcb9beacbd9486e8dfdae088eff1e18a2d4d06cc3f221be52",
+    "wound-s0/weiss-profile-dyadic": "b3fd86e582b6f0d3c385dd4bffd87d6ed4e962b3a17d1b3e8788c0a1db5cb579",
+    "wound-s0/frequency-profile-sharp-increasing": "b34712543cf2bdde1f98419e36364d3392f6ba9038887335a8252489ca17d3f1",
+    "wound-s0/frequency-profile-linear-increasing": "c885c325bc0c0e468e94b9a39ebad53b6b126b2d58ecf213c67196e37c5319a5",
+    "wound-s0/weiss-profile-increasing": "56ee2162414d64fc4941bdc437dbac7ce873158eaa5a082c8057b58cd5a4734d",
+    "wound-s0/doubling-4": "e40d98b08f52033662c5c06177c76f0ede8496b2bb1c705207cea0f98345f667",
+    "wound-s0/frequency-variants-wide": "706a90f53b261177c132118d8fd1a2167256c58a56b1528e6e933aa5d98f12f0",
+    "wound-deep/frequency-profile-sharp-dyadic": "0d0aad9c6edb481e08c009c87d16a87394821c5115e7bc30a420d49152d99ccc",
+    "wound-deep/frequency-profile-linear-dyadic": "a331b5b28b47e2e44784c8384d525fc605d795f90c8d3edd94fd3f63def457ba",
+    "wound-deep/weiss-profile-dyadic": "23fd7eead70c3d878985cf48392c4b3d124ee009e624f99dbc37ba92d2c77dbf",
+    "wound-deep/frequency-profile-sharp-increasing": "298bccff7c07768e1d723a7d21b26777104ab1ef493c5afcda8e6ead9631c2d4",
+    "wound-deep/frequency-profile-linear-increasing": "7e1d1eff00ce2df8c1eca000dbc2e47cf3346102523a22ae1898acfe8b193d25",
+    "wound-deep/weiss-profile-increasing": "0f2d0be07c829a4a2d21a8f7a6a9d9c5c462c7e2213a3f13d61e1d98ddd02e14",
+    "wound-deep/doubling-4": "76c8cfa736d9677fdc2a5e7f819b7d39ed06a8f60e0cfe229886cbac5dbc17d4",
+    "wound-deep/frequency-variants-wide": "a919c9e27ec3fe5483295f9f37c61710b4402cb4e591754f08237549b6e73c35",
+    "wound-capped/frequency-profile-sharp-dyadic": "536220a0878f0077c61d11032433743a3a3e25c166964e58f255b1e8ef5207e1",
+    "wound-capped/frequency-profile-linear-dyadic": "05f9ca1089ec3fe527694e35cf141749c883ac1df2edcf2246ee4d31656693c5",
+    "wound-capped/weiss-profile-dyadic": "871f5d69586dfe9ab75c644efb79ec4973355a5104963da0f48d1188614a6ee0",
+    "wound-capped/frequency-profile-sharp-increasing": "4d03b64aa703586615cd04982a33c8260cc26535c6e818a69deaf3b08405678d",
+    "wound-capped/frequency-profile-linear-increasing": "e1e6386e5d98cc9e61914cb3d8ba3a13651645dedbf9c2729b91852670397158",
+    "wound-capped/weiss-profile-increasing": "3890263cd7fe021935c1eedaabb03868c8f8da1de791010dd7b3cae48bea3cec",
+    "wound-capped/doubling-4": "bdd13b7e9be6c5295441ccf1f7f30fed5810ee534db8a70d13849ba66f3dd9ca",
+    "wound-capped/frequency-variants-wide": "a033bca7be4fcd1a9318cf9158f812672e21fffbef60e6448d07180e2111cd3f",
 }
 
 _FIELD_CACHE = {}
@@ -142,7 +206,9 @@ def _digest(field_name, check):
     if check == "construction-cert":
         payload = f.construction_cert
     else:
-        result = _checks(f, FIELDS[field_name][1])[check]()
+        kappa = FIELDS[field_name][1]
+        checks = {**_checks(f, kappa), **_nested_checks(f, kappa)}
+        result = checks[check]()
         if hasattr(result, "to_dict"):
             payload = result.to_dict()
         elif dataclasses.is_dataclass(result):
@@ -153,7 +219,8 @@ def _digest(field_name, check):
 
 
 CASES = [(name, check) for name in PLANAR for check in CHECKS] + \
-    [("wound-s0", "construction-cert"), ("harmonic-3d", "stationarity")]
+    [("wound-s0", "construction-cert"), ("harmonic-3d", "stationarity")] + \
+    [(name, check) for name in NESTED for check in NESTED_CHECKS]
 
 
 @pytest.mark.parametrize("field_name,check", CASES)

@@ -32,6 +32,7 @@ from qvlab.variational import (
     RadialBump,
     Region,
     RegionBranchError,
+    RegionJob,
     OuterTestField,
     annulus,
     ball,
@@ -39,6 +40,7 @@ from qvlab.variational import (
     dirichlet_energy,
     inner_battery,
     integrate_region,
+    integrate_regions,
     inner_variation,
     l2_mass,
     outer_battery,
@@ -475,12 +477,14 @@ def _counted_density(density):
     return counted, panels
 
 
-def _counted_field(f):
+def _counted_field(f, weight=lambda X: 1):
+    """f with its values and gradients calls tallied, each weighted by
+    weight(X): 1 counts calls, X.shape[0] points."""
     calls = {"values": 0, "gradients": 0}
 
     def counted(name, fn):
         def call(X):
-            calls[name] += 1
+            calls[name] += weight(X)
             return fn(X)
         return call
 
@@ -661,6 +665,153 @@ def test_multi_integral_check_field_call_counts():
         f, calls = _counted_field(parse_field_spec("branch:3/2"))
         check(f)
         assert calls == {"values": count, "gradients": count}
+
+
+# ---------------------------------------------------------------------------
+# several regions from one panel sweep
+
+
+def _separately(f, jobs, quad):
+    """Each job as its own integrate_region call, with its density calls."""
+    results, panels = [], []
+    for job in jobs:
+        density, seen = _counted_density(job.density)
+        results.append(integrate_region(f, job.region, quad, density,
+                                        need_values=job.need_values,
+                                        need_gradients=job.need_gradients,
+                                        breakpoints=job.breakpoints))
+        panels.append(seen)
+    return results, panels
+
+
+def _swept(f, jobs, quad):
+    """integrate_regions on jobs, with each job's density calls."""
+    counted, panels = [], []
+    for job in jobs:
+        density, seen = _counted_density(job.density)
+        counted.append(dataclasses.replace(job, density=density))
+        panels.append(seen)
+    return integrate_regions(f, counted, quad), panels
+
+
+def test_regions_match_separate_calls_on_capped_wound_balls():
+    f = _winding3_wound_field()
+    R = 0.5
+    jobs = [variational.dirichlet_job(ball((0.0, 0.0), R * 0.5 ** j)) for j in range(3)] + \
+        [variational.mass_job(ball((0.0, 0.0), R * 0.5 ** j)) for j in range(3)]
+    expected, expected_panels = _separately(f, jobs, COARSE)
+    got, panels = _swept(f, jobs, COARSE)
+    assert got == expected
+    assert panels == expected_panels
+    # the energies run to the cap, the masses stop early
+    assert [len(p) for p in panels[:3]] == [COARSE.max_subdivisions] * 3
+    assert all(len(p) < COARSE.max_subdivisions for p in panels[3:])
+
+
+def test_regions_match_separate_calls_on_variant_pair():
+    f = make_branch_field(3, 2)
+    x, r = (0.0, 0.0), 0.3
+
+    def ramp(X, rho, vals, grads):
+        return np.minimum(1.0, np.maximum(0.0, 2.0 - rho / r)) * \
+            variational._dirichlet_density(X, rho, vals, grads)
+
+    jobs = [variational.dirichlet_job(ball(x, r)),
+            RegionJob(ball(x, 2.0 * r), ramp, breakpoints=(r,), need_values=False),
+            RegionJob(annulus(x, r, 2.0 * r), variational._mass_density, need_gradients=False)]
+    for quad in (COARSE, QUAD):
+        expected, expected_panels = _separately(f, jobs, quad)
+        got, panels = _swept(f, jobs, quad)
+        assert got == expected
+        assert panels == expected_panels
+
+
+def test_regions_keep_each_early_stop():
+    f = parse_field_spec("harmonic:n2m1:x1")
+    # the mass on B_0.8 stops at about half the depth of the energies; the
+    # energy on B_0.4 runs on after it, and stops on its own
+    jobs = [variational.mass_job(ball((0.0, 0.0), 0.8)),
+            variational.dirichlet_job(ball((0.0, 0.0), 0.8)),
+            variational.dirichlet_job(ball((0.0, 0.0), 0.4))]
+    expected, expected_panels = _separately(f, jobs, COARSE)
+    g, calls = _counted_field(f)
+    got, panels = _swept(g, jobs, COARSE)
+    assert got == expected
+    assert panels == expected_panels
+    assert len(panels[0]) < len(panels[2]) < COARSE.max_subdivisions
+    # values stop with the mass: one block of 20 panels covers them
+    assert calls["values"] == 1
+
+
+def test_regions_pass_only_the_requested_field_data():
+    f = make_branch_field(3, 2)
+    seen = []
+
+    def probe(name):
+        def density(X, r, vals, grads):
+            seen.append((name, vals is None, grads is None))
+            total = np.zeros(X.shape[0])
+            if vals is not None:
+                total += variational._mass_density(X, r, vals, grads)
+            if grads is not None:
+                total += variational._dirichlet_density(X, r, vals, grads)
+            return total
+        return density
+
+    jobs = [RegionJob(ball((0.0, 0.0), 0.6), probe("values"), need_gradients=False),
+            RegionJob(annulus((0.0, 0.0), 0.15, 0.6), probe("grads"), need_values=False),
+            RegionJob(annulus((0.0, 0.0), 0.3, 0.9), probe("both"), breakpoints=(0.6,)),
+            RegionJob(ball((0.0, 0.0), 0.3), probe("neither"), need_values=False,
+                      need_gradients=False)]
+    # at the reference rule each panel is its own block, so the evaluated
+    # points are exactly those of the panels the jobs visit
+    expected, visits = _separately(f, jobs, QUAD)
+    separate_seen, seen[:] = sorted(set(seen)), []
+    g, points = _counted_field(f, lambda X: X.shape[0])
+    got = integrate_regions(g, jobs, QUAD)
+    assert got == expected
+    assert sorted(set(seen)) == separate_seen == [("both", False, False), ("grads", True, False),
+                                                  ("neither", True, True), ("values", False, True)]
+    visited = {name: set(variational._radial_panels(*job.region.radii, QUAD,
+                                                    job.breakpoints)[:len(visit)])
+               for name, job, visit in zip(("values", "grads", "both", "neither"), jobs, visits)}
+    # values on the panels of the values and both jobs, gradients on those of
+    # the grads and both jobs, each evaluated once
+    per_panel = QUAD.radial_order * QUAD.angular_nodes
+    assert points["values"] == per_panel * len(visited["values"] | visited["both"])
+    assert points["gradients"] == per_panel * len(visited["grads"] | visited["both"])
+    assert len(visited["values"] & visited["both"]) == 1
+
+
+def test_regions_need_one_center():
+    f = make_branch_field(3, 2)
+    jobs = [variational.dirichlet_job(ball((0.0, 0.0), 0.5)),
+            variational.dirichlet_job(ball((0.1, 0.0), 0.5))]
+    with pytest.raises(ValueError, match="one center"):
+        integrate_regions(f, jobs, COARSE)
+    assert integrate_regions(f, [], COARSE) == []
+
+
+def test_profile_and_variant_share_panels_on_capped_wound_field():
+    from qvlab import frequency
+
+    f = _winding3_wound_field()
+    per_panel = COARSE.radial_order * COARSE.angular_nodes
+    g, points = _counted_field(f, lambda X: X.shape[0])
+    frequency.frequency_profile(g, (0.0, 0.0), (0.4, 0.2, 0.1), COARSE)
+    # 64 capped panels of the outer ball and two more below each smaller
+    # ball, against 3 x 64 one ball at a time; the heights are 3 circles
+    assert points == {"values": 3 * COARSE.angular_nodes, "gradients": 68 * per_panel}
+    assert 68 * per_panel == 17408
+    g, points = _counted_field(f, lambda X: X.shape[0])
+    for r in (0.4, 0.2, 0.1):
+        dirichlet_energy(g, ball((0.0, 0.0), r), COARSE)
+    assert points["gradients"] == 192 * per_panel
+    g, points = _counted_field(f, lambda X: X.shape[0])
+    frequency.variant_agreement(g, (0.0, 0.0), 0.25, COARSE)
+    # B_2r split at r is the shell panel (r, 2r) plus the 64 panels of B_r
+    assert points == {"values": per_panel + COARSE.angular_nodes,
+                      "gradients": 65 * per_panel}
 
 
 # ---------------------------------------------------------------------------
