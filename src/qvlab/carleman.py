@@ -38,9 +38,7 @@ from .variational import (
     annulus,
     ball,
     integrate_region,
-    integrate_regions,
     l2_mass,
-    mass_job,
 )
 
 CONVERGENCE_REL_TOL = 1e-4
@@ -384,23 +382,12 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
         guard += 1
     r_x = eps
     absorbed = r_x ** (2.0 * eta_abs) < 0.5
-    # ball(2 scale_{j+1}) is ball(scale_j): the ladder has levels + 1 balls,
-    # all integrated in one panel sweep
-    ladder = [r_x * 0.5 ** j for j in range(levels)]
-    radii = list(dict.fromkeys(s for scale in ladder for s in (scale, 2.0 * scale)))
-    try:
-        masses = dict(zip(radii, integrate_regions(
-            f, [mass_job(ball(x_arr, s)) for s in radii], quad)))
-        mass = masses.__getitem__
-    except ValueError:
-        # ball by ball, the ladder raises the error it always raised first
-        def mass(s):
-            return l2_mass(f, ball(x_arr, s), quad)
     scales, ratios = [], []
     trivial = False
-    for scale in ladder:
-        denom = mass(scale)
-        numer = mass(2.0 * scale)
+    for j in range(levels):
+        scale = r_x * 0.5 ** j
+        denom = l2_mass(f, ball(x_arr, scale), quad)
+        numer = l2_mass(f, ball(x_arr, 2.0 * scale), quad)
         scales.append(scale)
         if denom <= UNDERFLOW_MASS:
             trivial = True

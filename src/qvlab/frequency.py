@@ -24,6 +24,7 @@ from .variational import (
     REFERENCE_QUAD,
     RegionJob,
     _dirichlet_density,
+    _guard_branch,
     _mass_density,
     annulus,
     ball,
@@ -68,40 +69,38 @@ def _shell_density(X, rho, vals, grads):
     return _mass_density(X, rho, vals, grads) / rho
 
 
-def _shell_mass(x, r: float) -> RegionJob:
-    """The shell mass int_{B_2r \\ B_r} |f|^2 / |y - x|, before the factor 1/r."""
-    return RegionJob(annulus(x, r, 2.0 * r), _shell_density, need_gradients=False)
-
-
 _HEIGHT_NAMES = {"sharp": "boundary trace", "linear": "shell mass"}
 
 
 def _swept_frequencies(f: QField, x, radii, quad: QuadratureSpec, variants) -> dict:
     """Each variant's frequency at every radius.
 
-    Heights come first: sharp ones are sphere integrals, and the shells of
-    all radii share one integrate_regions call. The balls and ramp balls of
-    all radii and variants then share a second one, so each radius gets
-    bit for bit the frequency it gets alone. With one radius and variant
-    this is frequency, checks and errors in the same order. With more it
-    runs the checks of each kind for all radii at once, so a failing call
-    may raise another error than the radius-by-radius calls would raise
-    first.
+    Variant by variant and radius by radius, the height comes first: a
+    sphere integral for sharp, the distance-weighted shell mass
+    (1/r) int_{B_2r \\ B_r} |f|^2 / |y - x| for linear. A vanishing height
+    raises ZeroHeightError, and the ball that carries the energy is checked
+    against the field's branch points and domain before the next radius, so
+    errors come in the order of one radius at a time. The balls and ramp
+    balls of all radii and variants then share one integrate_regions call,
+    so each frequency is bit for bit the one it gets alone.
     """
     heights, jobs = {}, []
     for variant in variants:
-        if variant == "sharp":
-            heights[variant] = [height(f, x, r, quad) for r in radii]
-            jobs += [dirichlet_job(ball(x, r)) for r in radii]
-        elif variant == "linear":
-            shells = integrate_regions(f, [_shell_mass(x, r) for r in radii], quad)
-            heights[variant] = [m / r for r, m in zip(radii, shells)]
-            jobs += [_ramp_energy(x, r) for r in radii]
-        else:
-            raise ValueError("variant must be sharp or linear, got %r" % (variant,))
-        for r, h in zip(radii, heights[variant]):
+        hs = heights[variant] = []
+        for r in radii:
+            if variant == "sharp":
+                h, job = height(f, x, r, quad), dirichlet_job(ball(x, r))
+            elif variant == "linear":
+                h = integrate_region(f, annulus(x, r, 2.0 * r), quad, _shell_density,
+                                     need_gradients=False) / r
+                job = _ramp_energy(x, r)
+            else:
+                raise ValueError("variant must be sharp or linear, got %r" % (variant,))
             if h <= 0.0:
                 raise ZeroHeightError("%s vanishes at r=%g" % (_HEIGHT_NAMES[variant], r))
+            _guard_branch(f, job.region)
+            hs.append(h)
+            jobs.append(job)
     swept = iter(integrate_regions(f, jobs, quad))
     out = {}
     for variant, hs in heights.items():
@@ -128,13 +127,8 @@ def variant_agreement(f: QField, x, r: float,
     evaluates the gradients of both on the panels of B_2r; the shell
     B_2r \\ B_r adds values on its one panel.
     """
-    try:
-        both = _swept_frequencies(f, x, (r,), quad, ("sharp", "linear"))
-        sharp, linear = both["sharp"][0], both["linear"][0]
-    except ValueError:
-        # one variant at a time raises the error it always raised first
-        sharp = frequency(f, x, r, quad, "sharp")
-        linear = frequency(f, x, r, quad, "linear")
+    both = _swept_frequencies(f, x, (r,), quad, ("sharp", "linear"))
+    sharp, linear = both["sharp"][0], both["linear"][0]
     gap = abs(sharp - linear)
     return CheckReport(
         name="frequency-variants",
@@ -168,11 +162,7 @@ def frequency_profile(f: QField, x, radii, quad: QuadratureSpec = REFERENCE_QUAD
                       variant: str = "sharp") -> RadialProfile:
     """The frequency at every radius, from one panel sweep over all balls."""
     radii = tuple(float(r) for r in radii)
-    try:
-        values = _swept_frequencies(f, x, radii, quad, (variant,))[variant]
-    except ValueError:
-        # radius by radius, the profile raises the error it always raised first
-        values = tuple(frequency(f, x, r, quad, variant) for r in radii)
+    values = _swept_frequencies(f, x, radii, quad, (variant,))[variant]
     return RadialProfile(quantity="frequency-" + variant,
                          center=tuple(np.atleast_1d(x).tolist()),
                          radii=radii, values=values,

@@ -40,6 +40,7 @@ from .report import CheckReport, atomic_write_text, canonical_json
 from .variational import (
     REFERENCE_QUAD,
     QuadratureSpec,
+    _guard_branch,
     _mass_density,
     ball,
     dirichlet_energy,
@@ -439,7 +440,14 @@ def solve_disk(pieces, tag: str | None = None, quad: QuadratureSpec = REFERENCE_
 
 def _weiss_energies(f: QField, x, kappa: float, radii, quad: QuadratureSpec,
                     exponent_dim: int | None) -> tuple:
-    """weiss_energy at every radius, the ball energies from one panel sweep."""
+    """weiss_energy at every radius, the ball energies from one panel sweep.
+
+    Each ball is checked against the field's domain and branch points
+    before the next radius, so errors come in the order of one radius at a
+    time. No radii raise nothing.
+    """
+    if not radii:
+        return ()
     if kappa <= 0:
         raise ValueError("homogeneity degree kappa must be positive")
     d = f.n if exponent_dim is None else int(exponent_dim)
@@ -448,6 +456,7 @@ def _weiss_energies(f: QField, x, kappa: float, radii, quad: QuadratureSpec,
         if float(np.linalg.norm(x)) + r > f.domain_radius:
             raise ValueError("ball of radius %g at %s leaves the field's domain"
                              % (r, x.tolist()))
+        _guard_branch(f, ball(x, r))
     energies = integrate_regions(f, [dirichlet_job(ball(x, r)) for r in radii], quad)
     return tuple(r ** -(d + 2.0 * kappa - 2.0) * dir_term
                  - kappa * r ** -(d + 2.0 * kappa - 1.0)
@@ -474,11 +483,7 @@ def weiss_profile(f: QField, x, kappa: float, radii,
                   exponent_dim: int | None = None) -> RadialProfile:
     """weiss_energy at every radius, from one panel sweep over all balls."""
     radii = tuple(float(r) for r in radii)
-    try:
-        vals = _weiss_energies(f, x, kappa, radii, quad, exponent_dim)
-    except ValueError:
-        # radius by radius, the profile raises the error it always raised first
-        vals = tuple(weiss_energy(f, x, kappa, r, quad, exponent_dim) for r in radii)
+    vals = _weiss_energies(f, x, kappa, radii, quad, exponent_dim)
     return RadialProfile(quantity="weiss", center=tuple(np.asarray(x, dtype=float)),
                          radii=radii, values=vals, resolutions=quad.meta())
 
