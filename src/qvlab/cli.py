@@ -249,6 +249,11 @@ def _parse_floats(text: str, count: int | None, what: str):
     return values
 
 
+def _require_count(value: int, flag: str) -> None:
+    if value < 1:
+        raise UsageError("%s must be at least 1, got %d" % (flag, value))
+
+
 def _parse_point(text: str | None, n: int):
     if text is None or text == "origin":
         return np.zeros(n)
@@ -368,6 +373,7 @@ def _cmd_frequency(args, ctx: _Context) -> None:
     if args.radii:
         radii = sorted(_parse_floats(args.radii, None, "--radii"), reverse=True)
     else:
+        _require_count(args.n_radii, "--n-radii")
         radii = [args.r_max * 0.5 ** j for j in range(args.n_radii)]
     profile = frequency.frequency_profile(f, x, radii, ctx.quad, variant=args.variant)
     if args.plot_data:
@@ -408,6 +414,7 @@ def _cmd_vanishing_order(args, ctx: _Context) -> None:
 def _cmd_deficit(args, ctx: _Context) -> None:
     f = fields.parse_field_spec(args.field)
     x = _parse_point(args.x, f.n)
+    _require_count(args.windows, "--windows")
     kappa, kappa_prov = _resolve_kappa(args.kappa, f, ctx, x)
     rows = frequency.deficit_profile(f, x, kappa, r_max=args.r_max,
                                      n_windows=args.windows, quad=ctx.quad)

@@ -6,6 +6,8 @@ spec. The library constructors are: identically-zero tuples, tuples of
 harmonic polynomial sheets, homogeneous branched covers of the plane,
 single-valued harmonic superpositions, blow-up rescalings, and seeded
 random wound fields built from harmonic extensions of random circle data.
+Circle data is held in FourierPiece records, the one validator for wound
+field input and for the trace pieces that weiss2d computes.
 """
 
 from __future__ import annotations
@@ -301,6 +303,68 @@ def make_harmonic_sheets(sheets, tag: str | None = None) -> QField:
     return QField(n=n, m=m, q=q, tag=tag, values_fn=values, gradients_fn=gradients)
 
 
+@dataclass(frozen=True)
+class FourierPiece:
+    """One irreducible piece of a circle trace.
+
+    winding is the cycle length Q_j; a0 the constant coefficient (vector in
+    R^m); modes a tuple of (l, a_l, b_l) with strictly increasing positive
+    integer l, parametrizing the unwound curve
+    gamma(theta) = a0/2 + sum_l [a_l sin(l theta) + b_l cos(l theta)].
+    """
+
+    winding: int
+    a0: tuple
+    modes: tuple
+
+    def __post_init__(self):
+        winding = int(self.winding)
+        if winding < 1:
+            raise FieldSpecError("winding must be a positive integer")
+        a0 = tuple(float(v) for v in np.atleast_1d(self.a0))
+        m = len(a0)
+        modes = []
+        last = 0
+        for l, a, b in self.modes:
+            l = int(l)
+            if l <= last:
+                raise FieldSpecError("mode indices must be strictly increasing and positive")
+            last = l
+            a = tuple(float(v) for v in np.atleast_1d(a))
+            b = tuple(float(v) for v in np.atleast_1d(b))
+            if len(a) != m or len(b) != m:
+                raise FieldSpecError("mode coefficients must be vectors of dimension %d" % m)
+            modes.append((l, a, b))
+        for vec in [a0] + [v for _, a, b in modes for v in (a, b)]:
+            if not all(math.isfinite(v) for v in vec):
+                raise FieldSpecError("coefficients must be finite")
+        object.__setattr__(self, "winding", winding)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "modes", tuple(modes))
+
+    @property
+    def m(self) -> int:
+        return len(self.a0)
+
+    def mode_energies(self):
+        """[(l, c_l)] with c_l = |a_l|^2 + |b_l|^2."""
+        return [(l, sum(v * v for v in a) + sum(v * v for v in b))
+                for l, a, b in self.modes]
+
+    def max_mode(self) -> int:
+        return self.modes[-1][0] if self.modes else 0
+
+    def to_dict(self) -> dict:
+        return {"winding": self.winding, "a0": list(self.a0),
+                "modes": [{"l": l, "a": list(a), "b": list(b)} for l, a, b in self.modes]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FourierPiece":
+        return cls(winding=d["winding"], a0=tuple(d["a0"]),
+                   modes=tuple((entry["l"], tuple(entry["a"]), tuple(entry["b"]))
+                               for entry in d["modes"]))
+
+
 def _wound_closures(pieces, m):
     """Batch evaluation of rewound harmonic extensions on the plane.
 
@@ -379,28 +443,18 @@ def _wound_closures(pieces, m):
 
 def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = math.inf,
                      construction_cert: dict | None = None) -> QField:
-    """Field whose sheets rewind harmonic extensions of unwound circle data."""
-    pieces = tuple(
-        (int(w), np.asarray(a0, dtype=float),
-         tuple((int(l), np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for l, a, b in modes))
-        for w, a0, modes in pieces
-    )
-    for w, a0, modes in pieces:
-        if w <= 0:
-            raise FieldSpecError("winding numbers must be positive")
-        last = 0
-        for l, a, b in modes:
-            if l <= last:
-                raise FieldSpecError("mode indices must be strictly increasing")
-            last = l
-            if a.shape != (m,) or b.shape != (m,):
-                raise FieldSpecError("mode coefficients must be vectors of dimension %d" % m)
-        if a0.shape != (m,):
-            raise FieldSpecError("a0 must be a vector of dimension %d" % m)
-    q_total, values, gradients = _wound_closures(pieces, m)
+    """Field whose sheets rewind harmonic extensions of unwound circle data.
+
+    pieces are FourierPiece objects or (winding, a0, modes) tuples, which
+    are checked as FourierPiece; every piece must map into R^m.
+    """
+    pieces = tuple(p if isinstance(p, FourierPiece) else FourierPiece(*p) for p in pieces)
+    if any(p.m != m for p in pieces):
+        raise FieldSpecError("a0 must be a vector of dimension %d" % m)
+    q_total, values, gradients = _wound_closures([(p.winding, p.a0, p.modes) for p in pieces], m)
     # winding-1 pieces with integer modes are harmonic polynomial sheets, hence
     # smooth; any winding above one puts a genuine branch point at the origin
-    smooth = all(w == 1 for w, _, _ in pieces)
+    smooth = all(p.winding == 1 for p in pieces)
     branch = () if smooth else (np.zeros(2),)
     return QField(n=2, m=m, q=q_total, tag=tag or "wound-pieces:%d" % q_total,
                   values_fn=values, gradients_fn=gradients, branch_set=branch,
@@ -519,8 +573,7 @@ def random_wound_field(seed: int, Q: int, L: int, decay: float) -> QField:
     """
     from . import weiss2d
 
-    data = random_wound_pieces(seed, Q, L, decay)
-    pieces = [weiss2d.FourierPiece(winding=w, a0=a0, modes=m_) for w, a0, m_ in data]
+    pieces = [FourierPiece(*p) for p in random_wound_pieces(seed, Q, L, decay)]
     tag = "wound:%d,%d,%d,%s" % (seed, Q, L, repr(float(decay)))
     return weiss2d.solve_disk(pieces, tag=tag)
 

@@ -41,6 +41,7 @@ SLOPE_CEILING = 50.0
 FIT_WINDOW = 4
 EPS_USC = 0.05
 USC_STENCIL = 8
+USC_N_RADII = 6
 VARIANT_TOL = 1e-6
 IDENTITY_TOL = 1e-6
 
@@ -340,8 +341,9 @@ def deficit_profile(f: QField, x, kappa: float, r_max: float = 0.5, n_windows: i
 
 
 def semicontinuity_probe(f: QField, x, d: float, quad: QuadratureSpec = REFERENCE_QUAD,
-                         r_max: float | None = None, n_radii: int = 6) -> CheckReport:
-    """Compare the vanishing order at x with USC_STENCIL points at distance d.
+                         r_max: float | None = None) -> CheckReport:
+    """Compare the vanishing order at x with USC_STENCIL points at distance d,
+    each fitted on USC_N_RADII dyadic radii below r_max.
 
     Upper semicontinuity predicts every neighbor order is at most the
     center order plus EPS_USC. Neighbor annuli reach radius 2 r_max, which
@@ -360,7 +362,7 @@ def semicontinuity_probe(f: QField, x, d: float, quad: QuadratureSpec = REFERENC
         step = np.zeros_like(x)
         step[0] = d * math.cos(theta)
         step[1] = d * math.sin(theta)
-        est = vanishing_order(f, x + step, r_max=r_max, n_radii=n_radii, quad=quad)
+        est = vanishing_order(f, x + step, r_max=r_max, n_radii=USC_N_RADII, quad=quad)
         neighbor_kappas.append(est.kappa)
     finite_neighbors = [k for k in neighbor_kappas if math.isfinite(k)]
     worst = max(finite_neighbors) if finite_neighbors else -math.inf

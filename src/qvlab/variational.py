@@ -539,57 +539,82 @@ class RadialBump:
 
 @dataclass(frozen=True)
 class OuterTestField:
-    """Value deformation psi(x, u) with its derivative closures and a growth
-    certificate: |D_u psi| <= growth_du and |psi| + |D_x psi| <=
-    growth_linear * (1 + |u|), checked by sampling on the quadrature nodes."""
+    """Value deformation psi(x, u) = chi(x) (A u + c) under the cutoff bump,
+    so D_x psi = (A u + c) (x) grad chi and D_u psi = chi A. The growth
+    certificate |D_u psi| <= growth_du and |psi| + |D_x psi| <=
+    growth_linear * (1 + |u|) is checked by sampling on the quadrature nodes."""
 
-    psi: Callable
-    dpsi_dx: Callable
-    dpsi_du: Callable
-    support: Region
+    bump: RadialBump
+    A: np.ndarray
+    c: np.ndarray
     growth_du: float
     growth_linear: float
     label: str
-    breakpoints: tuple = ()
 
 
 @dataclass(frozen=True)
 class InnerVectorField:
-    """Domain deformation phi(x) with Jacobian closure, compactly supported."""
+    """Domain deformation phi(x) = chi(x) (J x + c) under the cutoff bump,
+    so Dphi = chi J + (J x + c) (x) grad chi."""
 
-    phi: Callable
-    dphi: Callable
-    support: Region
+    bump: RadialBump
+    J: np.ndarray
+    c: np.ndarray
     label: str
-    breakpoints: tuple = ()
 
 
-def _outer_density(f: QField, test: OuterTestField, violations: list | None = None):
-    """Density of the outer variation under test; when violations is a
-    [count, max |D_u psi|] pair, growth-certificate failures at the sampled
-    nodes are tallied into it."""
+def _outer_integrand(test: OuterTestField, chi, dchi, vals, grads, violations=None):
+    """Per-node outer variation of test from chi and grad chi on the nodes;
+    when violations is a [count, max |D_u psi|] pair, growth-certificate
+    failures at the nodes are tallied into it."""
+    du = chi[:, None, None] * test.A[None, :, :]
+    if violations is not None:
+        du_norm = np.sqrt(np.einsum("nab,nab->n", du, du))
+    total = np.zeros(chi.shape[0])
+    for i in range(vals.shape[1]):
+        U = vals[:, i, :]
+        G = grads[:, i, :, :]
+        shifted = U @ test.A.T + test.c
+        dx = shifted[:, :, None] * dchi[:, None, :]
+        total += np.einsum("nmk,nmk->n", dx, G)
+        total += np.einsum("nab,nbk,nak->n", du, G, G)
+        if violations is not None:
+            psi_val = chi[:, None] * shifted
+            lin = np.sqrt(np.einsum("nm,nm->n", psi_val, psi_val)) + \
+                np.sqrt(np.einsum("nmk,nmk->n", dx, dx))
+            u_norm = np.sqrt(np.einsum("nm,nm->n", U, U))
+            bad = (du_norm > test.growth_du + 1e-9) | \
+                  (lin > test.growth_linear * (1.0 + u_norm) + 1e-9)
+            if np.any(bad):
+                violations[0] += int(bad.sum())
+                violations[1] = max(violations[1], float(du_norm.max()))
+    return total
+
+
+def _inner_integrand(test: InnerVectorField, chi, dchi, X, grads):
+    """Per-node inner variation of test from chi and grad chi on the nodes X."""
+    dphi = chi[:, None, None] * test.J[None, :, :] + \
+        np.einsum("nk,nl->nkl", X @ test.J.T + test.c, dchi)
+    df_dphi = np.einsum("nqml,nlk->nqmk", grads, dphi)
+    stress = 2.0 * np.einsum("nqmk,nqmk->n", grads, df_dphi)
+    div = np.einsum("nkk->n", dphi)
+    return stress - _dirichlet_density(X, None, None, grads) * div
+
+
+def _cutoff_density(bump: RadialBump, outers, inners, tallies, extra=()):
+    """One density for deformations under one cutoff: bump.chi and
+    bump.grad_chi are evaluated once per panel, on the nodes X, and handed to
+    every integrand. Entries run extra (plain densities), then outers (each
+    with its growth tally, see _outer_integrand), then inners; one entry
+    comes back as a plain array, several as a tuple."""
 
     def density(X, r, vals, grads):
-        total = np.zeros(X.shape[0])
-        for i in range(f.q):
-            U = vals[:, i, :]
-            G = grads[:, i, :, :]
-            dx = test.dpsi_dx(X, U)
-            du = test.dpsi_du(X, U)
-            total += np.einsum("nmk,nmk->n", dx, G)
-            total += np.einsum("nab,nbk,nak->n", du, G, G)
-            if violations is not None:
-                du_norm = np.sqrt(np.einsum("nab,nab->n", du, du))
-                psi_val = test.psi(X, U)
-                lin = np.sqrt(np.einsum("nm,nm->n", psi_val, psi_val)) + \
-                    np.sqrt(np.einsum("nmk,nmk->n", dx, dx))
-                u_norm = np.sqrt(np.einsum("nm,nm->n", U, U))
-                bad = (du_norm > test.growth_du + 1e-9) | \
-                      (lin > test.growth_linear * (1.0 + u_norm) + 1e-9)
-                if np.any(bad):
-                    violations[0] += int(bad.sum())
-                    violations[1] = max(violations[1], float(du_norm.max()))
-        return total
+        chi, dchi = bump.chi(X), bump.grad_chi(X)
+        entries = tuple(d(X, r, vals, grads) for d in extra) + \
+            tuple(_outer_integrand(t, chi, dchi, vals, grads, tally)
+                  for t, tally in zip(outers, tallies)) + \
+            tuple(_inner_integrand(t, chi, dchi, X, grads) for t in inners)
+        return entries[0] if len(entries) == 1 else entries
 
     return density
 
@@ -602,29 +627,17 @@ def _note_growth(violations: list, warnings_sink: list) -> None:
         )
 
 
-def _inner_density(test: InnerVectorField):
-    """Density of the inner variation under test."""
-
-    def density(X, r, vals, grads):
-        dphi = test.dphi(X)
-        df_dphi = np.einsum("nqml,nlk->nqmk", grads, dphi)
-        stress = 2.0 * np.einsum("nqmk,nqmk->n", grads, df_dphi)
-        div = np.einsum("nkk->n", dphi)
-        return stress - _dirichlet_density(X, r, vals, grads) * div
-
-    return density
-
-
 def outer_variation(f: QField, test: OuterTestField, quad: QuadratureSpec = REFERENCE_QUAD,
                     warnings_sink: list | None = None) -> float:
     """First variation of the energy under f_i -> f_i + t psi(x, f_i).
 
     Returns the integral of sum_i [ <D_x psi(x, f_i) : Df_i>
-    + <D_u psi(x, f_i) Df_i : Df_i> ] over the support of psi.
+    + <D_u psi(x, f_i) Df_i : Df_i> ] over the support of the cutoff.
     """
     violations = None if warnings_sink is None else [0, 0.0]
-    value = integrate_region(f, test.support, quad, _outer_density(f, test, violations),
-                             breakpoints=test.breakpoints)
+    value = integrate_region(f, test.bump.support(f.n), quad,
+                             _cutoff_density(test.bump, [test], (), [violations]),
+                             breakpoints=test.bump.breakpoints())
     if violations is not None:
         _note_growth(violations, warnings_sink)
     return value
@@ -636,8 +649,9 @@ def inner_variation(f: QField, test: InnerVectorField,
 
     Returns 2 int sum_i <Df_i : Df_i Dphi> - int |Df|^2 div phi.
     """
-    return integrate_region(f, test.support, quad, _inner_density(test), need_values=False,
-                            breakpoints=test.breakpoints)
+    return integrate_region(f, test.bump.support(f.n), quad,
+                            _cutoff_density(test.bump, (), [test], ()), need_values=False,
+                            breakpoints=test.bump.breakpoints())
 
 
 # ---------------------------------------------------------------------------
@@ -656,49 +670,18 @@ def _rotation_matrix(m: int) -> np.ndarray:
     return R
 
 
-def _affine_outer(bump: RadialBump, n: int, label: str, A: np.ndarray,
-                  c: np.ndarray) -> OuterTestField:
-    """psi(x, u) = chi(x) (A u + c): D_x psi = (A u + c) (x) grad chi and
-    D_u psi = chi A, so |D_u psi| <= |A| (Frobenius)."""
-
-    def psi(X, U):
-        return bump.chi(X)[:, None] * (U @ A.T + c)
-
-    def dpsi_dx(X, U):
-        return (U @ A.T + c)[:, :, None] * bump.grad_chi(X)[:, None, :]
-
-    def dpsi_du(X, U):
-        return bump.chi(X)[:, None, None] * A[None, :, :]
-
-    # for A an isometry or 0 and |c| <= 1, |psi| + |D_x psi| <= (1 + |Dchi|)
-    # (1 + |u|) needs only 1 + slope_bound; the factor 2 is headroom over the
-    # peak slope, so the declared constant is never tight for either ramp kind
-    return OuterTestField(psi=psi, dpsi_dx=dpsi_dx, dpsi_du=dpsi_du, support=bump.support(n),
-                          growth_du=float(np.linalg.norm(A)),
-                          growth_linear=1.0 + 2.0 * bump.slope_bound,
-                          label=label, breakpoints=bump.breakpoints())
-
-
-def _affine_inner(bump: RadialBump, n: int, label: str, J: np.ndarray,
-                  c: np.ndarray) -> InnerVectorField:
-    """phi(x) = chi(x) (J x + c), with Dphi = chi J + (J x + c) (x) grad chi."""
-
-    def phi(X):
-        return bump.chi(X)[:, None] * (X @ J.T + c)
-
-    def dphi(X):
-        return bump.chi(X)[:, None, None] * J[None, :, :] + \
-            np.einsum("nk,nl->nkl", X @ J.T + c, bump.grad_chi(X))
-
-    return InnerVectorField(phi=phi, dphi=dphi, support=bump.support(n), label=label,
-                            breakpoints=bump.breakpoints())
-
-
-def outer_battery(bump: RadialBump, n: int, m: int):
+def outer_battery(bump: RadialBump, m: int):
     """Three value deformations chi (A u + c): chi u, chi e_1 and chi R u,
-    R the quarter turn of _rotation_matrix."""
+    R the quarter turn of _rotation_matrix.
+
+    growth_du is |A| (Frobenius). For A an isometry or 0 and |c| <= 1,
+    |psi| + |D_x psi| <= (1 + |Dchi|) (1 + |u|) needs only 1 + slope_bound;
+    growth_linear takes twice the peak slope as headroom, so the declared
+    constant is never tight for either ramp kind.
+    """
     zero = np.zeros(m)
-    return [_affine_outer(bump, n, label, A, c) for label, A, c in (
+    return [OuterTestField(bump, A, c, float(np.linalg.norm(A)), 1.0 + 2.0 * bump.slope_bound,
+                           label) for label, A, c in (
         ("outer:chi*u", np.eye(m), zero),
         ("outer:chi*const", np.zeros((m, m)), np.eye(m)[0]),
         ("outer:chi*Ru", _rotation_matrix(m), zero),
@@ -712,7 +695,7 @@ def inner_battery(bump: RadialBump, n: int):
     shear[0, 1] = 1.0
     generator = shear.T - shear  # the infinitesimal quarter turn, not R
     zero = np.zeros(n)
-    return [_affine_inner(bump, n, label, J, c) for label, J, c in (
+    return [InnerVectorField(bump, J, c, label) for label, J, c in (
         ("inner:radial", np.eye(n), zero),
         ("inner:rotation", generator, zero),
         ("inner:constant", np.zeros((n, n)), np.eye(n)[0]),
@@ -739,7 +722,7 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
         if math.isfinite(f.domain_radius) and f.domain_radius < 1.0:
             s = 0.9 * f.domain_radius
             bump = RadialBump(0.15 * s, 0.3 * s, 0.6 * s, 0.9 * s)
-    outers = outer_battery(bump, f.n, f.m)
+    outers = outer_battery(bump, f.m)
     inners = inner_battery(bump, f.n)
     support = bump.support(f.n)
     warnings: list = []
@@ -750,13 +733,9 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
         sampled on every node the sweep visits: on a ball support that
         includes panels past an outer integral's own early stop."""
         tallies = [[0, 0.0] for _ in outers]
-        parts = extra + tuple(_outer_density(f, t, v) for t, v in zip(outers, tallies)) + \
-            tuple(_inner_density(t) for t in inners)
-
-        def density(X, r, vals, grads):
-            return tuple(part(X, r, vals, grads) for part in parts)
-
-        values = integrate_region(f, support, q, density, breakpoints=bump.breakpoints())
+        values = integrate_region(f, support, q,
+                                  _cutoff_density(bump, outers, inners, tallies, extra),
+                                  breakpoints=bump.breakpoints())
         for v in tallies:
             _note_growth(v, warnings)
         return values

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import qcore
-from .fields import FieldSpecError, QField, make_wound_field
+from .fields import FieldSpecError, FourierPiece, QField, make_wound_field
 from .frequency import RadialProfile
 from .report import CheckReport, atomic_write_text, canonical_json
 from .variational import (
@@ -75,72 +75,6 @@ class StepSizeError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class FourierPiece:
-    """One irreducible piece of a circle trace.
-
-    winding is the cycle length Q_j; a0 the constant coefficient (vector in
-    R^m); modes a tuple of (l, a_l, b_l) with strictly increasing positive
-    integer l, parametrizing the unwound curve
-    gamma(theta) = a0/2 + sum_l [a_l sin(l theta) + b_l cos(l theta)].
-    """
-
-    winding: int
-    a0: tuple
-    modes: tuple
-
-    def __post_init__(self):
-        winding = int(self.winding)
-        if winding < 1:
-            raise FieldSpecError("winding must be a positive integer")
-        a0 = tuple(float(v) for v in np.atleast_1d(self.a0))
-        m = len(a0)
-        modes = []
-        last = 0
-        for l, a, b in self.modes:
-            l = int(l)
-            if l <= last:
-                raise FieldSpecError("mode indices must be strictly increasing and positive")
-            last = l
-            a = tuple(float(v) for v in np.atleast_1d(a))
-            b = tuple(float(v) for v in np.atleast_1d(b))
-            if len(a) != m or len(b) != m:
-                raise FieldSpecError("mode coefficients must be vectors of dimension %d" % m)
-            modes.append((l, a, b))
-        for vec in [a0] + [v for _, a, b in modes for v in (a, b)]:
-            if not all(math.isfinite(v) for v in vec):
-                raise FieldSpecError("coefficients must be finite")
-        object.__setattr__(self, "winding", winding)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "modes", tuple(modes))
-
-    @property
-    def m(self) -> int:
-        return len(self.a0)
-
-    def mode_energies(self):
-        """[(l, c_l)] with c_l = |a_l|^2 + |b_l|^2."""
-        return [(l, sum(v * v for v in a) + sum(v * v for v in b))
-                for l, a, b in self.modes]
-
-    def max_mode(self) -> int:
-        return self.modes[-1][0] if self.modes else 0
-
-    def as_tuple(self):
-        return (self.winding, np.asarray(self.a0), tuple(
-            (l, np.asarray(a), np.asarray(b)) for l, a, b in self.modes))
-
-    def to_dict(self) -> dict:
-        return {"winding": self.winding, "a0": list(self.a0),
-                "modes": [{"l": l, "a": list(a), "b": list(b)} for l, a, b in self.modes]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FourierPiece":
-        return cls(winding=d["winding"], a0=tuple(d["a0"]),
-                   modes=tuple((entry["l"], tuple(entry["a"]), tuple(entry["b"]))
-                               for entry in d["modes"]))
 
 
 @dataclass(frozen=True)
@@ -299,10 +233,11 @@ def irreducible_decompose(trace: BoundaryTrace):
     return curves
 
 
-def fourier_decompose(curve, max_mode: int | None = None, winding: int | None = None):
+def fourier_decompose(curve, max_mode: int | None = None):
     """Fourier coefficients of an unwound curve: (FourierPiece, rec_error).
 
-    Accepts an UnwoundCurve or a raw (N, m) sample array plus winding.
+    Accepts an UnwoundCurve or a raw (N, m) sample array, which is taken to
+    have winding 1.
     Requires at least 4 * max_mode nodes. Coefficients below
     COEFF_DROP_REL relative to the sample scale are dropped; the returned
     error is the max-norm distance between the kept-mode reconstruction and
@@ -313,8 +248,7 @@ def fourier_decompose(curve, max_mode: int | None = None, winding: int | None = 
         winding = curve.winding
     else:
         samples = np.asarray(curve, dtype=float)
-        if winding is None:
-            winding = 1
+        winding = 1
     if samples.ndim != 2:
         raise FieldSpecError("curve samples must have shape (N, m)")
     n_nodes = samples.shape[0]
@@ -344,15 +278,10 @@ def fourier_decompose(curve, max_mode: int | None = None, winding: int | None = 
     return piece, rec_error
 
 
-def analyze_trace(f: QField, n_nodes: int = 512, max_mode: int | None = None,
-                  radius: float = 1.0):
-    """Sample a field's circle trace and return its FourierPiece list."""
-    trace = BoundaryTrace.sample(f, n_nodes, radius=radius)
-    pieces = []
-    for curve in irreducible_decompose(trace):
-        piece, _ = fourier_decompose(curve, max_mode=max_mode)
-        pieces.append(piece)
-    return pieces
+def analyze_trace(f: QField, n_nodes: int = 512):
+    """Sample a field's trace on the unit circle and return its FourierPiece list."""
+    trace = BoundaryTrace.sample(f, n_nodes)
+    return [fourier_decompose(curve)[0] for curve in irreducible_decompose(trace)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +345,7 @@ def solve_disk(pieces, tag: str | None = None, quad: QuadratureSpec = REFERENCE_
         raise FieldSpecError("boundary pieces disagree on target dimension")
     total_q = sum(p.winding for p in pieces)
     tag = tag or "disk:%d-pieces-q%d" % (len(pieces), total_q)
-    field = make_wound_field([p.as_tuple() for p in pieces], m=m, tag=tag,
-                             domain_radius=domain_radius)
+    field = make_wound_field(pieces, m=m, tag=tag, domain_radius=domain_radius)
     cert = {"format": CONSTRUCTION_FORMAT,
             "energy_closed_form": closed_form_dirichlet(pieces),
             "energy_cross_check": "skipped",

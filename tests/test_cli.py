@@ -367,6 +367,23 @@ def test_library_value_errors_exit_2(capsys, tmp_path, argv, message):
     assert err == "qvlab: error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("frequency", "--field", "branch:3/2", "--n-radii", "0"),
+     "--n-radii must be at least 1, got 0"),
+    (("frequency", "--field", "branch:3/2", "--n-radii", "-2"),
+     "--n-radii must be at least 1, got -2"),
+    (("deficit", "--field", "branch:3/2", "--kappa", "1.5", "--windows", "0"),
+     "--windows must be at least 1, got 0"),
+    (("deficit", "--field", "branch:3/2", "--kappa", "1.5", "--windows", "-1"),
+     "--windows must be at least 1, got -1"),
+])
+def test_empty_profile_counts_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, *FQ)
+    assert code == 2
+    assert out == ""
+    assert err == "qvlab: error: %s\n" % message
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["nosuchcmd"]) == 2
     capsys.readouterr()

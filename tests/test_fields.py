@@ -271,6 +271,20 @@ class TestWoundKernel:
         assert _bit_equal(f.values(X), values)
         assert _bit_equal(f.gradients(X), grads)
 
+    def test_make_wound_field_checks_pieces_as_fourier_pieces(self):
+        good = (2, (0.0, 0.0), ((1, (0.3, 0.1), (0.5, -0.2)),))
+        X = self.points()
+        f = fields.make_wound_field([good])
+        g = fields.make_wound_field([fields.FourierPiece(*good)])
+        assert _bit_equal(f.values(X), g.values(X))
+        for bad in ((0, good[1], good[2]),                            # winding
+                    (2, good[1], good[2] * 2),                        # repeated mode
+                    (2, good[1], ((1, (0.3,), (0.5, -0.2)),)),        # mode dimension
+                    (2, (0.0, 0.0, 0.0), ()),                         # a0 not in R^2
+                    (2, good[1], ((1, (math.nan, 0.1), (0.5, -0.2)),))):  # non-finite
+            with pytest.raises(FieldSpecError):
+                fields.make_wound_field([bad])
+
 
 class TestSuperpose:
     def test_zero_shift_identity(self):

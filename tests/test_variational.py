@@ -33,7 +33,6 @@ from qvlab.variational import (
     Region,
     RegionBranchError,
     RegionJob,
-    OuterTestField,
     annulus,
     ball,
     caccioppoli_check,
@@ -217,10 +216,10 @@ def test_bump_kinds_slope_and_ball_support():
 def test_outer_battery_growth_is_twice_the_peak_slope():
     for kind in ("smoothed", "piecewise-linear-annular"):
         bump = RadialBump(0.15, 0.3, 0.6, 0.9, kind=kind)
-        for test in outer_battery(bump, 2, 2):
+        for test in outer_battery(bump, 2):
             assert test.growth_linear == 1.0 + 2.0 * bump.slope_bound
     # the quintic constant is bit for bit the former 30/8 over the narrower ramp
-    assert outer_battery(BUMP, 2, 2)[0].growth_linear == 1.0 + 30.0 / 8.0 / 0.15
+    assert outer_battery(BUMP, 2)[0].growth_linear == 1.0 + 30.0 / 8.0 / 0.15
 
 
 def test_bump_derivative_matches_finite_differences():
@@ -248,7 +247,7 @@ BUMP = RadialBump(0.15, 0.3, 0.6, 0.9)
 
 
 def _max_residual(f, quad=FAST, bump=BUMP):
-    outs = [abs(outer_variation(f, t, quad)) for t in outer_battery(bump, f.n, f.m)]
+    outs = [abs(outer_variation(f, t, quad)) for t in outer_battery(bump, f.m)]
     ins = [abs(inner_variation(f, t, quad)) for t in inner_battery(bump, f.n)]
     return max(outs + ins)
 
@@ -296,7 +295,7 @@ def _non_stationary_field():
 
 def test_outer_variation_detects_non_harmonic_sheet():
     f = _non_stationary_field()
-    psi = outer_battery(BUMP, 2, 1)[0]
+    psi = outer_battery(BUMP, 1)[0]
     got = outer_variation(f, psi, FAST)
 
     def reference(X, r, vals, grads):
@@ -312,11 +311,8 @@ def test_outer_variation_detects_non_harmonic_sheet():
 
 def test_growth_certificate_violation_reported():
     f = make_branch_field(1, 2)
-    honest = outer_battery(BUMP, 2, 2)[0]
-    lying = OuterTestField(psi=honest.psi, dpsi_dx=honest.dpsi_dx,
-                           dpsi_du=honest.dpsi_du, support=honest.support,
-                           growth_du=0.0, growth_linear=honest.growth_linear,
-                           label="outer:lying", breakpoints=honest.breakpoints)
+    honest = outer_battery(BUMP, 2)[0]
+    lying = dataclasses.replace(honest, growth_du=0.0, label="outer:lying")
     sink = []
     outer_variation(f, lying, FAST, warnings_sink=sink)
     assert sink and "growth certificate" in sink[0]
@@ -346,6 +342,37 @@ def test_battery_fails_on_non_stationary_field():
     report = stationarity_battery(_non_stationary_field(), FAST)
     assert report.verdict == "fail"
     assert report.quantities["max_residual"] > report.quantities["threshold"]
+
+
+def test_battery_reads_cutoff_once_per_panel(monkeypatch):
+    # a 3-sheet field: one chi and one grad chi per panel across all seven
+    # deformations, with the coarse and mid refinement sweeps included
+    f = make_branch_field(2, 3)
+    counts = {"chi": 0, "grad_chi": 0, "panels": 0}
+
+    def counted(name):
+        method = getattr(RadialBump, name)
+
+        def call(self, X):
+            counts[name] += 1
+            return method(self, X)
+        return call
+
+    for name in ("chi", "grad_chi"):
+        monkeypatch.setattr(RadialBump, name, counted(name))
+    integrate = variational.integrate_region
+
+    def counting_panels(f, region, quad, density, **kw):
+        def panel(X, r, vals, grads):
+            counts["panels"] += 1
+            return density(X, r, vals, grads)
+        return integrate(f, region, quad, panel, **kw)
+
+    monkeypatch.setattr(variational, "integrate_region", counting_panels)
+    report = stationarity_battery(f, COARSE)
+    assert report.verdict == "pass"
+    assert counts["panels"] > 0
+    assert counts["chi"] == counts["grad_chi"] == counts["panels"]
 
 
 def test_battery_report_serializes():
@@ -531,11 +558,8 @@ def test_block_evaluation_keeps_early_stop():
 
 def test_block_evaluation_keeps_outer_variation_notes(monkeypatch):
     f = make_branch_field(3, 2)
-    honest = outer_battery(BUMP, 2, 2)[0]
-    lying = OuterTestField(psi=honest.psi, dpsi_dx=honest.dpsi_dx,
-                           dpsi_du=honest.dpsi_du, support=honest.support,
-                           growth_du=0.0, growth_linear=honest.growth_linear,
-                           label="outer:lying", breakpoints=honest.breakpoints)
+    honest = outer_battery(BUMP, 2)[0]
+    lying = dataclasses.replace(honest, growth_du=0.0, label="outer:lying")
     blocked_sink = []
     got = outer_variation(f, lying, COARSE, warnings_sink=blocked_sink)
     monkeypatch.setattr(variational, "integrate_region", _panel_by_panel)
@@ -568,14 +592,23 @@ def _stacked(*densities):
 def test_tuple_density_matches_separate_calls_on_annulus():
     f = make_branch_field(3, 2)
     region = annulus((0.0, 0.0), 0.15, 0.9)
-    parts = [variational._dirichlet_density, variational._mass_density,
-             variational._outer_density(f, outer_battery(BUMP, 2, 2)[0]),
-             variational._inner_density(inner_battery(BUMP, 2)[1])]
+    outer, inner = outer_battery(BUMP, 2)[0], inner_battery(BUMP, 2)[1]
+
+    def outer_part(X, r, vals, grads):
+        return variational._outer_integrand(outer, BUMP.chi(X), BUMP.grad_chi(X), vals, grads)
+
+    def inner_part(X, r, vals, grads):
+        return variational._inner_integrand(inner, BUMP.chi(X), BUMP.grad_chi(X), X, grads)
+
+    parts = [variational._dirichlet_density, variational._mass_density, outer_part, inner_part]
     got = integrate_region(f, region, QUAD, _stacked(*parts), breakpoints=BUMP.breakpoints())
     assert isinstance(got, tuple) and len(got) == len(parts)
     expected = tuple(integrate_region(f, region, QUAD, d, breakpoints=BUMP.breakpoints())
                      for d in parts)
     assert got == expected
+    # the one-cutoff density of the battery gives the same entries in the same order
+    shared = variational._cutoff_density(BUMP, [outer], [inner], [None], parts[:2])
+    assert integrate_region(f, region, QUAD, shared, breakpoints=BUMP.breakpoints()) == expected
     # a single-array density still returns a plain float
     assert type(integrate_region(f, region, QUAD, parts[0])) is float
 
