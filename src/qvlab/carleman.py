@@ -644,17 +644,31 @@ def carleman_tau_sweep(f: QField, taus, cutoffs, quad: QuadratureSpec = REFERENC
     return rows
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each group of tied values at its mean rank."""
+    order = np.argsort(x, kind="mergesort")
+    y = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], y[:-1] != y[1:])))
+    counts = np.diff(starts, append=y.size)
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat((starts + 1.0) + (counts - 1.0) / 2.0, counts)
+    return ranks
+
+
 def tau_trend_statistic(rows):
     """Spearman rank correlation of ratio against tau over sweep rows.
 
     Nonpositive correlation is the no-upward-trend criterion; the value is
-    reported either way.
+    reported either way. It is nan when the ratios are constant or hold a
+    nan. The ranking and correlation follow scipy.stats.spearmanr step for
+    step, so the value is the same double.
     """
-    from scipy.stats import spearmanr
-
     taus = [row["tau"] for row in rows]
     ratios = [row["ratio"] for row in rows]
     if len(set(taus)) < 2:
         raise ValueError("need at least two distinct tau values for a trend")
-    stat = spearmanr(taus, ratios)
-    return float(stat.statistic)
+    data = np.column_stack((np.asarray(taus, dtype=float), np.asarray(ratios, dtype=float)))
+    if (data[:, 1] == data[0, 1]).all() or np.isnan(data).any():
+        return math.nan
+    ranked = np.column_stack([_average_ranks(col) for col in data.T])
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])

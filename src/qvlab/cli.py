@@ -406,7 +406,7 @@ def _cmd_vanishing_order(args, ctx: _Context) -> None:
                     "drift": est.drift, "residual": est.residual},
         resolutions=ctx.quad.meta(),
         verdict="diagnostic",
-        notes=("infinite order of vanishing",) if est.infinite_order else (),
+        notes=("infinite order of vanishing: " + est.note,) if est.infinite_order else (),
     )
     ctx.emit(report, args.out)
 
@@ -933,6 +933,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         sys.stderr.write("qvlab: error: %s\n" % exc)
+        return 2
+    except weiss2d.TraceContinuationError as exc:
+        sys.stderr.write("qvlab: error: %s with --n-nodes above %d\n" % (exc, cfg["n_nodes"]))
         return 2
     return ctx.exit_code()
 

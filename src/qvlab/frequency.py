@@ -212,8 +212,10 @@ def vanishing_order(f: QField, x, r_max: float = 0.5, n_radii: int = 8,
     log(mean) against 2 log(r) over sliding windows of FIT_WINDOW dyadic
     radii; the innermost window wins and the drift between windows is
     reported. The
-    infinite-order flag is raised when the mean falls below MASS_FLOOR or
-    when two consecutive windows exceed SLOPE_CEILING.
+    infinite-order flag is raised, with a note naming the rule that fired,
+    when every mean falls below MASS_FLOOR, when a trailing run of the
+    innermost means does, or when the two innermost windows both exceed
+    SLOPE_CEILING.
     """
     if n_radii < 4:
         raise ValueError("need at least 4 dyadic radii, got %d" % n_radii)
@@ -241,13 +243,17 @@ def vanishing_order(f: QField, x, r_max: float = 0.5, n_radii: int = 8,
                              means=means, window_slopes=(), drift=0.0, residual=0.0,
                              note="too few usable annular means")
 
-    infinite = any(hit for hit in floor_hit) and floor_hit[-1]
+    fired = []
+    if floor_hit[-1]:
+        fired.append("innermost %d annular means below mass floor"
+                     % (len(floor_hit) - 1 - usable[-1]))
     if len(slopes) >= 2 and slopes[-1] > SLOPE_CEILING and slopes[-2] > SLOPE_CEILING:
-        infinite = True
-    if infinite:
+        fired.append("two innermost window slopes %.6g, %.6g above slope ceiling %g"
+                     % (slopes[-2], slopes[-1], SLOPE_CEILING))
+    if fired:
         return KappaEstimate(kappa=math.inf, infinite_order=True, radii=radii,
                              means=means, window_slopes=tuple(slopes), drift=0.0,
-                             residual=0.0, note="mean mass decays faster than any power")
+                             residual=0.0, note="; ".join(fired))
 
     # t, y and coef still hold the innermost window's fit
     fit = np.polyval(coef, t)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 EXHAUSTIVE_Q_MAX = 6
 EQUALITY_TOL = 1e-12
@@ -92,6 +91,17 @@ def _permutations_array(q: int) -> np.ndarray:
 def _cost_matrix(p: QPoint, q: QPoint) -> np.ndarray:
     diff = p.points[:, None, :] - q.points[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy.optimize.linear_sum_assignment, imported on first use.
+
+    Only matchings of more than EXHAUSTIVE_Q_MAX sheets need the solver, so
+    every smaller run starts without loading SciPy.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _lex_min_assignment(cost: np.ndarray, best_cost: float, tol: float) -> tuple:

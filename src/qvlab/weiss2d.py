@@ -149,11 +149,9 @@ def _continuation_permutations(values: np.ndarray):
     if q <= qcore.EXHAUSTIVE_Q_MAX:
         perms = qcore.batch_match_permutations(costs)
     else:
-        from scipy.optimize import linear_sum_assignment
-
         perms = np.empty((n_nodes, q), dtype=int)
         for i in range(n_nodes):
-            rows, cols = linear_sum_assignment(costs[i])
+            rows, cols = qcore.linear_sum_assignment(costs[i])
             perms[i, rows] = cols
 
     scale = 1.0 + float(np.max(np.abs(values)))

@@ -9,6 +9,7 @@ at every scale.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,3 +388,41 @@ def test_sweep_rows_and_trend_statistic():
     assert tau_trend_statistic(down) == pytest.approx(-1.0)
     with pytest.raises(ValueError):
         tau_trend_statistic([{"tau": 1.0, "ratio": 0.5}])
+
+
+def _trend_cases():
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 5, 8, 13, 21):
+        taus = rng.uniform(0.5, 4.0, size=n)
+        tied_taus = np.round(taus)
+        tied_taus[:2] = (0.5, 4.0)
+        ratios = rng.normal(size=n)
+        yield taus, ratios
+        yield tied_taus, np.round(ratios, 1)
+        yield taus, np.full(n, 0.25)
+        with_nan = ratios.copy()
+        with_nan[n // 2] = np.nan
+        yield taus, with_nan
+        with_inf = np.round(ratios)
+        with_inf[0], with_inf[-1] = np.inf, -np.inf
+        yield tied_taus, with_inf
+
+
+def test_tau_trend_statistic_matches_scipy_spearman_bitwise():
+    """The numpy rank correlation is the same double as scipy's spearmanr,
+    nan included, on ties, constant ratios, nan and infinite ratios."""
+    from scipy import stats
+
+    seen_nan = 0
+    for taus, ratios in _trend_cases():
+        rows = [{"tau": float(t), "ratio": float(r)} for t, r in zip(taus, ratios)]
+        ours = tau_trend_statistic(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = float(stats.spearmanr(taus.tolist(), ratios.tolist()).statistic)
+        if math.isnan(ref):
+            seen_nan += 1
+            assert math.isnan(ours), (taus, ratios, ours)
+        else:
+            assert ours.hex() == ref.hex(), (taus, ratios, ours, ref)
+    assert seen_nan >= 12

@@ -11,9 +11,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import qvlab
 from qvlab import cli
 from qvlab import weiss2d
 from qvlab.cli import PlotDataError, SweepConfig, UsageError, emit_plot_data, example_library
@@ -180,7 +184,7 @@ def test_vanishing_order_trivial_infinite_flag(capsys):
     assert code == 0
     assert rep["verdict"] == "diagnostic"
     assert rep["quantities"]["infinite_order"] == 1.0
-    assert any("infinite" in note for note in rep["notes"])
+    assert rep["notes"] == ["infinite order of vanishing: all annular means below mass floor"]
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +411,76 @@ def test_artifact_io_failure_exits_1_with_path(capsys, tmp_path):
                            "--out", str(target), *FQ)
     assert code == 1
     assert str(target) in err
+
+
+def test_trace_continuation_ambiguity_exits_2(capsys):
+    argv = ("epiperimetric", "--field", "wound:0,3,3,1.8", "--kappa", "1.0")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qvlab: error: continuation ambiguity at node")
+    assert err.count("\n") == 1
+    assert "refine the angular sampling with --n-nodes above 512" in err
+    code, rep = run_report(capsys, *argv, "--n-nodes", "4096")
+    assert code == 0
+    assert rep["provenance"]["config"]["n_nodes"] == 4096
+
+
+# ---------------------------------------------------------------------------
+# start-up imports
+
+
+_IMPORT_GATE = textwrap.dedent("""
+    import contextlib, io, itertools, json, os, sys
+    import numpy as np
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+    seen = {}
+    from qvlab import cli, qcore
+    seen["import"] = scipy_modules()
+    tmp = sys.argv[1]
+    sweep = os.path.join(tmp, "sweep.json")
+    with open(sweep, "w") as fh:
+        json.dump({"fields": ["branch:1/2"], "taus": [1.0, 2.0],
+                   "cutoffs": [[0.1, 0.2, 0.6, 0.9]],
+                   "out_csv": os.path.join(tmp, "sweep.csv"),
+                   "out_report": os.path.join(tmp, "sweep_report.json")}, fh)
+    quad = ["--quad-radial", "10", "--quad-angular", "48"]
+    codes = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes["sweep"] = cli.main(["sweep", "--config-sweep", sweep] + quad)
+        seen["sweep"] = scipy_modules()
+        codes["epiperimetric"] = cli.main(
+            ["epiperimetric", "--field", "wound:1,3,1,1.8", "--kappa", "1.0"])
+        seen["epiperimetric"] = scipy_modules()
+
+    rng = np.random.default_rng(7)
+    p = qcore.QPoint(rng.normal(size=(7, 2)))
+    q = qcore.QPoint(rng.normal(size=(7, 2)))
+    cost = qcore._cost_matrix(p, q)
+    brute = min(itertools.permutations(range(7)), key=lambda perm: cost[range(7), perm].sum())
+    plan = qcore.optimal_matching(p, q)
+    print(json.dumps({"seen": seen, "codes": codes, "perm": plan.permutation, "brute": brute,
+                      "solver_loaded": "scipy.optimize" in sys.modules}))
+""")
+
+
+def test_cli_paths_up_to_six_sheets_load_no_scipy(tmp_path):
+    """SciPy is imported only for matchings of more than six sheets, so
+    importing the CLI and running a sweep and a Q = 3 wound epiperimetric
+    check leave it unloaded; a Q = 7 matching still loads the solver."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qvlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, QVLAB_WORKERS="1")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GATE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == {"sweep": 0, "epiperimetric": 0}
+    assert result["seen"] == {"import": [], "sweep": [], "epiperimetric": []}
+    assert result["perm"] == result["brute"]
+    assert result["solver_loaded"]
 
 
 # ---------------------------------------------------------------------------

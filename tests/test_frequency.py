@@ -132,6 +132,27 @@ def test_vanishing_order_zero_field_flags_infinite():
     est = vanishing_order(make_trivial(3), (0.0, 0.0), quad=FAST)
     assert est.infinite_order
     assert est.kappa == math.inf
+    assert est.note == "all annular means below mass floor"
+
+
+def test_vanishing_order_notes_trailing_run_below_floor(monkeypatch):
+    # r^2 growth above r = 0.01, then the two innermost means under the floor
+    monkeypatch.setattr("qvlab.frequency._annular_mean",
+                        lambda f, x, r, quad: r * r if r > 0.01 else 1e-300)
+    est = vanishing_order(make_trivial(2), (0.0, 0.0), quad=FAST)
+    assert est.infinite_order and est.kappa == math.inf
+    assert max(est.window_slopes) < 2.0
+    assert est.note == "innermost 2 annular means below mass floor"
+
+
+def test_vanishing_order_notes_slope_ceiling(monkeypatch):
+    # slope 60 in every window, with every mean well above the floor
+    monkeypatch.setattr("qvlab.frequency._annular_mean",
+                        lambda f, x, r, quad: r ** 120)
+    est = vanishing_order(make_trivial(2), (0.0, 0.0), r_max=1.0, n_radii=6, quad=FAST)
+    assert est.infinite_order and est.kappa == math.inf
+    assert min(est.means) > 1e-200
+    assert est.note == "two innermost window slopes 60, 60 above slope ceiling 50"
 
 
 def test_vanishing_order_needs_enough_radii():
