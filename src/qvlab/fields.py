@@ -197,6 +197,10 @@ class QField:
     axis carries a deterministic labeling that is continuous away from the
     branch set and the labeling cut, while the multiset of values is
     continuous everywhere. gradients(X) returns (N, q, m, n).
+
+    radial_grading p: about each branch point every sheet is a finite sum of
+    r^(j/p) times trigonometric terms in the angle; None (unknown) only
+    without branch points.
     """
 
     n: int
@@ -208,6 +212,11 @@ class QField:
     branch_set: tuple = ()
     domain_radius: float = math.inf
     construction_cert: dict | None = None
+    radial_grading: int | None = None
+
+    def __post_init__(self):
+        if self.branch_set and self.radial_grading is None:
+            raise ValueError("field %r declares branch points but no radial_grading" % self.tag)
 
     def _coerce(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -253,7 +262,8 @@ def make_trivial(Q: int, m: int = 2, n: int = 2) -> QField:
     def gradients(X):
         return np.zeros((X.shape[0], Q, m, n))
 
-    return QField(n=n, m=m, q=Q, tag="trivial:%d" % Q, values_fn=values, gradients_fn=gradients)
+    return QField(n=n, m=m, q=Q, tag="trivial:%d" % Q, values_fn=values, gradients_fn=gradients,
+                  radial_grading=1)
 
 
 def make_harmonic_sheets(sheets, tag: str | None = None) -> QField:
@@ -300,7 +310,8 @@ def make_harmonic_sheets(sheets, tag: str | None = None) -> QField:
                     out[:, i, k, axis] = partials[i][k][axis].value(X)
         return out
 
-    return QField(n=n, m=m, q=q, tag=tag, values_fn=values, gradients_fn=gradients)
+    return QField(n=n, m=m, q=q, tag=tag, values_fn=values, gradients_fn=gradients,
+                  radial_grading=1)
 
 
 @dataclass(frozen=True)
@@ -458,7 +469,8 @@ def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = m
     branch = () if smooth else (np.zeros(2),)
     return QField(n=2, m=m, q=q_total, tag=tag or "wound-pieces:%d" % q_total,
                   values_fn=values, gradients_fn=gradients, branch_set=branch,
-                  domain_radius=domain_radius, construction_cert=construction_cert)
+                  domain_radius=domain_radius, construction_cert=construction_cert,
+                  radial_grading=math.lcm(*(p.winding for p in pieces)))
 
 
 def make_branch_field(k: int, Q: int, amp: float = 1.0) -> QField:
@@ -476,7 +488,7 @@ def make_branch_field(k: int, Q: int, amp: float = 1.0) -> QField:
     tag = "branch:%d/%d" % (k, Q) if amp == 1.0 else "branch:%d/%d:%s" % (k, Q, repr(float(amp)))
     _, values, gradients = _wound_closures((piece,), 2)
     return QField(n=2, m=2, q=Q, tag=tag, values_fn=values, gradients_fn=gradients,
-                  branch_set=(np.zeros(2),))
+                  branch_set=(np.zeros(2),), radial_grading=Q // math.gcd(k, Q))
 
 
 def superpose(f: QField, h) -> QField:
@@ -507,7 +519,8 @@ def superpose(f: QField, h) -> QField:
         return base + shift[:, None, :, :]
 
     return QField(n=f.n, m=f.m, q=f.q, tag=tag, values_fn=values, gradients_fn=gradients,
-                  branch_set=f.branch_set, domain_radius=f.domain_radius)
+                  branch_set=f.branch_set, domain_radius=f.domain_radius,
+                  radial_grading=f.radial_grading)
 
 
 def blowup_rescale(f: QField, y, rho: float, norm: float) -> QField:
@@ -537,7 +550,7 @@ def blowup_rescale(f: QField, y, rho: float, norm: float) -> QField:
         radius = (f.domain_radius - float(np.linalg.norm(y))) / rho
     tag = "blowup(%s;y=%s;rho=%s)" % (f.tag, ",".join(repr(float(v)) for v in y), repr(float(rho)))
     return QField(n=f.n, m=f.m, q=f.q, tag=tag, values_fn=values, gradients_fn=gradients,
-                  branch_set=branch, domain_radius=radius)
+                  branch_set=branch, domain_radius=radius, radial_grading=f.radial_grading)
 
 
 def random_wound_pieces(seed: int, Q: int, L: int, decay: float):

@@ -278,7 +278,8 @@ def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
     Checks log(H(r)/r^{n-1}) - log(H(s)/s^{n-1}) = int_s^r 2 I(t) dt / t by
     Gauss-Legendre quadrature in log t against direct evaluation of both
     heights, to IDENTITY_TOL relative. Holds for energy-stationary fields;
-    fails when H vanishes.
+    fails when H vanishes. The frequencies at all log-Gauss nodes come from
+    one sweep, each bit for bit its one-radius value.
     """
     if not (0.0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
@@ -290,11 +291,9 @@ def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     mid = 0.5 * (math.log(r_hi) + math.log(r_lo))
     half = 0.5 * (math.log(r_hi) - math.log(r_lo))
-    terms = []
-    for u, w in zip(xg, wg):
-        t = math.exp(mid + half * u)
-        terms.append(2.0 * frequency(f, x, t, quad, "sharp") * half * w)
-    rhs = tree_sum(terms)
+    radii = tuple(math.exp(mid + half * u) for u in xg)
+    freqs = _swept_frequencies(f, x, radii, quad, ("sharp",))["sharp"]
+    rhs = tree_sum([2.0 * fr * half * w for fr, w in zip(freqs, wg)])
     gap = abs(lhs - rhs)
     scale = max(1.0, abs(lhs))
     return CheckReport(

@@ -1,9 +1,11 @@
 """Dirichlet-type quadrature and the first variation functionals.
 
 The integration engine uses polar product rules: Gauss-Legendre panels in
-radius on geometrically refined subannuli (so power-law radial weights are
-tamed) times a periodic trapezoid rule in angle, which is spectrally
-accurate for the smooth angular integrands that arise here. In three
+radius times a periodic trapezoid rule in angle, which is spectrally
+accurate for the smooth angular integrands that arise here. Annuli are cut
+into geometrically refined subannuli; a ball ends in one panel graded as
+r = b u^p, which turns the r^(j/p) powers of a field about its branch
+point into polynomials in u, so power-law radial weights are exact. In three
 dimensions the angular factor becomes a Gauss-Legendre rule in the polar
 cosine times a trapezoid in azimuth. Summation is a fixed-order pairwise
 tree so results are bit-reproducible regardless of worker count.
@@ -79,20 +81,14 @@ def annulus(center, inner: float, outer: float) -> Region:
 class QuadratureSpec:
     """Polar product rule parameters.
 
-    radial_order Gauss-Legendre nodes per panel; panels refined geometrically
-    by refinement_ratio toward the inner radius (down to max_subdivisions
-    levels when integrating through 0, with an early stop once a level
-    contributes below tail_rel_tol of the running total). angular_nodes
+    radial_order Gauss-Legendre nodes per panel; annuli are refined
+    geometrically by refinement_ratio toward their inner radius, at most
+    max_subdivisions levels between breakpoints, and a region that reaches
+    its center ends in one graded panel (see _graded_rule). angular_nodes
     periodic-trapezoid nodes; polar_nodes is the Gauss-Legendre order of the
-    polar factor for three-dimensional domains.
-
-    integrate_region evaluates the field on blocks of consecutive panels, as
-    many as fit in the node count of one REFERENCE_QUAD panel (5120 nodes in
-    the plane), so at reference resolution and finer each panel is its own
-    block. Results do not depend on the block size: density and summation
-    still run panel by panel. integrate_regions does the same over the
-    panels of several regions on one center and evaluates each panel they
-    share once.
+    polar factor for three-dimensional domains. integrate_regions evaluates
+    the field in blocks of at most one REFERENCE_QUAD panel's nodes (5120 in
+    the plane); results do not depend on the block size.
     """
 
     radial_order: int = 20
@@ -100,7 +96,6 @@ class QuadratureSpec:
     polar_nodes: int = 32
     max_subdivisions: int = 64
     refinement_ratio: float = 0.5
-    tail_rel_tol: float = 1e-16
 
     def __post_init__(self):
         if min(self.radial_order, self.angular_nodes, self.polar_nodes, self.max_subdivisions) <= 0:
@@ -136,25 +131,43 @@ def _leggauss(order: int):
 
 
 def _radial_panels(inner: float, outer: float, quad: QuadratureSpec, breakpoints=()):
-    """Panels covering [inner, outer], outermost first, split at breakpoints
-    and refined geometrically toward the inner end."""
+    """Panels covering [inner, outer] (inner > 0), outermost first, split at
+    breakpoints and refined geometrically toward the inner end of each piece."""
     bps = sorted({float(b) for b in breakpoints if inner < b < outer}, reverse=True)
     edges = [outer] + bps + [inner]
     panels = []
     for hi, lo in zip(edges[:-1], edges[1:]):
         b = hi
-        level = 0
-        while True:
+        for level in range(quad.max_subdivisions):
             a = max(lo, b * quad.refinement_ratio)
-            terminal = (lo > 0.0 and a <= lo * (1.0 + 1e-12)) or \
-                level >= quad.max_subdivisions - 1
-            if terminal:
+            if a <= lo * (1.0 + 1e-12) or level == quad.max_subdivisions - 1:
                 panels.append((lo, b))
                 break
             panels.append((a, b))
             b = a
-            level += 1
     return panels
+
+
+def _region_panels(region: Region, quad: QuadratureSpec, breakpoints=()):
+    """The panels of a region, outermost first. A region that reaches its
+    center ends in the graded panel (0, b), b its innermost breakpoint or
+    its outer radius, and geometric panels cover the rest."""
+    inner, outer = region.radii
+    if inner > 0.0:
+        return _radial_panels(inner, outer, quad, breakpoints)
+    b = min([float(x) for x in breakpoints if 0.0 < x < outer] + [outer])
+    return (_radial_panels(b, outer, quad, breakpoints) if b < outer else []) + [(0.0, b)]
+
+
+def _graded_rule(b: float, p: int, quad: QuadratureSpec):
+    """Radii and weights of the graded panel on [0, b]: r = b u^p with
+    radial_order * p Gauss-Legendre nodes in u on [0, 1]. It is exact when
+    the integrand times r^(n-1) is a polynomial in r^(1/p) of degree below
+    2 radial_order p, such as a density of a field of that radial_grading
+    about its branch point under a quintic cutoff ramp."""
+    x, w = _leggauss(quad.radial_order * p)
+    u = 0.5 * (x + 1.0)
+    return b * u ** p, 0.5 * w * p * b * u ** (p - 1)
 
 
 def _guard_branch(f: QField, region: Region) -> None:
@@ -163,7 +176,7 @@ def _guard_branch(f: QField, region: Region) -> None:
     for b in f.branch_set:
         d = float(np.linalg.norm(np.asarray(b, dtype=float) - c))
         if d <= 1e-12 * (1.0 + outer):
-            continue  # centered branch point: handled by deep radial refinement
+            continue  # centered branch point: handled by the graded panel
         if inner + 1e-12 < d < outer - 1e-12:
             raise RegionBranchError(
                 "region %s/%r passes through branch point at distance %g from its "
@@ -205,27 +218,6 @@ def _panel_nodes(n: int, quad: QuadratureSpec) -> int:
     return quad.radial_order * quad.angular_nodes * (quad.polar_nodes if n == 3 else 1)
 
 
-class _PanelSum:
-    """Per-panel contributions of one integrand and its early-stop state."""
-
-    def __init__(self):
-        self.contributions = []
-        self.running = 0.0
-        self.lull = 0
-        self.done = False
-
-    def add(self, contrib: float, tol: float, watch: bool) -> None:
-        """Record one panel; watch is whether the early stop may fire."""
-        self.contributions.append(contrib)
-        if watch and self.running != 0.0:
-            if abs(contrib) <= tol * abs(self.running):
-                self.lull += 1
-                self.done = self.lull >= 2
-            else:
-                self.lull = 0
-        self.running += contrib
-
-
 def _entries(dens):
     """A density result as a tuple of per-node arrays, and whether it was one array."""
     if isinstance(dens, tuple):
@@ -246,28 +238,27 @@ class RegionJob:
 
 
 class _JobSums:
-    """Per-entry panel sums of one job; it runs until every entry has stopped."""
+    """Per-panel contributions of one job, in the order of its panels, one
+    per density entry; each is one tree_sum over all row slices of its panel."""
 
     def __init__(self, job: RegionJob):
-        self.job = job
-        self.watch = job.region.radii[0] == 0.0
-        self.sums = None
-        self.single = False
-        self.running = True
+        self.job, self.sums, self.parts, self.single = job, [], [], False
 
-    def add(self, X, r, w, vals, grads, tol: float) -> None:
+    def add(self, X, r, w, vals, grads, closes: bool) -> None:
+        """Rows of one panel; closes says they are its last."""
         job = self.job
         dens, self.single = _entries(job.density(X, r, vals if job.need_values else None,
                                                  grads if job.need_gradients else None))
-        if self.sums is None:
-            self.sums = [_PanelSum() for _ in dens]
-        for acc, d in zip(self.sums, dens):
-            if not acc.done:
-                acc.add(tree_sum(d * w), tol, self.watch)
-        self.running = not all(acc.done for acc in self.sums)
+        if closes and not self.parts:  # a panel in one piece: sum each entry at once
+            self.sums.append([tree_sum(d * w) for d in dens])
+            return
+        self.parts.append([d * w for d in dens])
+        if closes:
+            self.sums.append([tree_sum(np.concatenate(col)) for col in zip(*self.parts)])
+            self.parts = []
 
     def result(self):
-        totals = tuple(tree_sum(acc.contributions) for acc in self.sums)
+        totals = tuple(tree_sum(col) for col in zip(*self.sums))
         return totals[0] if self.single else totals
 
 
@@ -276,22 +267,21 @@ def integrate_regions(f: QField, jobs, quad: QuadratureSpec) -> list:
 
     Jobs on different centers raise ValueError; every region is checked
     against the field's branch points and domain, in job order, before the
-    field is evaluated. Each result is bit for bit what
-    integrate_region returns for that job alone: a float, or a tuple of
-    floats for a tuple density, with the job's own early stop. The sweep
-    runs over the union of the jobs' panels, keyed by their exact (a, b)
-    pair and taken outermost first, so each job still sees its own panels
-    in its own order. A panel that several jobs share (nested balls halve
-    exactly, so the balls of a dyadic profile share all but their innermost
-    panels) is evaluated once, and only while a job that owns it still
-    runs. The field's values are evaluated only on panels of a running job
-    that needs them, and its gradients likewise.
+    field is evaluated. Each result is bit for bit what integrate_region
+    returns for that job alone: a float, or a tuple of floats for a tuple
+    density. A region that reaches its center ends in the graded panel of
+    _region_panels, graded by the field's radial_grading when the center is
+    a branch point and by 1 otherwise.
 
-    The field is evaluated once per block of consecutive panels of the
-    union: as many as fit in the node count of one REFERENCE_QUAD panel in
-    the field's dimension, and at least one. density and the summation
-    still run panel by panel, so the results do not depend on the block
-    size.
+    The sweep runs over the union of the jobs' panels, keyed by their exact
+    (a, b) pair, so each job sees its own panels in its own order. A panel
+    that several jobs share (a ball and the ramp ball twice its size, split
+    at its radius, share the graded panel) is evaluated once, values and
+    gradients each only where an owner needs them. The field is evaluated
+    in blocks of at most max(one REFERENCE_QUAD panel, one panel of quad)
+    nodes: consecutive geometric panels, or a graded panel in slices of
+    whole radial nodes. density runs per panel or slice, the summation per
+    panel, so the results do not depend on the block size.
     """
     states = [_JobSums(job) for job in jobs]
     centers = {state.job.region.center for state in states}
@@ -304,47 +294,52 @@ def integrate_regions(f: QField, jobs, quad: QuadratureSpec) -> list:
         return []
     owners: dict = {}
     for state in states:
-        inner, outer = state.job.region.radii
-        for panel in _radial_panels(inner, outer, quad, state.job.breakpoints):
+        for panel in _region_panels(state.job.region, quad, state.job.breakpoints):
             owners.setdefault(panel, []).append(state)
     order = sorted(owners, key=lambda p: (-p[1], -p[0]))
 
     dirs, wdir = _angular_nodes(f.n, quad)
     center = states[0].job.region.center_array
+    tol = 1e-12 * (1.0 + max(state.job.region.radii[1] for state in states))
+    centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
     xg, wg = _leggauss(quad.radial_order)
     per_panel = xg.size * dirs.shape[0]
-    block = max(1, _panel_nodes(f.n, REFERENCE_QUAD) // per_panel)
+    budget = max(_panel_nodes(f.n, REFERENCE_QUAD), per_panel)
+    # a block is a list of (panel, radii, weights, closes the panel)
+    plain = [(a, b) for a, b in order if a > 0.0]
+    blocks = [[((a, b), 0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg, True)
+               for a, b in plain[k:k + budget // per_panel]]
+              for k in range(0, len(plain), budget // per_panel)]
+    step = budget // dirs.shape[0]
+    for b in [b for a, b in order if a == 0.0]:
+        rr, wr = _graded_rule(b, f.radial_grading if centred else 1, quad)
+        blocks += [[((0.0, b), rr[k:k + step], wr[k:k + step], k + step >= rr.size)]
+                   for k in range(0, rr.size, step)]
 
-    def evaluated(fn, need, X, chunk):
-        """fn on the panels of chunk that a running owner needs it for (need
-        names the RegionJob flag), as a panel -> rows map."""
-        wanted = [k for k, panel in enumerate(chunk)
-                  if any(state.running and getattr(state.job, need) for state in owners[panel])]
+    def evaluated(fn, need, X, spans, block):
+        """fn on the pieces of block an owner needs it on (need: the flag), by index."""
+        wanted = [k for k, piece in enumerate(block)
+                  if any(getattr(state.job, need) for state in owners[piece[0]])]
         if not wanted:
             return {}
-        rows = X if len(wanted) == len(chunk) else \
-            np.concatenate([X[k * per_panel:(k + 1) * per_panel] for k in wanted])
-        out = fn(rows)
-        return {chunk[k]: out[j * per_panel:(j + 1) * per_panel] for j, k in enumerate(wanted)}
+        out = fn(X if len(wanted) == len(block) else
+                 np.concatenate([X[spans[k]] for k in wanted]))
+        sizes = [spans[k].stop - spans[k].start for k in wanted]
+        return dict(zip(wanted, np.split(out, np.cumsum(sizes)[:-1])))
 
-    for start in range(0, len(order), block):
-        if not any(state.running for state in states):
-            break
-        chunk = order[start:start + block]
-        rr = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b) for a, b in chunk])
-        wr = np.concatenate([0.5 * (b - a) * wg for a, b in chunk])
-        X = center[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-        X = X.reshape(-1, f.n)
+    for block in blocks:
+        rr, wr = (np.concatenate(col) for col in list(zip(*block))[1:3])
+        ends = np.cumsum([0] + [piece[1].size * dirs.shape[0] for piece in block])
+        spans = [slice(ends[k], ends[k + 1]) for k in range(len(block))]
+        X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
         r = np.repeat(rr, dirs.shape[0])
         w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-        vals = evaluated(f.values_fn, "need_values", X, chunk)
-        grads = evaluated(f.gradients_fn, "need_gradients", X, chunk)
-        for k, panel in enumerate(chunk):
-            rows = slice(k * per_panel, (k + 1) * per_panel)
+        vals = evaluated(f.values_fn, "need_values", X, spans, block)
+        grads = evaluated(f.gradients_fn, "need_gradients", X, spans, block)
+        for k, (panel, _, _, closes) in enumerate(block):
             for state in owners[panel]:
-                if state.running:
-                    state.add(X[rows], r[rows], w[rows], vals.get(panel), grads.get(panel),
-                            quad.tail_rel_tol)
+                state.add(X[spans[k]], r[spans[k]], w[spans[k]], vals.get(k), grads.get(k),
+                          closes)
     return [state.result() for state in states]
 
 
@@ -356,20 +351,13 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     density receives the sample points (K, n), their radii about the region
     center, sheet values (K, q, m) and gradients (K, q, m, n) (None when not
     requested) and returns a per-node scalar array, or a tuple of such
-    arrays. Panels are processed outermost first; when the region reaches
-    the center, refinement stops once two consecutive levels contribute
-    below tail_rel_tol of the running total.
+    arrays. A single array gives a float. A tuple gives a tuple of floats,
+    one per entry, from one sweep over the panels: each entry keeps its own
+    panel sums, so each result is bit for bit the one a separate call with
+    that entry alone would return.
 
-    A single array gives a float. A tuple gives a tuple of floats, one per
-    entry, from one sweep over the panels: each entry keeps its own panel
-    sums and its own early stop, so each result is bit for bit the one a
-    separate call with that entry alone would return. The sweep ends when
-    every entry has stopped; entries that stopped earlier ignore the later
-    panels.
-
-    This is integrate_regions with one job: the field is evaluated once per
-    block of consecutive panels, and the result does not depend on the
-    block size. Several regions on one center are cheaper in one
+    This is integrate_regions with one job (see there for the panels and
+    blocks). Several regions on one center are cheaper in one
     integrate_regions call, which evaluates the panels they share once.
     """
     job = RegionJob(region, density, tuple(breakpoints), need_values, need_gradients)
@@ -730,8 +718,7 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
     def run(q: QuadratureSpec, *extra):
         """The extra integrals, then the outer and the inner variations, all
         from one sweep over the shared support. Growth certificates are
-        sampled on every node the sweep visits: on a ball support that
-        includes panels past an outer integral's own early stop."""
+        sampled on every node the sweep visits."""
         tallies = [[0, 0.0] for _ in outers]
         values = integrate_region(f, support, q,
                                   _cutoff_density(bump, outers, inners, tallies, extra),

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvlab import fields, qcore
 from qvlab.fields import (
@@ -360,6 +363,37 @@ class TestBlowup:
         # rho^(1/2): one decade of rho buys a factor ~3.16
         assert sup_dist[-1] / sup_dist[0] < 0.05
         assert sup_dist[-1] < 5e-3
+
+
+class TestRadialGrading:
+    def test_library_gradings(self):
+        assert make_trivial(3).radial_grading == 1
+        assert parse_field_spec("harmonic:n2m1:x1").radial_grading == 1
+        assert [make_branch_field(k, Q).radial_grading
+                for k, Q in ((3, 2), (2, 4), (4, 6), (3, 3), (5, 3))] == [2, 2, 3, 1, 3]
+        pieces = [(w, (0.0, 0.0), ((1, (0.0, 1.0), (1.0, 0.0)),)) for w in (2, 3, 1)]
+        assert fields.make_wound_field(pieces).radial_grading == 6
+
+    def test_branch_points_need_a_grading(self):
+        f = make_branch_field(3, 2)
+        with pytest.raises(ValueError, match="radial_grading"):
+            dataclasses.replace(f, radial_grading=None)
+        # without branch points the grading may stay unknown
+        dataclasses.replace(f, branch_set=(), radial_grading=None)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(1, 9), st.integers(1, 9), st.floats(0.2, 0.9),
+           st.floats(-0.3, 0.3), st.floats(0.1, 2.0))
+    def test_grading_propagates(self, k, Q, amp, shift, rho):
+        p = Q // math.gcd(k, Q)
+        spec = "branch:%d/%d:%r" % (k, Q, amp)
+        f = parse_field_spec(spec)
+        assert f.radial_grading == p
+        g = parse_field_spec("superpose(%s,n2m2:%r*x1;x2)" % (spec, shift))
+        assert g.radial_grading == p
+        assert fields.superpose(f, [poly("x1"), poly("x1^2-x2^2")]).radial_grading == p
+        for y in ((0.0, 0.0), (shift, 0.5)):
+            assert fields.blowup_rescale(g, y, rho, 1.0).radial_grading == p
 
 
 class TestSingularProbe:

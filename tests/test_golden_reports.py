@@ -11,8 +11,10 @@ the vanishing-order, semicontinuity, doubling, frequency-variant and
 three-dimensional stationarity ones before the deformation battery was
 built from affine data; the nested-radius ones (frequency and Weiss
 profiles at dyadic and increasing radii, a four-level doubling ladder and
-a wider variant pair, also on two wound fields whose balls refine deep or
-to the subdivision cap) before several regions shared one panel sweep. Only in
+a wider variant pair, also on two wound fields of windings 2 and 3) before
+several regions shared one panel sweep. The 50 digests of reports with a
+ball integral were re-recorded when every ball became one graded panel;
+the leaf-level comparison is in CHANGES.md. Only in
 three dimensions does the inner rotation
 generator differ from the outer quarter turn R, so only the last case
 tells the two apart. Any change to the quadrature engine or the checks
@@ -42,8 +44,8 @@ FIELDS = {
     "wound-capped": ("wound:3,3,4,1.8", 1.0 / 3.0),
 }
 PLANAR = ("branch-three-halves", "harmonic-pair", "wound-s0")
-# nested-radius checks: the planar fields plus two wound fields whose ball
-# energies refine deep (54 of 64 levels at radius 0.4) or to the cap
+# nested-radius checks: the planar fields plus two wound fields whose balls
+# take graded panels of grading 2 and 3
 NESTED = PLANAR + ("wound-deep", "wound-capped")
 
 
@@ -98,31 +100,31 @@ NESTED_CHECKS = tuple(_nested_checks(None, 1.0))
 
 DIGESTS = {
     "branch-three-halves/stationarity": "8783d2c3f65aaa829701f5190da5f867efc68d6b31b66e257cdc315f4e510cef",
-    "branch-three-halves/stationarity-ball": "aecb4e9b179f6669843ffd970b9777addbdb8ff1a8fd526370be27055981bb8f",
+    "branch-three-halves/stationarity-ball": "e87e50c68c998322d471dfe949aad5e8f89de61cc86f64bed5a8543787482722",
     "branch-three-halves/carleman": "2462de26283d896cdfe666e930286a176661ed769d2807895f20a32c1b918cae",
     "branch-three-halves/first-carleman": "166988b0671a482860de54b10bed78c0b4194febe2b886a9bde0d4cea6d0fe3f",
     "branch-three-halves/pre-carleman": "13c753d14c3e80d86c817134c5a57502cd8a355eb7d9a36032906006ac150b52",
     "branch-three-halves/modified-carleman": "2287b43f67cbf70207f926743c3094b3b621a63669938668fa48188aab90a76b",
     "branch-three-halves/caccioppoli": "b71eab07fe6d9532dc0ff76b36186dae9cb0f0b1f9968c127780e29fe7ef4e14",
     "branch-three-halves/deficit-profile": "4a7071e32decd813c98093804092f1525226b0d47329708535cd04836e716e21",
-    "branch-three-halves/frequency-identity": "a32950c7a108caccc8f9a517c0588b262800b5019b65937b74543e456234f0de",
-    "branch-three-halves/weiss-derivative": "b9765d3468e505c9ea25ac4a8f15dcf9800374b42b880c1c3a7d210f5754ddc0",
+    "branch-three-halves/frequency-identity": "4f9e4d360f3986c582b0844416168d514995f8c16d75dd619302d912bac69780",
+    "branch-three-halves/weiss-derivative": "7b5f50955c5a0d3e1c32efbe86453e604eb7c45f3ca654b87e0a21699f51511f",
     "branch-three-halves/three-sphere": "894db89627b84f65bfa792fd25c0e4ef1c5e9022cdd59b4656ba0c4965cbeab0",
     "branch-three-halves/carleman-sweep": "105e5d5a1f7698385849405bb9c649228fe9598d686480cb523012cc04ce9bd0",
     "harmonic-pair/stationarity": "d9577be36448b1267d720e783144901ac8a19b548304a944d3404b1884e4e6e5",
-    "harmonic-pair/stationarity-ball": "8e3384ed0f2c4e4b41598bd5d93792c59b33c69c329d10e2c94042a3adb5c149",
+    "harmonic-pair/stationarity-ball": "dca378104327fb1bddef5b4b9af90854061f56d9845b87317524dd42eb50f61c",
     "harmonic-pair/carleman": "58d2cbaa5f4ee8e0fe3a71ac966cf6a8e414a16d6d8797c99ea47d1d821f40e4",
     "harmonic-pair/first-carleman": "292a56e6644fba9e6916753b34f706f870b156cdc91a262e60d372b296cac51e",
     "harmonic-pair/pre-carleman": "bd267530fe61b5dcf58251aa72ed02d5de6995108c520bc398e50d6a9095ca93",
     "harmonic-pair/modified-carleman": "15493e939cac8adf53572f7f3f74b08ae7297d771298bce8ca8f2a548828bbfb",
     "harmonic-pair/caccioppoli": "405af2259a212bcc8b4770f1db617050b527e277b87d68cf0022e9e0221890d4",
     "harmonic-pair/deficit-profile": "561b5d2ce407639d9ed556ff4c67f1ba05aaca2c9f4b64063992524ba1627e49",
-    "harmonic-pair/frequency-identity": "8f810c47b2ed12505d99cdc35369b390590341607e9f9321be75b3478a14542d",
-    "harmonic-pair/weiss-derivative": "4bc63d31d86033db77d9ca4820bf8e0065a1c6b6fadf44a13e3105a89861bb90",
+    "harmonic-pair/frequency-identity": "43c5834473feae51982a952d383185e48e4c28618a6b9ed67ce14112e09b22bd",
+    "harmonic-pair/weiss-derivative": "1fb77f3685325d0bf8950df715214b309981ae6d44b242beff551e8770caf4e0",
     "harmonic-pair/three-sphere": "cebde0e86707a437a273ce9d182aedf2c33063ffd0088a1f7355da6712253119",
     "harmonic-pair/carleman-sweep": "7d54ea27d69e1070f433cab4a68780700396787117e223d405e0677ac698e0e1",
     "wound-s0/stationarity": "04e0d2e155f1595b5f3944acb9677c286ace0a26bd264bf2fa30f2bb85acf6c4",
-    "wound-s0/stationarity-ball": "8f88c27c3479cb282b9f0cd57e12711a8ebb12914c54836236f7fda4099abc2c",
+    "wound-s0/stationarity-ball": "3b2052bfab8a4d24be62795571c17a4590f8bc806cec3ba27699617100f1da7c",
     "wound-s0/carleman": "2096d87e857aa20e5b86c80d938ba5851d832cc96ed0331268756e3c3959a389",
     "wound-s0/first-carleman": "fb86163cfd9025c7b11b4e15579da47b5ab2012961450d10140612875ae0fbd5",
     "wound-s0/pre-carleman": "70abbee581b985d3cfa256b6ffb21a39b871dc8abfa1cff643544899ef8062e7",
@@ -130,66 +132,66 @@ DIGESTS = {
     "wound-s0/caccioppoli": "d45acf697b7734be0e1a0e913274f04522d7416a7b82189fe4b8df7b265a3e1b",
     "wound-s0/deficit-profile": "00234b091c54698d0fca620856d941db5364bfd7fbc219e444b4bf33579bfc48",
     "wound-s0/frequency-identity": "137aeae13fde86da9b4df4d685fb86ada40e62cd731101c619a607542ebcde23",
-    "wound-s0/weiss-derivative": "7d630a208d5e59021cc473c97ade3ec3d547f3bab03562bf0f532fd222a3a2ad",
+    "wound-s0/weiss-derivative": "4f3fe67d28a5e0df8c378f89c4574c9e752293f4eb273d6044011cd8737578c3",
     "wound-s0/three-sphere": "2529a98beb019e78ee127dcfffdadacf02f6e142c0a433411205935ca70ace43",
     "wound-s0/carleman-sweep": "95bd01ee49b12108a27c11e2a192f2f20369427d9740870fdd337e15797ae7de",
-    "wound-s0/construction-cert": "b33cde025d0b1c06351ce1e5421c383b5d7c2b85049bc718ea78f6eb71332455",
+    "wound-s0/construction-cert": "ea2f545bc357a4cd0b90caf95ac2af2bdd4cf2fbac5f0ebe86cee31d4802603e",
     "branch-three-halves/vanishing-order": "b7fec545968b597ff90575b253227f9a58f67c73c288eec4bbaa3f50c4a38c27",
     "branch-three-halves/vanishing-order-off-centre": "59c9276adad692128c78abe377859afd181ff42bc4e0bdcf0945f16fcc487174",
     "branch-three-halves/semicontinuity": "1556608781c06664b6f16e8b93010fadd8017d4a43649b4e9c530dcb28c215b6",
     "branch-three-halves/doubling": "1d2d6de2e9b22590150412861f81cccffe6267211e7296bc2ab2f52a81626a7c",
-    "branch-three-halves/frequency-variants": "9ca1f316ad15ad2849b49901d60dc235c910e90cbc2267f2e709e04e43cc9ab6",
+    "branch-three-halves/frequency-variants": "84ab69b472e6e51279ea690b6e37c940f8e1aaafaaf063f8ebf5dd993ce309c6",
     "harmonic-pair/vanishing-order": "1d3f26075f9d00b3c98556d0bc1a53a56e736efea1bb5faf0ad85818063b76e8",
     "harmonic-pair/vanishing-order-off-centre": "ae5b4789c4d48ab2862c989bbcdd782b911fadfe9bb9370474ba3263b3701d19",
     "harmonic-pair/semicontinuity": "885abd87a9950ab296493c8c29d582e47116ef03de6d515c4c49619ead3418b9",
-    "harmonic-pair/doubling": "171ea552c2ecdcaa57bca6b54ffbb3a2737f924492c9cf021a6269695ed7b336",
-    "harmonic-pair/frequency-variants": "cc2ce422132f5b2a97b6ff6aec815e7e0f41f161b656830d95908b8eb4486afb",
+    "harmonic-pair/doubling": "b88e2616ece36682f160565f9518a838637b8cab6b43349d324ba433c9738fa5",
+    "harmonic-pair/frequency-variants": "f7b297f9b1e6fee42c789162c14ca70936cf0a92ee7ebbd6a6b69fb3cd89f583",
     "wound-s0/vanishing-order": "945c4a91bee82fc4c0dc2a66853af013a207ddc8ba1e65175b69fa35c1e8be50",
     "wound-s0/vanishing-order-off-centre": "c4e61b2ee1d76431c0dd08a74e1733facf2946c37149bd86df95e5254182c0e1",
     "wound-s0/semicontinuity": "af46218c0a988ee2a2307eae071b01647893839ef5dc497f02ace14da00c41f9",
-    "wound-s0/doubling": "f2617ac8c2bc1077ac837c494af4abade0279eca5bd65339da1ac73843939caa",
-    "wound-s0/frequency-variants": "7fbeb5dba76351a21c77b445927cfc358588054d6e40438586c53d6aa3dc9fa3",
+    "wound-s0/doubling": "d943f2b306764dc998e8c65d3aa8d08c1d92dd72c73c2b7a07efa042b08cdd11",
+    "wound-s0/frequency-variants": "38fde029c1f3514766d0c7c4b7e55944aea098259dd3dc880baf26e8645b1694",
     "harmonic-3d/stationarity": "b730c425a0ff85cfdd818f1e096b4733e1cf3c87b957cfbfb125c4d9cdba7a49",
-    "branch-three-halves/frequency-profile-sharp-dyadic": "ae680987690e8013c82d1f1132b9794e76c2213f1a3c0e0d01a64c9bbcbb0593",
-    "branch-three-halves/frequency-profile-linear-dyadic": "b85146b649fb61fcba6691df83bb95218b955e908b17ab452665a72711c0bbdb",
-    "branch-three-halves/weiss-profile-dyadic": "1a1eb9b684334210b12697f263cd88d4dfaba052d3dd12528a71b71c356b8d9b",
-    "branch-three-halves/frequency-profile-sharp-increasing": "26e344393e819d413e8db420607fdc848f53c03fec8df6241620bdead8186f46",
-    "branch-three-halves/frequency-profile-linear-increasing": "a1b356ea47324cb633c8c45c3b52ef112d1e3014085240cc48d4ef2711471a3d",
-    "branch-three-halves/weiss-profile-increasing": "a02bc8953dcc6902796a604a318202a3ce5542e7af4e6fc9742305bf339b5eb1",
+    "branch-three-halves/frequency-profile-sharp-dyadic": "c20ca184245b291aa402d8c56ab3e3d04123464be3f130c2aa9b4bdd2d9a0f9e",
+    "branch-three-halves/frequency-profile-linear-dyadic": "def535bd5074537e41b744ba85971f07c4d5818a80ef119e396cbaaf23a0a998",
+    "branch-three-halves/weiss-profile-dyadic": "f8f36d5c55996cde7cbc4ac4030a0f92e34ae7c6682c9839e79771f88152e0ee",
+    "branch-three-halves/frequency-profile-sharp-increasing": "2eecceee2f3c3a326d06a1260d6a6618fad391081aea9504ed20755fb05bd552",
+    "branch-three-halves/frequency-profile-linear-increasing": "306e0924d76d9ab803f4091fc0cf40a64a5b2879935268124dac9b23225934c8",
+    "branch-three-halves/weiss-profile-increasing": "71647b2a4624701285c5e28603093d8f11687423e0a07a360ea99e1177ddf7cc",
     "branch-three-halves/doubling-4": "33eec63b328b996d921e21003b73ee3d7664dfb2d59ebd2f2c314f5e134ff69c",
-    "branch-three-halves/frequency-variants-wide": "757a0457ed3b191d1b24fc7314edaf1edd2f249c631e020969d60442257ddf31",
-    "harmonic-pair/frequency-profile-sharp-dyadic": "99f60a92e1787323b1fd68d97be455906babc7d31abe3d3bcd34c6ed0c5448f7",
+    "branch-three-halves/frequency-variants-wide": "00740950894f4d8266a2c944a403a5a865a8e2abb7489db7be284fb864ffae37",
+    "harmonic-pair/frequency-profile-sharp-dyadic": "2ccd542ffff7017d533a49ad43dd9051c3ddb8770d0c143d4257430bd96e8443",
     "harmonic-pair/frequency-profile-linear-dyadic": "d0b19d23e31be173d5b80e0c908c288a76c85ee2873b1bd50b6a17205bd7e889",
-    "harmonic-pair/weiss-profile-dyadic": "25281ee8b2ed395e98deab85275c9cdeaf57e96edbc34e73dc8e41cc892ad9fe",
-    "harmonic-pair/frequency-profile-sharp-increasing": "be9fc4e8cbba2d53b6371a45e794506962c62d01827b43823eab03672de43099",
-    "harmonic-pair/frequency-profile-linear-increasing": "b0d90536d743305a1418249b5de41483cb248f12cc305d5f79d625933945ae97",
-    "harmonic-pair/weiss-profile-increasing": "554c313d3c1c5ed85727fe72db637e80685b8202024c79b70e855c1b006d60ad",
-    "harmonic-pair/doubling-4": "06aef59f73022baf6d47b76aaa1f824b34fe0f0b860dadf7fcedbfe8435d1388",
-    "harmonic-pair/frequency-variants-wide": "d32ded431e8c73ff6541322acab82d319b7fe6237d91767fed997c1a539a91e2",
-    "wound-s0/frequency-profile-sharp-dyadic": "c9fea73f7046acee7a9d3432e9b5327b19039ea43411a210dd03e386f6bf4392",
+    "harmonic-pair/weiss-profile-dyadic": "69823d84f0fbc3f72c890cd08e65f0ec1893441078281e7711c491f16aeeed1b",
+    "harmonic-pair/frequency-profile-sharp-increasing": "a71c16101f07face2a351f6db187dc8cb56398f3ade84bce5de37c25faa0d1dc",
+    "harmonic-pair/frequency-profile-linear-increasing": "bd2eef4052ca5094da2f35566c334c1a8e30ddc7871e46183762e91b674945c2",
+    "harmonic-pair/weiss-profile-increasing": "d68e87e8429aa357faad7cd10e80511fbf503cfad09e8963c3c785b833a79e0c",
+    "harmonic-pair/doubling-4": "76349db7ac995c1c422114cd869d52bdd51139f3301146ac0d9e93280d23867e",
+    "harmonic-pair/frequency-variants-wide": "947ecbece2e9167b3c1ae937ff8e7f6ed3eeeda4c129df1bf2721407f01ab639",
+    "wound-s0/frequency-profile-sharp-dyadic": "5ebb050638a7209db7a4de94c9bdecf3c2e9e7943450a777c38520f80f9f9205",
     "wound-s0/frequency-profile-linear-dyadic": "d0b965851180191fcb9beacbd9486e8dfdae088eff1e18a2d4d06cc3f221be52",
-    "wound-s0/weiss-profile-dyadic": "b3fd86e582b6f0d3c385dd4bffd87d6ed4e962b3a17d1b3e8788c0a1db5cb579",
-    "wound-s0/frequency-profile-sharp-increasing": "b34712543cf2bdde1f98419e36364d3392f6ba9038887335a8252489ca17d3f1",
-    "wound-s0/frequency-profile-linear-increasing": "c885c325bc0c0e468e94b9a39ebad53b6b126b2d58ecf213c67196e37c5319a5",
-    "wound-s0/weiss-profile-increasing": "56ee2162414d64fc4941bdc437dbac7ce873158eaa5a082c8057b58cd5a4734d",
-    "wound-s0/doubling-4": "e40d98b08f52033662c5c06177c76f0ede8496b2bb1c705207cea0f98345f667",
-    "wound-s0/frequency-variants-wide": "706a90f53b261177c132118d8fd1a2167256c58a56b1528e6e933aa5d98f12f0",
+    "wound-s0/weiss-profile-dyadic": "23a1b194991b60c0e1b895b569e5ae9ca69e42e1b9468b2e80e23027614bde94",
+    "wound-s0/frequency-profile-sharp-increasing": "7fd76f822ea4272208f60a3c5e7b02775f6c7bdb9d8317a9430963c3c18450bc",
+    "wound-s0/frequency-profile-linear-increasing": "0d6a073d1a21d168cec5414632a63a2ec3f9f69113cecfe94e97af277b834c49",
+    "wound-s0/weiss-profile-increasing": "505d599aa1b9558151bda8e78aa7d4620684947d148859e6bb178131172f13e2",
+    "wound-s0/doubling-4": "d6bb86418c714e9958fa06160944c5a1c661f31fc7f5970d48c2cfac969011bf",
+    "wound-s0/frequency-variants-wide": "fa3071c4d367779f3f9d396530d93303caef70319ab5463c0b5b199083b31d93",
     "wound-deep/frequency-profile-sharp-dyadic": "0d0aad9c6edb481e08c009c87d16a87394821c5115e7bc30a420d49152d99ccc",
-    "wound-deep/frequency-profile-linear-dyadic": "a331b5b28b47e2e44784c8384d525fc605d795f90c8d3edd94fd3f63def457ba",
-    "wound-deep/weiss-profile-dyadic": "23fd7eead70c3d878985cf48392c4b3d124ee009e624f99dbc37ba92d2c77dbf",
-    "wound-deep/frequency-profile-sharp-increasing": "298bccff7c07768e1d723a7d21b26777104ab1ef493c5afcda8e6ead9631c2d4",
-    "wound-deep/frequency-profile-linear-increasing": "7e1d1eff00ce2df8c1eca000dbc2e47cf3346102523a22ae1898acfe8b193d25",
-    "wound-deep/weiss-profile-increasing": "0f2d0be07c829a4a2d21a8f7a6a9d9c5c462c7e2213a3f13d61e1d98ddd02e14",
-    "wound-deep/doubling-4": "76c8cfa736d9677fdc2a5e7f819b7d39ed06a8f60e0cfe229886cbac5dbc17d4",
-    "wound-deep/frequency-variants-wide": "a919c9e27ec3fe5483295f9f37c61710b4402cb4e591754f08237549b6e73c35",
-    "wound-capped/frequency-profile-sharp-dyadic": "536220a0878f0077c61d11032433743a3a3e25c166964e58f255b1e8ef5207e1",
-    "wound-capped/frequency-profile-linear-dyadic": "05f9ca1089ec3fe527694e35cf141749c883ac1df2edcf2246ee4d31656693c5",
-    "wound-capped/weiss-profile-dyadic": "871f5d69586dfe9ab75c644efb79ec4973355a5104963da0f48d1188614a6ee0",
-    "wound-capped/frequency-profile-sharp-increasing": "4d03b64aa703586615cd04982a33c8260cc26535c6e818a69deaf3b08405678d",
-    "wound-capped/frequency-profile-linear-increasing": "e1e6386e5d98cc9e61914cb3d8ba3a13651645dedbf9c2729b91852670397158",
-    "wound-capped/weiss-profile-increasing": "3890263cd7fe021935c1eedaabb03868c8f8da1de791010dd7b3cae48bea3cec",
-    "wound-capped/doubling-4": "bdd13b7e9be6c5295441ccf1f7f30fed5810ee534db8a70d13849ba66f3dd9ca",
-    "wound-capped/frequency-variants-wide": "a033bca7be4fcd1a9318cf9158f812672e21fffbef60e6448d07180e2111cd3f",
+    "wound-deep/frequency-profile-linear-dyadic": "73f9cd1c1a703dc14b2033477a32cf89e7b559b6cfa6648124c010912fcc028c",
+    "wound-deep/weiss-profile-dyadic": "afd19156853d77c21fb3f3ac1262166e157f834a05aa1a97b779df40fbc5e10f",
+    "wound-deep/frequency-profile-sharp-increasing": "9bae3df939d79987941110c7a39b60ff2c729e265ad24c265d2b3c3ae743b80f",
+    "wound-deep/frequency-profile-linear-increasing": "cca8e1d044f59361a04d45848a39a75eb3ffcbaffd3ec28e216b402e2a4c42b2",
+    "wound-deep/weiss-profile-increasing": "c09e644ad8b8ef1773eb72050f68393c3ae49f48fbde6a42700ae361fc7f27bb",
+    "wound-deep/doubling-4": "cd414ab02207dabd7c31e61ac4e223c42c2ffa644226bbae3990cad76265ac5a",
+    "wound-deep/frequency-variants-wide": "6318975fbcbf518714dacd7bc115cd2576ae07565c572632cb94d8bc117b6bed",
+    "wound-capped/frequency-profile-sharp-dyadic": "b34844ba9091372d3194e34a722c884066a8fe995c0479757ba6841c1556f652",
+    "wound-capped/frequency-profile-linear-dyadic": "f88531ee623136c1cbdddfc0aacb8d681b3199bd020d5bc5ea5456d4e245902e",
+    "wound-capped/weiss-profile-dyadic": "55b8d06f3a770f76338239cb7bef05cff7d66b8fd2f70ee7f827eeec78056699",
+    "wound-capped/frequency-profile-sharp-increasing": "7025faae3aeb740cafcd1df0ad0bae7e117731cfba3a60087eb9a433b85e96b7",
+    "wound-capped/frequency-profile-linear-increasing": "020eab922bd6b7e6c1f1c234436b2f3ef1282ea63e7ab905d6de2da962d1fabf",
+    "wound-capped/weiss-profile-increasing": "ae28e283634068b0458d4045a9906e0c2a831ac282b24adf1de11e4bad9b170c",
+    "wound-capped/doubling-4": "5e081341067fdea7303c6b449f35134485c53201685fd93b5b35438e3dcce78f",
+    "wound-capped/frequency-variants-wide": "0845578f381a4d095e743631e083d41970ae9c5993e104be102a90de8fd23790",
 }
 
 _FIELD_CACHE = {}

@@ -461,17 +461,17 @@ COARSE = QuadratureSpec(radial_order=8, angular_nodes=32)
 
 
 def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradients=True,
-                    breakpoints=(), early_stop=True):
-    """integrate_region with one field call per panel, as a bit-exact reference."""
+                    breakpoints=()):
+    """integrate_region on an annulus with one field call per panel, as a
+    bit-exact reference."""
     from qvlab.variational import _angular_nodes, _leggauss, _radial_panels
 
     inner, outer = region.radii
+    assert inner > 0.0, "the reference covers annuli only"
     dirs, wdir = _angular_nodes(f.n, quad)
     center = region.center_array
     xg, wg = _leggauss(quad.radial_order)
     contributions = []
-    running = 0.0
-    lull = 0
     for a, b in _radial_panels(inner, outer, quad, breakpoints):
         rr = 0.5 * (b - a) * xg + 0.5 * (a + b)
         wr = 0.5 * (b - a) * wg
@@ -480,17 +480,7 @@ def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradient
         w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
         vals = f.values_fn(X) if need_values else None
         grads = f.gradients_fn(X) if need_gradients else None
-        contrib = tree_sum(density(X, r, vals, grads) * w)
-        contributions.append(contrib)
-        if early_stop and inner == 0.0 and running != 0.0:
-            if abs(contrib) <= quad.tail_rel_tol * abs(running):
-                lull += 1
-                if lull >= 2:
-                    running += contrib
-                    break
-            else:
-                lull = 0
-        running += contrib
+        contributions.append(tree_sum(density(X, r, vals, grads) * w))
     return tree_sum(contributions)
 
 
@@ -527,33 +517,38 @@ def _winding3_wound_field():
 
 
 def test_block_evaluation_matches_panels_on_capped_wound_ball():
+    # a ball on the winding-3 branch point is one graded panel; an annulus
+    # reaching 2^-30 of the way to it has 30 geometric panels, evaluated in
+    # blocks of 20
     f = _winding3_wound_field()
-    region = ball((0.0, 0.0), 0.5)
-    # the Dirichlet density shrinks by only 2^(-2/3) per level and hits the
-    # subdivision cap; the mass density stops early
-    for density, kw, capped in (
-            (variational._dirichlet_density, {"need_values": False}, True),
-            (variational._mass_density, {"need_gradients": False}, False)):
+    region = annulus((0.0, 0.0), 0.5 * 0.5 ** 30, 0.5)
+    per_panel = COARSE.radial_order * COARSE.angular_nodes
+    for density, kw in ((variational._dirichlet_density, {"need_values": False}),
+                        (variational._mass_density, {"need_gradients": False})):
         blocked, blocked_panels = _counted_density(density)
         single, single_panels = _counted_density(density)
-        got = integrate_region(f, region, COARSE, blocked, **kw)
+        g, calls = _counted_field(f)
+        got = integrate_region(g, region, COARSE, blocked, **kw)
         expected = _panel_by_panel(f, region, COARSE, single, **kw)
         assert got == expected
-        assert blocked_panels == single_panels
-        assert (len(blocked_panels) == COARSE.max_subdivisions) == capped
+        assert blocked_panels == single_panels == [per_panel] * 30
+        assert sum(calls.values()) == 2
 
 
 def test_block_evaluation_keeps_early_stop():
+    # named for the early stop it pinned before balls became one graded
+    # panel: now every panel gets its density call, also each panel of a
+    # partial last block (25 panels of an off-centre annulus, blocks of 20)
     f = parse_field_spec("harmonic:n2m1:x1")
-    region = ball((0.1, -0.2), 0.8)
+    region = annulus((0.1, -0.2), 0.8 * 0.5 ** 25, 0.8)
     blocked, blocked_panels = _counted_density(variational._dirichlet_density)
     single, single_panels = _counted_density(variational._dirichlet_density)
-    got = integrate_region(f, region, COARSE, blocked, need_values=False)
+    g, calls = _counted_field(f)
+    got = integrate_region(g, region, COARSE, blocked, need_values=False)
     expected = _panel_by_panel(f, region, COARSE, single, need_values=False)
     assert got == expected
-    # the stop fires inside a block, and later panels of it see no density call
-    assert len(blocked_panels) == len(single_panels) < COARSE.max_subdivisions
-    assert len(blocked_panels) % 20 != 0
+    assert len(blocked_panels) == len(single_panels) == 25
+    assert calls == {"values": 0, "gradients": 2}
 
 
 def test_block_evaluation_keeps_outer_variation_notes(monkeypatch):
@@ -570,13 +565,37 @@ def test_block_evaluation_keeps_outer_variation_notes(monkeypatch):
 
 
 def test_capped_wound_ball_field_call_counts():
-    f, calls = _counted_field(_winding3_wound_field())
-    dirichlet_energy(f, ball((0.0, 0.0), 1.0), COARSE)
-    # 64 capped panels of 256 nodes, 20 panels per 5120-node block
-    assert calls == {"values": 0, "gradients": 4}
-    f, calls = _counted_field(_winding3_wound_field())
-    dirichlet_energy(f, ball((0.0, 0.0), 1.0), QUAD)
-    assert calls == {"values": 0, "gradients": 64}
+    # a ball on the winding-3 branch point is one graded panel of
+    # radial_order x 3 (the grading) by angular nodes: one call of 24 x 32
+    # points at radial 8 x angular 32, and the 60 x 256 panel of the
+    # reference rule in three slices of one 5120-node reference panel
+    for quad, count, points in ((COARSE, 1, 24 * 32), (QUAD, 3, 60 * 256)):
+        f, calls = _counted_field(_winding3_wound_field())
+        dirichlet_energy(f, ball((0.0, 0.0), 1.0), quad)
+        assert calls == {"values": 0, "gradients": count}
+        f, seen = _counted_field(_winding3_wound_field(), lambda X: X.shape[0])
+        dirichlet_energy(f, ball((0.0, 0.0), 1.0), quad)
+        assert seen == {"values": 0, "gradients": points}
+
+
+def test_sliced_graded_panel_is_one_panel_bit_for_bit():
+    # the 60 x 256 graded panel of the reference rule is evaluated in three
+    # 5120-node slices, yet summed as one panel: the energy is bit for bit
+    # one field call over the whole panel and one tree_sum
+    f = _winding3_wound_field()
+    rr, wr = variational._graded_rule(0.7, 3, QUAD)
+    dirs, wdir = variational._angular_nodes(2, QUAD)
+    X = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
+    w = (wr[:, None] * rr[:, None] * wdir[None, :]).ravel()
+    expected = tree_sum(variational._dirichlet_density(X, None, None, f.gradients_fn(X)) * w)
+    g, calls = _counted_field(f)
+    density, seen = _counted_density(_stacked(variational._mass_density,
+                                              variational._dirichlet_density))
+    got = integrate_region(g, ball((0.0, 0.0), 0.7), QUAD, density)
+    assert got[1] == expected
+    assert got[0] == l2_mass(f, ball((0.0, 0.0), 0.7), QUAD)
+    assert calls == {"values": 3, "gradients": 3}
+    assert seen == [5120] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +633,19 @@ def test_tuple_density_matches_separate_calls_on_annulus():
 
 
 def test_tuple_density_entries_stop_early_on_their_own():
+    # named for the per-entry early stop, now gone: across the 25 panels
+    # (two blocks) of a deep annulus each entry keeps its own panel sums,
+    # bit for bit a separate call, from one density call per panel
     f = parse_field_spec("harmonic:n2m1:x1")
-    region = ball((0.0, 0.0), 0.8)
-    # |f|^2 ~ r^2 falls by 16 per level and |Df|^2 = 1 by 4, so the mass stops
-    # at about half the depth of the energy
+    region = annulus((0.0, 0.0), 0.8 * 0.5 ** 25, 0.8)
     mass, mass_panels = _counted_density(variational._mass_density)
     energy, energy_panels = _counted_density(variational._dirichlet_density)
     expected = (integrate_region(f, region, COARSE, mass, need_gradients=False),
                 integrate_region(f, region, COARSE, energy, need_values=False))
-    assert len(mass_panels) < len(energy_panels) < COARSE.max_subdivisions
     both, both_panels = _counted_density(_stacked(variational._mass_density,
                                                   variational._dirichlet_density))
     assert integrate_region(f, region, COARSE, both) == expected
-    assert len(both_panels) == len(energy_panels)
+    assert len(both_panels) == len(mass_panels) == len(energy_panels) == 25
 
 
 def test_tuple_density_stopped_entry_ignores_later_panels():
@@ -634,13 +653,11 @@ def test_tuple_density_stopped_entry_ignores_later_panels():
     region = ball((0.0, 0.0), 0.8)
 
     def spike(X, r, vals, grads):
-        # zero below 0.5 stops the entry two panels later; the spike at the
-        # center must then stay out of its sum
-        return np.where(r > 0.5, 1.0, np.where(r < 1e-3, 1e20, 0.0))
+        # huge values in one entry stay out of the sums of the others
+        return np.where(r < 0.5, 1e20, 0.0)
 
     alone = integrate_region(f, region, COARSE, spike)
-    assert alone == integrate_region(f, ball((0.0, 0.0), 0.8), COARSE,
-                                     lambda X, r, v, g: np.where(r > 0.5, 1.0, 0.0))
+    assert alone > 1e19
     got = integrate_region(f, region, COARSE, _stacked(spike, variational._dirichlet_density))
     assert got == (alone, dirichlet_energy(f, region, COARSE))
 
@@ -652,12 +669,13 @@ def test_tuple_density_matches_separate_calls_on_capped_wound_ball():
     expected = (integrate_region(f, region, COARSE, variational._mass_density,
                                  need_gradients=False),
                 integrate_region(f, region, COARSE, energy, need_values=False))
-    assert len(energy_panels) == COARSE.max_subdivisions
+    # the whole ball is one graded panel of 24 x 32 nodes
+    assert energy_panels == [24 * COARSE.angular_nodes]
     g, calls = _counted_field(f)
     got = integrate_region(g, region, COARSE, _stacked(variational._mass_density,
                                                        variational._dirichlet_density))
     assert got == expected
-    assert calls == {"values": 4, "gradients": 4}
+    assert calls == {"values": 1, "gradients": 1}
 
 
 def test_tuple_density_matches_separate_calls_on_sphere():
@@ -730,15 +748,18 @@ def _swept(f, jobs, quad):
 def test_regions_match_separate_calls_on_capped_wound_balls():
     f = _winding3_wound_field()
     R = 0.5
+    # each ball is its own graded panel; the annuli reaching toward the
+    # branch point halve exactly, so they share all their geometric panels
     jobs = [variational.dirichlet_job(ball((0.0, 0.0), R * 0.5 ** j)) for j in range(3)] + \
-        [variational.mass_job(ball((0.0, 0.0), R * 0.5 ** j)) for j in range(3)]
+        [variational.mass_job(annulus((0.0, 0.0), R * 0.5 ** 30, R * 0.5 ** j)) for j in range(3)]
     expected, expected_panels = _separately(f, jobs, COARSE)
-    got, panels = _swept(f, jobs, COARSE)
+    g, points = _counted_field(f, lambda X: X.shape[0])
+    got, panels = _swept(g, jobs, COARSE)
     assert got == expected
     assert panels == expected_panels
-    # the energies run to the cap, the masses stop early
-    assert [len(p) for p in panels[:3]] == [COARSE.max_subdivisions] * 3
-    assert all(len(p) < COARSE.max_subdivisions for p in panels[3:])
+    assert [len(p) for p in panels] == [1, 1, 1, 30, 29, 28]
+    per_panel = COARSE.radial_order * COARSE.angular_nodes
+    assert points == {"values": 30 * per_panel, "gradients": 3 * 3 * per_panel}
 
 
 def test_regions_match_separate_calls_on_variant_pair():
@@ -760,20 +781,21 @@ def test_regions_match_separate_calls_on_variant_pair():
 
 
 def test_regions_keep_each_early_stop():
+    # named for the per-job early stop, now gone: nested annuli each see
+    # only their own panels, in their own order, and share the rest
     f = parse_field_spec("harmonic:n2m1:x1")
-    # the mass on B_0.8 stops at about half the depth of the energies; the
-    # energy on B_0.4 runs on after it, and stops on its own
-    jobs = [variational.mass_job(ball((0.0, 0.0), 0.8)),
-            variational.dirichlet_job(ball((0.0, 0.0), 0.8)),
-            variational.dirichlet_job(ball((0.0, 0.0), 0.4))]
+    inner = 0.8 * 0.5 ** 25
+    jobs = [variational.mass_job(annulus((0.0, 0.0), inner, 0.8)),
+            variational.dirichlet_job(annulus((0.0, 0.0), inner, 0.8)),
+            variational.dirichlet_job(annulus((0.0, 0.0), inner, 0.4))]
     expected, expected_panels = _separately(f, jobs, COARSE)
     g, calls = _counted_field(f)
     got, panels = _swept(g, jobs, COARSE)
     assert got == expected
     assert panels == expected_panels
-    assert len(panels[0]) < len(panels[2]) < COARSE.max_subdivisions
-    # values stop with the mass: one block of 20 panels covers them
-    assert calls["values"] == 1
+    assert [len(p) for p in panels] == [25, 25, 24]
+    # the 25 shared panels in two blocks of at most 20
+    assert calls == {"values": 2, "gradients": 2}
 
 
 def test_regions_pass_only_the_requested_field_data():
@@ -791,13 +813,14 @@ def test_regions_pass_only_the_requested_field_data():
             return total
         return density
 
-    jobs = [RegionJob(ball((0.0, 0.0), 0.6), probe("values"), need_gradients=False),
+    jobs = [RegionJob(ball((0.0, 0.0), 0.6), probe("values"), breakpoints=(0.3,),
+                      need_gradients=False),
             RegionJob(annulus((0.0, 0.0), 0.15, 0.6), probe("grads"), need_values=False),
             RegionJob(annulus((0.0, 0.0), 0.3, 0.9), probe("both"), breakpoints=(0.6,)),
             RegionJob(ball((0.0, 0.0), 0.3), probe("neither"), need_values=False,
                       need_gradients=False)]
-    # at the reference rule each panel is its own block, so the evaluated
-    # points are exactly those of the panels the jobs visit
+    # at the reference rule each plain panel is its own block, so the
+    # evaluated points are exactly those of the panels the jobs visit
     expected, visits = _separately(f, jobs, QUAD)
     separate_seen, seen[:] = sorted(set(seen)), []
     g, points = _counted_field(f, lambda X: X.shape[0])
@@ -805,15 +828,24 @@ def test_regions_pass_only_the_requested_field_data():
     assert got == expected
     assert sorted(set(seen)) == separate_seen == [("both", False, False), ("grads", True, False),
                                                   ("neither", True, True), ("values", False, True)]
-    visited = {name: set(variational._radial_panels(*job.region.radii, QUAD,
-                                                    job.breakpoints)[:len(visit)])
-               for name, job, visit in zip(("values", "grads", "both", "neither"), jobs, visits)}
-    # values on the panels of the values and both jobs, gradients on those of
-    # the grads and both jobs, each evaluated once
-    per_panel = QUAD.radial_order * QUAD.angular_nodes
-    assert points["values"] == per_panel * len(visited["values"] | visited["both"])
-    assert points["gradients"] == per_panel * len(visited["grads"] | visited["both"])
-    assert len(visited["values"] & visited["both"]) == 1
+    names = ("values", "grads", "both", "neither")
+    visited = {name: set(variational._region_panels(job.region, QUAD, job.breakpoints))
+               for name, job in zip(names, jobs)}
+
+    def nodes(panels):
+        # the graded panel (0, b) on the branch point of grading 2 has
+        # twice the radial nodes of a plain one, in two 5120-node slices
+        per_panel = QUAD.radial_order * QUAD.angular_nodes
+        return sum(per_panel * (2 if a == 0.0 else 1) for a, _ in panels)
+
+    assert [sum(visit) for visit in visits] == [nodes(visited[name]) for name in names]
+    # values on the panels of the values and both jobs, gradients on those
+    # of the grads and both jobs, each evaluated once; the values job shares
+    # (0.3, 0.6) with the both job and its graded panel with the neither job
+    assert points["values"] == nodes(visited["values"] | visited["both"])
+    assert points["gradients"] == nodes(visited["grads"] | visited["both"])
+    assert visited["values"] & visited["both"] == {(0.3, 0.6)}
+    assert visited["values"] & visited["neither"] == {(0.0, 0.3)}
 
 
 def test_regions_need_one_center():
@@ -830,21 +862,99 @@ def test_profile_and_variant_share_panels_on_capped_wound_field():
 
     f = _winding3_wound_field()
     per_panel = COARSE.radial_order * COARSE.angular_nodes
+    graded = 3 * per_panel
     g, points = _counted_field(f, lambda X: X.shape[0])
     frequency.frequency_profile(g, (0.0, 0.0), (0.4, 0.2, 0.1), COARSE)
-    # 64 capped panels of the outer ball and two more below each smaller
-    # ball, against 3 x 64 one ball at a time; the heights are 3 circles
-    assert points == {"values": 3 * COARSE.angular_nodes, "gradients": 68 * per_panel}
-    assert 68 * per_panel == 17408
-    g, points = _counted_field(f, lambda X: X.shape[0])
-    for r in (0.4, 0.2, 0.1):
-        dirichlet_energy(g, ball((0.0, 0.0), r), COARSE)
-    assert points["gradients"] == 192 * per_panel
+    # one graded panel per ball; the heights are 3 circles
+    assert points == {"values": 3 * COARSE.angular_nodes, "gradients": 3 * graded}
     g, points = _counted_field(f, lambda X: X.shape[0])
     frequency.variant_agreement(g, (0.0, 0.0), 0.25, COARSE)
-    # B_2r split at r is the shell panel (r, 2r) plus the 64 panels of B_r
+    # B_2r split at r is the shell panel (r, 2r) plus the graded panel of
+    # B_r, which B_r shares
     assert points == {"values": per_panel + COARSE.angular_nodes,
-                      "gradients": 65 * per_panel}
+                      "gradients": per_panel + graded}
+
+
+def test_wound_ball_cycle_field_points():
+    """Deterministic cost of one cycle shaped like the wound-ball benchmark
+    on the winding-3 field: four identity checks of 4 nodes, three variant
+    pairs, frequency and Weiss profiles at three dyadic radii and the
+    vanishing order, at radial 8 x angular 32."""
+    from qvlab import frequency, weiss2d
+
+    g, calls = _counted_field(_winding3_wound_field())
+    f, points = _counted_field(g, lambda X: X.shape[0])
+    for r_lo, r_hi in ((0.1, 0.3), (0.12, 0.4), (0.15, 0.45), (0.2, 0.6)):
+        assert frequency.frequency_identity_check(f, (0.0, 0.0), r_lo, r_hi, COARSE,
+                                                  nodes=4).verdict == "pass"
+    for r in (0.25, 0.125, 0.0625):
+        frequency.variant_agreement(f, (0.0, 0.0), r, COARSE)
+    radii = (0.4, 0.2, 0.1)
+    frequency.frequency_profile(f, (0.0, 0.0), radii, COARSE)
+    weiss2d.weiss_profile(f, (0.0, 0.0), 1.0 / 3.0, radii, COARSE)
+    frequency.vanishing_order(f, (0.0, 0.0), quad=COARSE)
+    assert calls == {"values": 44, "gradients": 28}
+    assert points == {"values": 3872, "gradients": 19968}
+
+
+# ---------------------------------------------------------------------------
+# graded ball panels
+
+
+def _graded_energy_cases():
+    """(label, field, closed-form energy on B_R as a function of R): branch
+    fields with gcd(k, Q) 1 and above, the winding-3 wound field, a
+    superposition and harmonic sheets, from weiss2d's closed form."""
+    from qvlab import weiss2d
+    from qvlab.fields import FourierPiece, superpose
+
+    def energy(pieces):
+        return lambda R: sum(weiss2d.harmonic_extension_energy(p, R) for p in pieces)
+
+    def branch_piece(k, Q, amp=1.0):
+        return FourierPiece(Q, (0.0, 0.0), ((k, (0.0, amp), (amp, 0.0)),))
+
+    # x1 + i x2 as a winding-1 piece, and 2 x1 x2 + i (x1^2 - x2^2)
+    linear = FourierPiece(1, (0.0, 0.0), ((1, (0.0, 1.0), (1.0, 0.0)),))
+    quadratic = FourierPiece(1, (0.0, 0.0), ((2, (1.0, 0.0), (0.0, 1.0)),))
+    cases = [("branch:%d/%d" % kq, make_branch_field(*kq, amp=0.8), energy([branch_piece(*kq, 0.8)]))
+             for kq in ((1, 2), (3, 2), (5, 3), (2, 4), (4, 6))]
+    pieces = [FourierPiece(*p) for p in random_wound_pieces(3, 3, 4, 1.8)]
+    cases.append(("wound:3,3,4,1.8", _winding3_wound_field(), energy(pieces)))
+    # the two sheets of branch:3/2 sum to zero, so the shift adds Q times its energy
+    shifted = superpose(make_branch_field(3, 2), [parse_polynomial("x1", 2),
+                                                  parse_polynomial("x2", 2)])
+    cases.append(("superpose", shifted, energy([branch_piece(3, 2), linear, linear])))
+    pair = parse_field_spec("harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2")
+    cases.append(("harmonic", pair, energy([linear, quadratic])))
+    return cases
+
+
+@pytest.mark.parametrize("quad", [QUAD, COARSE], ids=["reference", "coarse"])
+def test_graded_ball_energy_matches_closed_form(quad):
+    for label, f, closed in _graded_energy_cases():
+        for R in (0.45, 1.0):
+            got = dirichlet_energy(f, ball((0.0, 0.0), R), quad)
+            assert abs(got - closed(R)) <= 1e-13 * closed(R), (label, R)
+
+
+def test_graded_ball_energy_matches_refined_rule():
+    for label, f, _ in _graded_energy_cases():
+        for quad in (QUAD, COARSE):
+            region = ball((0.0, 0.0), 0.45)
+            a = dirichlet_energy(f, region, quad)
+            b = dirichlet_energy(f, region, quad.refined())
+            assert abs(a - b) <= 1e-13 * abs(b), (label, quad.radial_order)
+
+
+def test_graded_panel_takes_a_ramp_from_the_center_exactly():
+    # the quintic ramp from r = 0 is degree 5 in r, so 10 in u = r^(1/2) on
+    # branch:3/2: radial_order x 2 nodes keep the battery's coarse rule exact
+    f = make_branch_field(3, 2)
+    bump = RadialBump(0.0, 0.2, 0.5, 0.8)
+    coarse = QuadratureSpec(radial_order=6, angular_nodes=24, polar_nodes=8)
+    for test in outer_battery(bump, 2):
+        assert abs(outer_variation(f, test, coarse)) < 1e-12, test.label
 
 
 # ---------------------------------------------------------------------------
