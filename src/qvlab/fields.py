@@ -262,8 +262,7 @@ def make_trivial(Q: int, m: int = 2, n: int = 2) -> QField:
     def gradients(X):
         return np.zeros((X.shape[0], Q, m, n))
 
-    return QField(n=n, m=m, q=Q, tag="trivial:%d" % Q, values_fn=values, gradients_fn=gradients,
-                  radial_grading=1)
+    return QField(n=n, m=m, q=Q, tag="trivial:%d" % Q, values_fn=values, gradients_fn=gradients)
 
 
 def make_harmonic_sheets(sheets, tag: str | None = None) -> QField:
@@ -310,8 +309,7 @@ def make_harmonic_sheets(sheets, tag: str | None = None) -> QField:
                     out[:, i, k, axis] = partials[i][k][axis].value(X)
         return out
 
-    return QField(n=n, m=m, q=q, tag=tag, values_fn=values, gradients_fn=gradients,
-                  radial_grading=1)
+    return QField(n=n, m=m, q=q, tag=tag, values_fn=values, gradients_fn=gradients)
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,19 @@ def _radial_panels(inner: float, outer: float, quad: QuadratureSpec, breakpoints
     return panels
 
 
-def _region_panels(region: Region, quad: QuadratureSpec, breakpoints=()):
+def _region_panels(region: Region, quad: QuadratureSpec, breakpoints, centred: bool):
     """The panels of a region, outermost first. A region that reaches its
-    center ends in the graded panel (0, b), b its innermost breakpoint or
-    its outer radius, and geometric panels cover the rest."""
+    center ends in the panel (0, b) of _graded_rule, b its innermost
+    breakpoint or its outer radius, and geometric panels cover the rest.
+    Unless centred on a branch point, the region keeps the geometric panel
+    (refinement_ratio b, b), which a branch point just outside it slows
+    most, and ends in (0, refinement_ratio b)."""
     inner, outer = region.radii
     if inner > 0.0:
         return _radial_panels(inner, outer, quad, breakpoints)
     b = min([float(x) for x in breakpoints if 0.0 < x < outer] + [outer])
+    if not centred:
+        b *= quad.refinement_ratio
     return (_radial_panels(b, outer, quad, breakpoints) if b < outer else []) + [(0.0, b)]
 
 
@@ -249,9 +254,6 @@ class _JobSums:
         job = self.job
         dens, self.single = _entries(job.density(X, r, vals if job.need_values else None,
                                                  grads if job.need_gradients else None))
-        if closes and not self.parts:  # a panel in one piece: sum each entry at once
-            self.sums.append([tree_sum(d * w) for d in dens])
-            return
         self.parts.append([d * w for d in dens])
         if closes:
             self.sums.append([tree_sum(np.concatenate(col)) for col in zip(*self.parts)])
@@ -292,16 +294,16 @@ def integrate_regions(f: QField, jobs, quad: QuadratureSpec) -> list:
         _guard_branch(f, state.job.region)
     if not states:
         return []
+    center = states[0].job.region.center_array
+    tol = 1e-12 * (1.0 + max(state.job.region.radii[1] for state in states))
+    centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
     owners: dict = {}
     for state in states:
-        for panel in _region_panels(state.job.region, quad, state.job.breakpoints):
+        for panel in _region_panels(state.job.region, quad, state.job.breakpoints, centred):
             owners.setdefault(panel, []).append(state)
     order = sorted(owners, key=lambda p: (-p[1], -p[0]))
 
     dirs, wdir = _angular_nodes(f.n, quad)
-    center = states[0].job.region.center_array
-    tol = 1e-12 * (1.0 + max(state.job.region.radii[1] for state in states))
-    centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
     xg, wg = _leggauss(quad.radial_order)
     per_panel = xg.size * dirs.shape[0]
     budget = max(_panel_nodes(f.n, REFERENCE_QUAD), per_panel)

@@ -367,8 +367,6 @@ class TestBlowup:
 
 class TestRadialGrading:
     def test_library_gradings(self):
-        assert make_trivial(3).radial_grading == 1
-        assert parse_field_spec("harmonic:n2m1:x1").radial_grading == 1
         assert [make_branch_field(k, Q).radial_grading
                 for k, Q in ((3, 2), (2, 4), (4, 6), (3, 3), (5, 3))] == [2, 2, 3, 1, 3]
         pieces = [(w, (0.0, 0.0), ((1, (0.0, 1.0), (1.0, 0.0)),)) for w in (2, 3, 1)]

@@ -12,9 +12,10 @@ three-dimensional stationarity ones before the deformation battery was
 built from affine data; the nested-radius ones (frequency and Weiss
 profiles at dyadic and increasing radii, a four-level doubling ladder and
 a wider variant pair, also on two wound fields of windings 2 and 3) before
-several regions shared one panel sweep. The 50 digests of reports with a
-ball integral were re-recorded when every ball became one graded panel;
-the leaf-level comparison is in CHANGES.md. Only in
+several regions shared one panel sweep. The 42 digests of reports whose
+ball integrals changed panels were re-recorded when a ball on a branch
+point became one graded panel and any other ball one plain panel below
+its outer geometric one; the leaf-level comparison is in CHANGES.md. Only in
 three dimensions does the inner rotation
 generator differ from the outer quarter turn R, so only the last case
 tells the two apart. Any change to the quadrature engine or the checks
@@ -112,19 +113,19 @@ DIGESTS = {
     "branch-three-halves/three-sphere": "894db89627b84f65bfa792fd25c0e4ef1c5e9022cdd59b4656ba0c4965cbeab0",
     "branch-three-halves/carleman-sweep": "105e5d5a1f7698385849405bb9c649228fe9598d686480cb523012cc04ce9bd0",
     "harmonic-pair/stationarity": "d9577be36448b1267d720e783144901ac8a19b548304a944d3404b1884e4e6e5",
-    "harmonic-pair/stationarity-ball": "dca378104327fb1bddef5b4b9af90854061f56d9845b87317524dd42eb50f61c",
+    "harmonic-pair/stationarity-ball": "b5bc272968c67c015d9a4c658ece7c6c786cd871db2e23c4c7ff8df55cab341a",
     "harmonic-pair/carleman": "58d2cbaa5f4ee8e0fe3a71ac966cf6a8e414a16d6d8797c99ea47d1d821f40e4",
     "harmonic-pair/first-carleman": "292a56e6644fba9e6916753b34f706f870b156cdc91a262e60d372b296cac51e",
     "harmonic-pair/pre-carleman": "bd267530fe61b5dcf58251aa72ed02d5de6995108c520bc398e50d6a9095ca93",
     "harmonic-pair/modified-carleman": "15493e939cac8adf53572f7f3f74b08ae7297d771298bce8ca8f2a548828bbfb",
     "harmonic-pair/caccioppoli": "405af2259a212bcc8b4770f1db617050b527e277b87d68cf0022e9e0221890d4",
     "harmonic-pair/deficit-profile": "561b5d2ce407639d9ed556ff4c67f1ba05aaca2c9f4b64063992524ba1627e49",
-    "harmonic-pair/frequency-identity": "43c5834473feae51982a952d383185e48e4c28618a6b9ed67ce14112e09b22bd",
-    "harmonic-pair/weiss-derivative": "1fb77f3685325d0bf8950df715214b309981ae6d44b242beff551e8770caf4e0",
+    "harmonic-pair/frequency-identity": "8f810c47b2ed12505d99cdc35369b390590341607e9f9321be75b3478a14542d",
+    "harmonic-pair/weiss-derivative": "a674366a1bebfc76b35a5b99b5d8fd405305939cff9be4a6113b49a850da67bc",
     "harmonic-pair/three-sphere": "cebde0e86707a437a273ce9d182aedf2c33063ffd0088a1f7355da6712253119",
     "harmonic-pair/carleman-sweep": "7d54ea27d69e1070f433cab4a68780700396787117e223d405e0677ac698e0e1",
     "wound-s0/stationarity": "04e0d2e155f1595b5f3944acb9677c286ace0a26bd264bf2fa30f2bb85acf6c4",
-    "wound-s0/stationarity-ball": "3b2052bfab8a4d24be62795571c17a4590f8bc806cec3ba27699617100f1da7c",
+    "wound-s0/stationarity-ball": "58c8aa62225712ca1fb1b83d510af0c8623db978cb0307eb92bdf86b228894f2",
     "wound-s0/carleman": "2096d87e857aa20e5b86c80d938ba5851d832cc96ed0331268756e3c3959a389",
     "wound-s0/first-carleman": "fb86163cfd9025c7b11b4e15579da47b5ab2012961450d10140612875ae0fbd5",
     "wound-s0/pre-carleman": "70abbee581b985d3cfa256b6ffb21a39b871dc8abfa1cff643544899ef8062e7",
@@ -132,10 +133,10 @@ DIGESTS = {
     "wound-s0/caccioppoli": "d45acf697b7734be0e1a0e913274f04522d7416a7b82189fe4b8df7b265a3e1b",
     "wound-s0/deficit-profile": "00234b091c54698d0fca620856d941db5364bfd7fbc219e444b4bf33579bfc48",
     "wound-s0/frequency-identity": "137aeae13fde86da9b4df4d685fb86ada40e62cd731101c619a607542ebcde23",
-    "wound-s0/weiss-derivative": "4f3fe67d28a5e0df8c378f89c4574c9e752293f4eb273d6044011cd8737578c3",
+    "wound-s0/weiss-derivative": "fb2d80da5ae6a4ba3dbdd9bfba12e6641068515a6c942969d76f6b3eb115ba22",
     "wound-s0/three-sphere": "2529a98beb019e78ee127dcfffdadacf02f6e142c0a433411205935ca70ace43",
     "wound-s0/carleman-sweep": "95bd01ee49b12108a27c11e2a192f2f20369427d9740870fdd337e15797ae7de",
-    "wound-s0/construction-cert": "ea2f545bc357a4cd0b90caf95ac2af2bdd4cf2fbac5f0ebe86cee31d4802603e",
+    "wound-s0/construction-cert": "6a2a17cb8dc81f9e65d035e6db04f6d53064590f7f872b4186b3370ba7dbce90",
     "branch-three-halves/vanishing-order": "b7fec545968b597ff90575b253227f9a58f67c73c288eec4bbaa3f50c4a38c27",
     "branch-three-halves/vanishing-order-off-centre": "59c9276adad692128c78abe377859afd181ff42bc4e0bdcf0945f16fcc487174",
     "branch-three-halves/semicontinuity": "1556608781c06664b6f16e8b93010fadd8017d4a43649b4e9c530dcb28c215b6",
@@ -145,12 +146,12 @@ DIGESTS = {
     "harmonic-pair/vanishing-order-off-centre": "ae5b4789c4d48ab2862c989bbcdd782b911fadfe9bb9370474ba3263b3701d19",
     "harmonic-pair/semicontinuity": "885abd87a9950ab296493c8c29d582e47116ef03de6d515c4c49619ead3418b9",
     "harmonic-pair/doubling": "b88e2616ece36682f160565f9518a838637b8cab6b43349d324ba433c9738fa5",
-    "harmonic-pair/frequency-variants": "f7b297f9b1e6fee42c789162c14ca70936cf0a92ee7ebbd6a6b69fb3cd89f583",
+    "harmonic-pair/frequency-variants": "f941005168790e1067800beb626564877efa1db46e1c2be448906c4875163722",
     "wound-s0/vanishing-order": "945c4a91bee82fc4c0dc2a66853af013a207ddc8ba1e65175b69fa35c1e8be50",
     "wound-s0/vanishing-order-off-centre": "c4e61b2ee1d76431c0dd08a74e1733facf2946c37149bd86df95e5254182c0e1",
     "wound-s0/semicontinuity": "af46218c0a988ee2a2307eae071b01647893839ef5dc497f02ace14da00c41f9",
-    "wound-s0/doubling": "d943f2b306764dc998e8c65d3aa8d08c1d92dd72c73c2b7a07efa042b08cdd11",
-    "wound-s0/frequency-variants": "38fde029c1f3514766d0c7c4b7e55944aea098259dd3dc880baf26e8645b1694",
+    "wound-s0/doubling": "d4ade6ffaf347be95c807948286d331838dbc00cc7308ee10ccb10b8d03b5251",
+    "wound-s0/frequency-variants": "7fbeb5dba76351a21c77b445927cfc358588054d6e40438586c53d6aa3dc9fa3",
     "harmonic-3d/stationarity": "b730c425a0ff85cfdd818f1e096b4733e1cf3c87b957cfbfb125c4d9cdba7a49",
     "branch-three-halves/frequency-profile-sharp-dyadic": "c20ca184245b291aa402d8c56ab3e3d04123464be3f130c2aa9b4bdd2d9a0f9e",
     "branch-three-halves/frequency-profile-linear-dyadic": "def535bd5074537e41b744ba85971f07c4d5818a80ef119e396cbaaf23a0a998",
@@ -160,22 +161,22 @@ DIGESTS = {
     "branch-three-halves/weiss-profile-increasing": "71647b2a4624701285c5e28603093d8f11687423e0a07a360ea99e1177ddf7cc",
     "branch-three-halves/doubling-4": "33eec63b328b996d921e21003b73ee3d7664dfb2d59ebd2f2c314f5e134ff69c",
     "branch-three-halves/frequency-variants-wide": "00740950894f4d8266a2c944a403a5a865a8e2abb7489db7be284fb864ffae37",
-    "harmonic-pair/frequency-profile-sharp-dyadic": "2ccd542ffff7017d533a49ad43dd9051c3ddb8770d0c143d4257430bd96e8443",
-    "harmonic-pair/frequency-profile-linear-dyadic": "d0b19d23e31be173d5b80e0c908c288a76c85ee2873b1bd50b6a17205bd7e889",
-    "harmonic-pair/weiss-profile-dyadic": "69823d84f0fbc3f72c890cd08e65f0ec1893441078281e7711c491f16aeeed1b",
-    "harmonic-pair/frequency-profile-sharp-increasing": "a71c16101f07face2a351f6db187dc8cb56398f3ade84bce5de37c25faa0d1dc",
-    "harmonic-pair/frequency-profile-linear-increasing": "bd2eef4052ca5094da2f35566c334c1a8e30ddc7871e46183762e91b674945c2",
-    "harmonic-pair/weiss-profile-increasing": "d68e87e8429aa357faad7cd10e80511fbf503cfad09e8963c3c785b833a79e0c",
-    "harmonic-pair/doubling-4": "76349db7ac995c1c422114cd869d52bdd51139f3301146ac0d9e93280d23867e",
-    "harmonic-pair/frequency-variants-wide": "947ecbece2e9167b3c1ae937ff8e7f6ed3eeeda4c129df1bf2721407f01ab639",
-    "wound-s0/frequency-profile-sharp-dyadic": "5ebb050638a7209db7a4de94c9bdecf3c2e9e7943450a777c38520f80f9f9205",
+    "harmonic-pair/frequency-profile-sharp-dyadic": "99f60a92e1787323b1fd68d97be455906babc7d31abe3d3bcd34c6ed0c5448f7",
+    "harmonic-pair/frequency-profile-linear-dyadic": "f78858958a903b815bc92fc2977c282c497355242001a096d8d9c6f6fa5a14f2",
+    "harmonic-pair/weiss-profile-dyadic": "25281ee8b2ed395e98deab85275c9cdeaf57e96edbc34e73dc8e41cc892ad9fe",
+    "harmonic-pair/frequency-profile-sharp-increasing": "2eb216e0924e8623ff19aaa021d6a7a5c1f8e9f34ee86819044599132890edd9",
+    "harmonic-pair/frequency-profile-linear-increasing": "b0d90536d743305a1418249b5de41483cb248f12cc305d5f79d625933945ae97",
+    "harmonic-pair/weiss-profile-increasing": "d6abd34dd37872592d1582ead9dc5640c4e1a534558efe7f5375e618f8f4cc19",
+    "harmonic-pair/doubling-4": "ddd48fff24f59e03892e878019f29ade54554a6a5320b2d503dcc00d87cf90d4",
+    "harmonic-pair/frequency-variants-wide": "865f8a29209f077701c5039fbf1068567c3549f82099522104206f9b77107677",
+    "wound-s0/frequency-profile-sharp-dyadic": "5f68d035c2e15e75bf270fb9c164fab2c8721dabbc57dda832f04380368fbfbf",
     "wound-s0/frequency-profile-linear-dyadic": "d0b965851180191fcb9beacbd9486e8dfdae088eff1e18a2d4d06cc3f221be52",
-    "wound-s0/weiss-profile-dyadic": "23a1b194991b60c0e1b895b569e5ae9ca69e42e1b9468b2e80e23027614bde94",
-    "wound-s0/frequency-profile-sharp-increasing": "7fd76f822ea4272208f60a3c5e7b02775f6c7bdb9d8317a9430963c3c18450bc",
-    "wound-s0/frequency-profile-linear-increasing": "0d6a073d1a21d168cec5414632a63a2ec3f9f69113cecfe94e97af277b834c49",
-    "wound-s0/weiss-profile-increasing": "505d599aa1b9558151bda8e78aa7d4620684947d148859e6bb178131172f13e2",
-    "wound-s0/doubling-4": "d6bb86418c714e9958fa06160944c5a1c661f31fc7f5970d48c2cfac969011bf",
-    "wound-s0/frequency-variants-wide": "fa3071c4d367779f3f9d396530d93303caef70319ab5463c0b5b199083b31d93",
+    "wound-s0/weiss-profile-dyadic": "cd1d86baa648bba1c344f967b0eb219726fa3de6fcc1cca5c0600032ebab3f51",
+    "wound-s0/frequency-profile-sharp-increasing": "b34712543cf2bdde1f98419e36364d3392f6ba9038887335a8252489ca17d3f1",
+    "wound-s0/frequency-profile-linear-increasing": "c885c325bc0c0e468e94b9a39ebad53b6b126b2d58ecf213c67196e37c5319a5",
+    "wound-s0/weiss-profile-increasing": "56ee2162414d64fc4941bdc437dbac7ce873158eaa5a082c8057b58cd5a4734d",
+    "wound-s0/doubling-4": "51d97365101b4d887dd3f815123bdfbf810478c6eb7b17be5e46d9ae6b92e302",
+    "wound-s0/frequency-variants-wide": "706a90f53b261177c132118d8fd1a2167256c58a56b1528e6e933aa5d98f12f0",
     "wound-deep/frequency-profile-sharp-dyadic": "0d0aad9c6edb481e08c009c87d16a87394821c5115e7bc30a420d49152d99ccc",
     "wound-deep/frequency-profile-linear-dyadic": "73f9cd1c1a703dc14b2033477a32cf89e7b559b6cfa6648124c010912fcc028c",
     "wound-deep/weiss-profile-dyadic": "afd19156853d77c21fb3f3ac1262166e157f834a05aa1a97b779df40fbc5e10f",

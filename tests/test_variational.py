@@ -829,7 +829,7 @@ def test_regions_pass_only_the_requested_field_data():
     assert sorted(set(seen)) == separate_seen == [("both", False, False), ("grads", True, False),
                                                   ("neither", True, True), ("values", False, True)]
     names = ("values", "grads", "both", "neither")
-    visited = {name: set(variational._region_panels(job.region, QUAD, job.breakpoints))
+    visited = {name: set(variational._region_panels(job.region, QUAD, job.breakpoints, True))
                for name, job in zip(names, jobs)}
 
     def nodes(panels):
@@ -955,6 +955,24 @@ def test_graded_panel_takes_a_ramp_from_the_center_exactly():
     coarse = QuadratureSpec(radial_order=6, angular_nodes=24, polar_nodes=8)
     for test in outer_battery(bump, 2):
         assert abs(outer_variation(f, test, coarse)) < 1e-12, test.label
+
+
+@pytest.mark.parametrize("quad, tol", [(QUAD, 1e-14), (COARSE, 1e-6)],
+                         ids=["reference", "coarse"])
+def test_off_centre_ball_near_a_branch_point(quad, tol):
+    # a ball not centred on the branch point keeps the geometric panel
+    # (b/2, b) and ends in a plain panel on (0, b/2); against thrice the
+    # radial order (same angular rule) its radial error stays at that of
+    # the geometric panels, where one plain panel on (0, b) lost two digits
+    assert variational._region_panels(ball((0.5, 0.0), 0.45), quad, (), False) == [
+        (0.225, 0.45), (0.0, 0.225)]
+    fine = dataclasses.replace(quad, radial_order=3 * quad.radial_order)
+    for f in (make_branch_field(3, 2), make_branch_field(1, 2), _winding3_wound_field()):
+        for center, R in (((0.5, 0.0), 0.45), ((0.0, 0.3), 0.27), ((-0.2, 0.2), 0.25)):
+            for integral in (dirichlet_energy, l2_mass):
+                got = integral(f, ball(center, R), quad)
+                ref = integral(f, ball(center, R), fine)
+                assert abs(got - ref) <= tol * ref, (f.tag, center, integral.__name__)
 
 
 # ---------------------------------------------------------------------------
