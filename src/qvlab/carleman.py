@@ -86,9 +86,9 @@ class WeightSpec:
     exponent_variant: str = "proof"
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.eps < 0.0:
+        if not self.eps >= 0.0:
             raise ValueError("eps must be nonnegative")
         if self.exponent_variant not in ("proof", "statement"):
             raise ValueError("exponent_variant must be proof or statement")
@@ -302,6 +302,8 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
     and the matching eps recipe are recorded.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not r1 > 0.0:
+        raise RadiusHypothesisError("need r1 > 0, got %g" % r1)
     if not (r1 < r2 < r3):
         raise RadiusHypothesisError("need r1 < r2 < r3, got %g, %g, %g" % (r1, r2, r3))
     if r3 / r2 <= 2.0:

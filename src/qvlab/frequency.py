@@ -22,15 +22,13 @@ from .report import CheckReport
 from .variational import (
     QuadratureSpec,
     REFERENCE_QUAD,
-    RegionJob,
     _dirichlet_density,
     _guard_branch,
     _mass_density,
     annulus,
     ball,
-    dirichlet_job,
+    dirichlet_energy,
     integrate_region,
-    integrate_regions,
     l2_mass,
     sphere_integral,
     tree_sum,
@@ -55,67 +53,52 @@ def height(f: QField, x, r: float, quad: QuadratureSpec = REFERENCE_QUAD) -> flo
     return sphere_integral(f, x, r, quad, _mass_density)
 
 
-def _ramp_energy(x, r: float) -> RegionJob:
-    """The Dirichlet energy against the linear ramp cutoff phi(|y - x| / r)
-    on B_2r(x), split at r."""
-
-    def density(X, rho, vals, grads):
-        phi = np.minimum(1.0, np.maximum(0.0, 2.0 - rho / r))
-        return phi * _dirichlet_density(X, rho, vals, grads)
-
-    return RegionJob(ball(x, 2.0 * r), density, breakpoints=(r,), need_values=False)
-
-
 def _shell_density(X, rho, vals, grads):
     return _mass_density(X, rho, vals, grads) / rho
+
+
+def _ramp(rho, r: float):
+    """The linear ramp cutoff phi(|y - x| / r) = min(1, max(0, 2 - |y - x| / r))."""
+    return np.minimum(1.0, np.maximum(0.0, 2.0 - rho / r))
 
 
 _HEIGHT_NAMES = {"sharp": "boundary trace", "linear": "shell mass"}
 
 
-def _swept_frequencies(f: QField, x, radii, quad: QuadratureSpec, variants) -> dict:
-    """Each variant's frequency at every radius.
-
-    Variant by variant and radius by radius, the height comes first: a
-    sphere integral for sharp, the distance-weighted shell mass
-    (1/r) int_{B_2r \\ B_r} |f|^2 / |y - x| for linear. A vanishing height
-    raises ZeroHeightError, and the ball that carries the energy is checked
-    against the field's branch points and domain before the next radius, so
-    errors come in the order of one radius at a time. The balls and ramp
-    balls of all radii and variants then share one integrate_regions call,
-    so each frequency is bit for bit the one it gets alone.
-    """
-    heights, jobs = {}, []
-    for variant in variants:
-        hs = heights[variant] = []
-        for r in radii:
-            if variant == "sharp":
-                h, job = height(f, x, r, quad), dirichlet_job(ball(x, r))
-            elif variant == "linear":
-                h = integrate_region(f, annulus(x, r, 2.0 * r), quad, _shell_density,
-                                     need_gradients=False) / r
-                job = _ramp_energy(x, r)
-            else:
-                raise ValueError("variant must be sharp or linear, got %r" % (variant,))
-            if h <= 0.0:
-                raise ZeroHeightError("%s vanishes at r=%g" % (_HEIGHT_NAMES[variant], r))
-            _guard_branch(f, job.region)
-            hs.append(h)
-            jobs.append(job)
-    swept = iter(integrate_regions(f, jobs, quad))
-    out = {}
-    for variant, hs in heights.items():
-        energies = [next(swept) for _ in radii]
-        if variant == "sharp":
-            energies = [r * d for r, d in zip(radii, energies)]
-        out[variant] = tuple(d / h for d, h in zip(energies, hs))
-    return out
+def _height(f: QField, x, r: float, quad: QuadratureSpec, variant: str) -> float:
+    """The height of variant at r: a sphere integral for sharp, the
+    distance-weighted shell mass (1/r) int_{B_2r \\ B_r} |f|^2 / |y - x| for
+    linear. A vanishing height raises ZeroHeightError."""
+    if variant == "sharp":
+        h = height(f, x, r, quad)
+    elif variant == "linear":
+        h = integrate_region(f, annulus(x, r, 2.0 * r), quad, _shell_density,
+                             need_gradients=False) / r
+    else:
+        raise ValueError("variant must be sharp or linear, got %r" % (variant,))
+    if h <= 0.0:
+        raise ZeroHeightError("%s vanishes at r=%g" % (_HEIGHT_NAMES[variant], r))
+    return h
 
 
 def frequency(f: QField, x, r: float, quad: QuadratureSpec = REFERENCE_QUAD,
               variant: str = "sharp") -> float:
-    """Frequency at center x and scale r under the chosen normalization."""
-    return _swept_frequencies(f, x, (r,), quad, (variant,))[variant][0]
+    """Frequency at center x and scale r under the chosen normalization.
+
+    The height comes first, so a vanishing height raises ZeroHeightError
+    before the ball that carries the energy, B_r for sharp or the ramp ball
+    B_2r split at r for linear, is checked against the field's branch
+    points and domain.
+    """
+    h = _height(f, x, r, quad, variant)
+    if variant == "sharp":
+        return r * dirichlet_energy(f, ball(x, r), quad) / h
+
+    def density(X, rho, vals, grads):
+        return _ramp(rho, r) * _dirichlet_density(X, rho, vals, grads)
+
+    return integrate_region(f, ball(x, 2.0 * r), quad, density, need_values=False,
+                            breakpoints=(r,)) / h
 
 
 def variant_agreement(f: QField, x, r: float,
@@ -124,12 +107,23 @@ def variant_agreement(f: QField, x, r: float,
 
     They agree exactly on homogeneous fields; the report is a quadrature
     consistency check there and a diagnostic elsewhere, with tolerance
-    VARIANT_TOL. B_2r split at r holds every panel of B_r, so one sweep
-    evaluates the gradients of both on the panels of B_2r; the shell
+    VARIANT_TOL. Both energies come from one integral over B_2r split at r,
+    which holds the panels of B_r (at most two): the sharp entry is the
+    energy times the indicator of B_r, which adds exact zeros on the shell
+    panel, so each energy is bit for bit that of its own ball. The shell
     B_2r \\ B_r adds values on its one panel.
     """
-    both = _swept_frequencies(f, x, (r,), quad, ("sharp", "linear"))
-    sharp, linear = both["sharp"][0], both["linear"][0]
+    h_sharp = _height(f, x, r, quad, "sharp")
+    _guard_branch(f, ball(x, r))
+    h_linear = _height(f, x, r, quad, "linear")
+
+    def density(X, rho, vals, grads):
+        energy = _dirichlet_density(X, rho, vals, grads)
+        return (rho < r) * energy, _ramp(rho, r) * energy
+
+    d_sharp, d_linear = integrate_region(f, ball(x, 2.0 * r), quad, density,
+                                         need_values=False, breakpoints=(r,))
+    sharp, linear = r * d_sharp / h_sharp, d_linear / h_linear
     gap = abs(sharp - linear)
     return CheckReport(
         name="frequency-variants",
@@ -161,9 +155,9 @@ class RadialProfile:
 
 def frequency_profile(f: QField, x, radii, quad: QuadratureSpec = REFERENCE_QUAD,
                       variant: str = "sharp") -> RadialProfile:
-    """The frequency at every radius, from one panel sweep over all balls."""
+    """The frequency at every radius, one radius at a time."""
     radii = tuple(float(r) for r in radii)
-    values = _swept_frequencies(f, x, radii, quad, (variant,))[variant]
+    values = tuple(frequency(f, x, r, quad, variant) for r in radii)
     return RadialProfile(quantity="frequency-" + variant,
                          center=tuple(np.atleast_1d(x).tolist()),
                          radii=radii, values=values,
@@ -278,8 +272,7 @@ def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
     Checks log(H(r)/r^{n-1}) - log(H(s)/s^{n-1}) = int_s^r 2 I(t) dt / t by
     Gauss-Legendre quadrature in log t against direct evaluation of both
     heights, to IDENTITY_TOL relative. Holds for energy-stationary fields;
-    fails when H vanishes. The frequencies at all log-Gauss nodes come from
-    one sweep, each bit for bit its one-radius value.
+    fails when H vanishes.
     """
     if not (0.0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
@@ -292,7 +285,7 @@ def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
     mid = 0.5 * (math.log(r_hi) + math.log(r_lo))
     half = 0.5 * (math.log(r_hi) - math.log(r_lo))
     radii = tuple(math.exp(mid + half * u) for u in xg)
-    freqs = _swept_frequencies(f, x, radii, quad, ("sharp",))["sharp"]
+    freqs = [frequency(f, x, r, quad) for r in radii]
     rhs = tree_sum([2.0 * fr * half * w for fr, w in zip(freqs, wg)])
     gap = abs(lhs - rhs)
     scale = max(1.0, abs(lhs))

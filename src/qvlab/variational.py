@@ -77,16 +77,20 @@ def annulus(center, inner: float, outer: float) -> Region:
     return Region(kind="annulus", center=tuple(np.atleast_1d(center)), radii=(float(inner), float(outer)))
 
 
+MAX_SUBDIVISIONS = 64
+REFINEMENT_RATIO = 0.5
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Polar product rule parameters.
 
     radial_order Gauss-Legendre nodes per panel; annuli are refined
-    geometrically by refinement_ratio toward their inner radius, at most
-    max_subdivisions levels between breakpoints, and a region that reaches
+    geometrically by REFINEMENT_RATIO toward their inner radius, at most
+    MAX_SUBDIVISIONS levels between breakpoints, and a region that reaches
     its center ends in one graded panel (see _graded_rule). angular_nodes
     periodic-trapezoid nodes; polar_nodes is the Gauss-Legendre order of the
-    polar factor for three-dimensional domains. integrate_regions evaluates
+    polar factor for three-dimensional domains. integrate_region evaluates
     the field in blocks of at most one REFERENCE_QUAD panel's nodes (5120 in
     the plane); results do not depend on the block size.
     """
@@ -94,14 +98,10 @@ class QuadratureSpec:
     radial_order: int = 20
     angular_nodes: int = 256
     polar_nodes: int = 32
-    max_subdivisions: int = 64
-    refinement_ratio: float = 0.5
 
     def __post_init__(self):
-        if min(self.radial_order, self.angular_nodes, self.polar_nodes, self.max_subdivisions) <= 0:
+        if min(self.radial_order, self.angular_nodes, self.polar_nodes) <= 0:
             raise ValueError("all quadrature counts must be positive")
-        if not (0.0 < self.refinement_ratio < 1.0):
-            raise ValueError("refinement ratio must lie in (0, 1)")
 
     def refined(self) -> "QuadratureSpec":
         """The rule with every node count doubled."""
@@ -114,8 +114,8 @@ class QuadratureSpec:
             "radial_order": self.radial_order,
             "angular_nodes": self.angular_nodes,
             "polar_nodes": self.polar_nodes,
-            "max_subdivisions": self.max_subdivisions,
-            "refinement_ratio": self.refinement_ratio,
+            "max_subdivisions": MAX_SUBDIVISIONS,
+            "refinement_ratio": REFINEMENT_RATIO,
         }
 
 
@@ -130,7 +130,7 @@ def _leggauss(order: int):
     return _GL_CACHE[order]
 
 
-def _radial_panels(inner: float, outer: float, quad: QuadratureSpec, breakpoints=()):
+def _radial_panels(inner: float, outer: float, breakpoints=()):
     """Panels covering [inner, outer] (inner > 0), outermost first, split at
     breakpoints and refined geometrically toward the inner end of each piece."""
     bps = sorted({float(b) for b in breakpoints if inner < b < outer}, reverse=True)
@@ -138,9 +138,9 @@ def _radial_panels(inner: float, outer: float, quad: QuadratureSpec, breakpoints
     panels = []
     for hi, lo in zip(edges[:-1], edges[1:]):
         b = hi
-        for level in range(quad.max_subdivisions):
-            a = max(lo, b * quad.refinement_ratio)
-            if a <= lo * (1.0 + 1e-12) or level == quad.max_subdivisions - 1:
+        for level in range(MAX_SUBDIVISIONS):
+            a = max(lo, b * REFINEMENT_RATIO)
+            if a <= lo * (1.0 + 1e-12) or level == MAX_SUBDIVISIONS - 1:
                 panels.append((lo, b))
                 break
             panels.append((a, b))
@@ -148,20 +148,20 @@ def _radial_panels(inner: float, outer: float, quad: QuadratureSpec, breakpoints
     return panels
 
 
-def _region_panels(region: Region, quad: QuadratureSpec, breakpoints, centred: bool):
+def _region_panels(region: Region, breakpoints, centred: bool):
     """The panels of a region, outermost first. A region that reaches its
     center ends in the panel (0, b) of _graded_rule, b its innermost
     breakpoint or its outer radius, and geometric panels cover the rest.
     Unless centred on a branch point, the region keeps the geometric panel
-    (refinement_ratio b, b), which a branch point just outside it slows
-    most, and ends in (0, refinement_ratio b)."""
+    (REFINEMENT_RATIO b, b), which a branch point just outside it slows
+    most, and ends in (0, REFINEMENT_RATIO b)."""
     inner, outer = region.radii
     if inner > 0.0:
-        return _radial_panels(inner, outer, quad, breakpoints)
+        return _radial_panels(inner, outer, breakpoints)
     b = min([float(x) for x in breakpoints if 0.0 < x < outer] + [outer])
     if not centred:
-        b *= quad.refinement_ratio
-    return (_radial_panels(b, outer, quad, breakpoints) if b < outer else []) + [(0.0, b)]
+        b *= REFINEMENT_RATIO
+    return (_radial_panels(b, outer, breakpoints) if b < outer else []) + [(0.0, b)]
 
 
 def _graded_rule(b: float, p: int, quad: QuadratureSpec):
@@ -230,121 +230,6 @@ def _entries(dens):
     return (dens,), True
 
 
-@dataclass(frozen=True)
-class RegionJob:
-    """One integral of integrate_regions: density over region, its panels
-    split at breakpoints, with the field data the density reads."""
-
-    region: Region
-    density: Callable
-    breakpoints: tuple = ()
-    need_values: bool = True
-    need_gradients: bool = True
-
-
-class _JobSums:
-    """Per-panel contributions of one job, in the order of its panels, one
-    per density entry; each is one tree_sum over all row slices of its panel."""
-
-    def __init__(self, job: RegionJob):
-        self.job, self.sums, self.parts, self.single = job, [], [], False
-
-    def add(self, X, r, w, vals, grads, closes: bool) -> None:
-        """Rows of one panel; closes says they are its last."""
-        job = self.job
-        dens, self.single = _entries(job.density(X, r, vals if job.need_values else None,
-                                                 grads if job.need_gradients else None))
-        self.parts.append([d * w for d in dens])
-        if closes:
-            self.sums.append([tree_sum(np.concatenate(col)) for col in zip(*self.parts)])
-            self.parts = []
-
-    def result(self):
-        totals = tuple(tree_sum(col) for col in zip(*self.sums))
-        return totals[0] if self.single else totals
-
-
-def integrate_regions(f: QField, jobs, quad: QuadratureSpec) -> list:
-    """Integrate every job's density over its region in one sweep of radial panels.
-
-    Jobs on different centers raise ValueError; every region is checked
-    against the field's branch points and domain, in job order, before the
-    field is evaluated. Each result is bit for bit what integrate_region
-    returns for that job alone: a float, or a tuple of floats for a tuple
-    density. A region that reaches its center ends in the graded panel of
-    _region_panels, graded by the field's radial_grading when the center is
-    a branch point and by 1 otherwise.
-
-    The sweep runs over the union of the jobs' panels, keyed by their exact
-    (a, b) pair, so each job sees its own panels in its own order. A panel
-    that several jobs share (a ball and the ramp ball twice its size, split
-    at its radius, share the graded panel) is evaluated once, values and
-    gradients each only where an owner needs them. The field is evaluated
-    in blocks of at most max(one REFERENCE_QUAD panel, one panel of quad)
-    nodes: consecutive geometric panels, or a graded panel in slices of
-    whole radial nodes. density runs per panel or slice, the summation per
-    panel, so the results do not depend on the block size.
-    """
-    states = [_JobSums(job) for job in jobs]
-    centers = {state.job.region.center for state in states}
-    if len(centers) > 1:
-        raise ValueError("integrate_regions needs regions on one center, got %s"
-                         % ", ".join(repr(c) for c in sorted(centers)))
-    for state in states:
-        _guard_branch(f, state.job.region)
-    if not states:
-        return []
-    center = states[0].job.region.center_array
-    tol = 1e-12 * (1.0 + max(state.job.region.radii[1] for state in states))
-    centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
-    owners: dict = {}
-    for state in states:
-        for panel in _region_panels(state.job.region, quad, state.job.breakpoints, centred):
-            owners.setdefault(panel, []).append(state)
-    order = sorted(owners, key=lambda p: (-p[1], -p[0]))
-
-    dirs, wdir = _angular_nodes(f.n, quad)
-    xg, wg = _leggauss(quad.radial_order)
-    per_panel = xg.size * dirs.shape[0]
-    budget = max(_panel_nodes(f.n, REFERENCE_QUAD), per_panel)
-    # a block is a list of (panel, radii, weights, closes the panel)
-    plain = [(a, b) for a, b in order if a > 0.0]
-    blocks = [[((a, b), 0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg, True)
-               for a, b in plain[k:k + budget // per_panel]]
-              for k in range(0, len(plain), budget // per_panel)]
-    step = budget // dirs.shape[0]
-    for b in [b for a, b in order if a == 0.0]:
-        rr, wr = _graded_rule(b, f.radial_grading if centred else 1, quad)
-        blocks += [[((0.0, b), rr[k:k + step], wr[k:k + step], k + step >= rr.size)]
-                   for k in range(0, rr.size, step)]
-
-    def evaluated(fn, need, X, spans, block):
-        """fn on the pieces of block an owner needs it on (need: the flag), by index."""
-        wanted = [k for k, piece in enumerate(block)
-                  if any(getattr(state.job, need) for state in owners[piece[0]])]
-        if not wanted:
-            return {}
-        out = fn(X if len(wanted) == len(block) else
-                 np.concatenate([X[spans[k]] for k in wanted]))
-        sizes = [spans[k].stop - spans[k].start for k in wanted]
-        return dict(zip(wanted, np.split(out, np.cumsum(sizes)[:-1])))
-
-    for block in blocks:
-        rr, wr = (np.concatenate(col) for col in list(zip(*block))[1:3])
-        ends = np.cumsum([0] + [piece[1].size * dirs.shape[0] for piece in block])
-        spans = [slice(ends[k], ends[k + 1]) for k in range(len(block))]
-        X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
-        r = np.repeat(rr, dirs.shape[0])
-        w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-        vals = evaluated(f.values_fn, "need_values", X, spans, block)
-        grads = evaluated(f.gradients_fn, "need_gradients", X, spans, block)
-        for k, (panel, _, _, closes) in enumerate(block):
-            for state in owners[panel]:
-                state.add(X[spans[k]], r[spans[k]], w[spans[k]], vals.get(k), grads.get(k),
-                          closes)
-    return [state.result() for state in states]
-
-
 def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: Callable,
                      *, need_values: bool = True, need_gradients: bool = True,
                      breakpoints=()) -> float | tuple:
@@ -358,12 +243,57 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     panel sums, so each result is bit for bit the one a separate call with
     that entry alone would return.
 
-    This is integrate_regions with one job (see there for the panels and
-    blocks). Several regions on one center are cheaper in one
-    integrate_regions call, which evaluates the panels they share once.
+    The region is checked against the field's branch points and domain
+    before the field is evaluated. Its panels are those of _region_panels,
+    split at breakpoints; a region that reaches its center ends in the
+    graded panel, graded by the field's radial_grading when the center is a
+    branch point and by 1 otherwise. The field is evaluated in blocks of at
+    most max(one REFERENCE_QUAD panel, one panel of quad) nodes: consecutive
+    geometric panels, or a graded panel in slices of whole radial nodes.
+    density runs per panel or slice, the summation per panel, so the
+    results do not depend on the block size.
     """
-    job = RegionJob(region, density, tuple(breakpoints), need_values, need_gradients)
-    return integrate_regions(f, [job], quad)[0]
+    _guard_branch(f, region)
+    center = region.center_array
+    tol = 1e-12 * (1.0 + region.radii[1])
+    centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
+    panels = _region_panels(region, breakpoints, centred)
+
+    dirs, wdir = _angular_nodes(f.n, quad)
+    xg, wg = _leggauss(quad.radial_order)
+    per_panel = xg.size * dirs.shape[0]
+    budget = max(_panel_nodes(f.n, REFERENCE_QUAD), per_panel)
+    # a block is a list of (radii, weights, closes its panel)
+    plain = [(a, b) for a, b in panels if a > 0.0]
+    blocks = [[(0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg, True)
+               for a, b in plain[k:k + budget // per_panel]]
+              for k in range(0, len(plain), budget // per_panel)]
+    step = budget // dirs.shape[0]
+    for b in [b for a, b in panels if a == 0.0]:
+        rr, wr = _graded_rule(b, f.radial_grading if centred else 1, quad)
+        blocks += [[(rr[k:k + step], wr[k:k + step], k + step >= rr.size)]
+                   for k in range(0, rr.size, step)]
+
+    sums, parts, single = [], [], True
+    for block in blocks:
+        rr, wr = (np.concatenate(col) for col in list(zip(*block))[:2])
+        ends = np.cumsum([0] + [piece[0].size * dirs.shape[0] for piece in block])
+        X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
+        r = np.repeat(rr, dirs.shape[0])
+        w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
+        vals = f.values_fn(X) if need_values else None
+        grads = f.gradients_fn(X) if need_gradients else None
+        for k, (_, _, closes) in enumerate(block):
+            s = slice(ends[k], ends[k + 1])
+            dens, single = _entries(density(X[s], r[s], None if vals is None else vals[s],
+                                            None if grads is None else grads[s]))
+            parts.append([d * w[s] for d in dens])
+            del dens  # else it stays alive through the next block's field evaluation
+            if closes:
+                sums.append([tree_sum(np.concatenate(col)) for col in zip(*parts)])
+                parts = []
+    totals = tuple(tree_sum(col) for col in zip(*sums))
+    return totals[0] if single else totals
 
 
 def sphere_integral(f: QField, center, r: float, quad: QuadratureSpec, density: Callable,
@@ -390,16 +320,6 @@ def _dirichlet_density(X, r, vals, grads):
 
 def _mass_density(X, r, vals, grads):
     return np.einsum("nqm,nqm->n", vals, vals)
-
-
-def dirichlet_job(region: Region) -> RegionJob:
-    """dirichlet_energy of region, as a job of integrate_regions."""
-    return RegionJob(region, _dirichlet_density, need_values=False)
-
-
-def mass_job(region: Region) -> RegionJob:
-    """l2_mass of region, as a job of integrate_regions."""
-    return RegionJob(region, _mass_density, need_gradients=False)
 
 
 def dirichlet_energy(f: QField, region: Region, quad: QuadratureSpec = REFERENCE_QUAD,

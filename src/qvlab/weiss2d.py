@@ -40,12 +40,9 @@ from .report import CheckReport, atomic_write_text, canonical_json
 from .variational import (
     REFERENCE_QUAD,
     QuadratureSpec,
-    _guard_branch,
     _mass_density,
     ball,
     dirichlet_energy,
-    dirichlet_job,
-    integrate_regions,
     sphere_integral,
     stationarity_battery,
 )
@@ -364,32 +361,6 @@ def solve_disk(pieces, tag: str | None = None, quad: QuadratureSpec = REFERENCE_
 # Weiss energy
 
 
-def _weiss_energies(f: QField, x, kappa: float, radii, quad: QuadratureSpec,
-                    exponent_dim: int | None) -> tuple:
-    """weiss_energy at every radius, the ball energies from one panel sweep.
-
-    Each ball is checked against the field's domain and branch points
-    before the next radius, so errors come in the order of one radius at a
-    time. No radii raise nothing.
-    """
-    if not radii:
-        return ()
-    if kappa <= 0:
-        raise ValueError("homogeneity degree kappa must be positive")
-    d = f.n if exponent_dim is None else int(exponent_dim)
-    x = np.asarray(x, dtype=float)
-    for r in radii:
-        if float(np.linalg.norm(x)) + r > f.domain_radius:
-            raise ValueError("ball of radius %g at %s leaves the field's domain"
-                             % (r, x.tolist()))
-        _guard_branch(f, ball(x, r))
-    energies = integrate_regions(f, [dirichlet_job(ball(x, r)) for r in radii], quad)
-    return tuple(r ** -(d + 2.0 * kappa - 2.0) * dir_term
-                 - kappa * r ** -(d + 2.0 * kappa - 1.0)
-                 * sphere_integral(f, x, r, quad, _mass_density)
-                 for r, dir_term in zip(radii, energies))
-
-
 def weiss_energy(f: QField, x, kappa: float, r: float,
                  quad: QuadratureSpec = REFERENCE_QUAD,
                  exponent_dim: int | None = None) -> float:
@@ -401,15 +372,23 @@ def weiss_energy(f: QField, x, kappa: float, r: float,
     exponents with the target dimension; scaling of homogeneous fields
     singles out the domain dimension, so that is the default.
     """
-    return _weiss_energies(f, x, kappa, (r,), quad, exponent_dim)[0]
+    if kappa <= 0:
+        raise ValueError("homogeneity degree kappa must be positive")
+    d = f.n if exponent_dim is None else int(exponent_dim)
+    x = np.asarray(x, dtype=float)
+    if float(np.linalg.norm(x)) + r > f.domain_radius:
+        raise ValueError("ball of radius %g at %s leaves the field's domain" % (r, x.tolist()))
+    return (r ** -(d + 2.0 * kappa - 2.0) * dirichlet_energy(f, ball(x, r), quad)
+            - kappa * r ** -(d + 2.0 * kappa - 1.0)
+            * sphere_integral(f, x, r, quad, _mass_density))
 
 
 def weiss_profile(f: QField, x, kappa: float, radii,
                   quad: QuadratureSpec = REFERENCE_QUAD,
                   exponent_dim: int | None = None) -> RadialProfile:
-    """weiss_energy at every radius, from one panel sweep over all balls."""
+    """weiss_energy at every radius, one radius at a time."""
     radii = tuple(float(r) for r in radii)
-    vals = _weiss_energies(f, x, kappa, radii, quad, exponent_dim)
+    vals = tuple(weiss_energy(f, x, kappa, r, quad, exponent_dim) for r in radii)
     return RadialProfile(quantity="weiss", center=tuple(np.asarray(x, dtype=float)),
                          radii=radii, values=vals, resolutions=quad.meta())
 

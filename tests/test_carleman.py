@@ -79,6 +79,10 @@ def test_weight_spec_eta_and_variants():
         WeightSpec(tau=0.0)
     with pytest.raises(ValueError):
         WeightSpec(tau=1.0, eps=-0.1)
+    with pytest.raises(ValueError, match="tau"):
+        WeightSpec(tau=math.nan)
+    with pytest.raises(ValueError, match="eps"):
+        WeightSpec(tau=1.0, eps=math.nan)
     assert eta_tuned_tau(1.5, 2) == pytest.approx(1.5)
 
 
@@ -189,6 +193,10 @@ def test_three_sphere_preconditions_name_failed_ratio():
         three_sphere_check(f, (0.0, 0.0), 0.03, 0.05, 0.12, 1.0, FAST)
     with pytest.raises(RadiusHypothesisError):
         three_sphere_check(f, (0.0, 0.0), 0.05, 0.02, 0.12, 1.0, FAST)
+    # r1 is checked first, before the ratio r2/r1 divides by it
+    for r1 in (0.0, -0.05):
+        with pytest.raises(RadiusHypothesisError, match="need r1 > 0"):
+            three_sphere_check(f, (0.0, 0.0), r1, 0.15, 0.45, 1.0, FAST)
 
 
 def test_three_sphere_domain_bound():

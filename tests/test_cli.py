@@ -357,6 +357,14 @@ LIBRARY_ERRORS = [
     (("epiperimetric", "--field", "branch:3/2", "--kappa", "-1"),
      "homogeneity degree kappa must be positive"),
     (("solve2d", "--boundary", "MIXED"), "boundary pieces disagree on target dimension"),
+    (("check", "three-sphere", "--field", "branch:3/2", "--radii", "0,0.15,0.45",
+      "--tau", "1"), "need r1 > 0, got 0"),
+    (("check", "three-sphere", "--field", "branch:3/2", "--radii=-0.05,0.15,0.45",
+      "--tau", "1"), "need r1 > 0, got -0.05"),
+    (("check", "carleman", "--field", "branch:3/2", "--tau", "nan",
+      "--chi", "annulus:0.1,0.2,0.6,0.8"), "tau must be positive"),
+    (("check", "carleman", "--field", "branch:3/2", "--tau", "1", "--eps", "nan",
+      "--chi", "annulus:0.1,0.2,0.6,0.8"), "eps must be nonnegative"),
 ]
 
 

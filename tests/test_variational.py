@@ -32,14 +32,12 @@ from qvlab.variational import (
     RadialBump,
     Region,
     RegionBranchError,
-    RegionJob,
     annulus,
     ball,
     caccioppoli_check,
     dirichlet_energy,
     inner_battery,
     integrate_region,
-    integrate_regions,
     inner_variation,
     l2_mass,
     outer_battery,
@@ -92,8 +90,6 @@ def test_region_validation():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(radial_order=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(refinement_ratio=1.0)
     q = QuadratureSpec().refined()
     assert q.radial_order == 40 and q.angular_nodes == 512
 
@@ -472,7 +468,7 @@ def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradient
     center = region.center_array
     xg, wg = _leggauss(quad.radial_order)
     contributions = []
-    for a, b in _radial_panels(inner, outer, quad, breakpoints):
+    for a, b in _radial_panels(inner, outer, breakpoints):
         rr = 0.5 * (b - a) * xg + 0.5 * (a + b)
         wr = 0.5 * (b - a) * wg
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
@@ -722,80 +718,19 @@ def test_multi_integral_check_field_call_counts():
 # several regions from one panel sweep
 
 
-def _separately(f, jobs, quad):
-    """Each job as its own integrate_region call, with its density calls."""
-    results, panels = [], []
-    for job in jobs:
-        density, seen = _counted_density(job.density)
-        results.append(integrate_region(f, job.region, quad, density,
-                                        need_values=job.need_values,
-                                        need_gradients=job.need_gradients,
-                                        breakpoints=job.breakpoints))
-        panels.append(seen)
-    return results, panels
-
-
-def _swept(f, jobs, quad):
-    """integrate_regions on jobs, with each job's density calls."""
-    counted, panels = [], []
-    for job in jobs:
-        density, seen = _counted_density(job.density)
-        counted.append(dataclasses.replace(job, density=density))
-        panels.append(seen)
-    return integrate_regions(f, counted, quad), panels
-
-
-def test_regions_match_separate_calls_on_capped_wound_balls():
-    f = _winding3_wound_field()
-    R = 0.5
-    # each ball is its own graded panel; the annuli reaching toward the
-    # branch point halve exactly, so they share all their geometric panels
-    jobs = [variational.dirichlet_job(ball((0.0, 0.0), R * 0.5 ** j)) for j in range(3)] + \
-        [variational.mass_job(annulus((0.0, 0.0), R * 0.5 ** 30, R * 0.5 ** j)) for j in range(3)]
-    expected, expected_panels = _separately(f, jobs, COARSE)
-    g, points = _counted_field(f, lambda X: X.shape[0])
-    got, panels = _swept(g, jobs, COARSE)
-    assert got == expected
-    assert panels == expected_panels
-    assert [len(p) for p in panels] == [1, 1, 1, 30, 29, 28]
-    per_panel = COARSE.radial_order * COARSE.angular_nodes
-    assert points == {"values": 30 * per_panel, "gradients": 3 * 3 * per_panel}
-
-
-def test_regions_match_separate_calls_on_variant_pair():
-    f = make_branch_field(3, 2)
-    x, r = (0.0, 0.0), 0.3
-
-    def ramp(X, rho, vals, grads):
-        return np.minimum(1.0, np.maximum(0.0, 2.0 - rho / r)) * \
-            variational._dirichlet_density(X, rho, vals, grads)
-
-    jobs = [variational.dirichlet_job(ball(x, r)),
-            RegionJob(ball(x, 2.0 * r), ramp, breakpoints=(r,), need_values=False),
-            RegionJob(annulus(x, r, 2.0 * r), variational._mass_density, need_gradients=False)]
-    for quad in (COARSE, QUAD):
-        expected, expected_panels = _separately(f, jobs, quad)
-        got, panels = _swept(f, jobs, quad)
-        assert got == expected
-        assert panels == expected_panels
-
-
 def test_regions_keep_each_early_stop():
-    # named for the per-job early stop, now gone: nested annuli each see
-    # only their own panels, in their own order, and share the rest
-    f = parse_field_spec("harmonic:n2m1:x1")
-    inner = 0.8 * 0.5 ** 25
-    jobs = [variational.mass_job(annulus((0.0, 0.0), inner, 0.8)),
-            variational.dirichlet_job(annulus((0.0, 0.0), inner, 0.8)),
-            variational.dirichlet_job(annulus((0.0, 0.0), inner, 0.4))]
-    expected, expected_panels = _separately(f, jobs, COARSE)
-    g, calls = _counted_field(f)
-    got, panels = _swept(g, jobs, COARSE)
-    assert got == expected
-    assert panels == expected_panels
-    assert [len(p) for p in panels] == [25, 25, 24]
-    # the 25 shared panels in two blocks of at most 20
-    assert calls == {"values": 2, "gradients": 2}
+    # named for the per-job early stop, now gone: annuli reaching 2^-30 of
+    # the way to the winding-3 branch point, and 2^-25 on a harmonic field,
+    # have one geometric panel per halving, evaluated in blocks of at most 20
+    per_panel = COARSE.radial_order * COARSE.angular_nodes
+    for f, depth in ((_winding3_wound_field(), 30), (parse_field_spec("harmonic:n2m1:x1"), 25)):
+        for j, blocks in ((0, 2), (1, 2), (2, 2), (depth - 20, 1)):
+            region = annulus((0.0, 0.0), 0.8 * 0.5 ** depth, 0.8 * 0.5 ** j)
+            density, panels = _counted_density(variational._mass_density)
+            g, calls = _counted_field(f)
+            integrate_region(g, region, COARSE, density, need_gradients=False)
+            assert panels == [per_panel] * (depth - j)
+            assert calls == {"values": blocks, "gradients": 0}
 
 
 def test_regions_pass_only_the_requested_field_data():
@@ -813,48 +748,53 @@ def test_regions_pass_only_the_requested_field_data():
             return total
         return density
 
-    jobs = [RegionJob(ball((0.0, 0.0), 0.6), probe("values"), breakpoints=(0.3,),
-                      need_gradients=False),
-            RegionJob(annulus((0.0, 0.0), 0.15, 0.6), probe("grads"), need_values=False),
-            RegionJob(annulus((0.0, 0.0), 0.3, 0.9), probe("both"), breakpoints=(0.6,)),
-            RegionJob(ball((0.0, 0.0), 0.3), probe("neither"), need_values=False,
-                      need_gradients=False)]
-    # at the reference rule each plain panel is its own block, so the
-    # evaluated points are exactly those of the panels the jobs visit
-    expected, visits = _separately(f, jobs, QUAD)
-    separate_seen, seen[:] = sorted(set(seen)), []
-    g, points = _counted_field(f, lambda X: X.shape[0])
-    got = integrate_regions(g, jobs, QUAD)
-    assert got == expected
-    assert sorted(set(seen)) == separate_seen == [("both", False, False), ("grads", True, False),
-                                                  ("neither", True, True), ("values", False, True)]
-    names = ("values", "grads", "both", "neither")
-    visited = {name: set(variational._region_panels(job.region, QUAD, job.breakpoints, True))
-               for name, job in zip(names, jobs)}
-
-    def nodes(panels):
-        # the graded panel (0, b) on the branch point of grading 2 has
-        # twice the radial nodes of a plain one, in two 5120-node slices
+    def nodes(region, breakpoints):
+        # at the reference rule each plain panel is its own block; the graded
+        # panel (0, b) on the branch point of grading 2 has twice the radial
+        # nodes of a plain one, in two 5120-node slices
         per_panel = QUAD.radial_order * QUAD.angular_nodes
-        return sum(per_panel * (2 if a == 0.0 else 1) for a, _ in panels)
+        return sum(per_panel * (2 if a == 0.0 else 1)
+                   for a, _ in variational._region_panels(region, breakpoints, True))
 
-    assert [sum(visit) for visit in visits] == [nodes(visited[name]) for name in names]
-    # values on the panels of the values and both jobs, gradients on those
-    # of the grads and both jobs, each evaluated once; the values job shares
-    # (0.3, 0.6) with the both job and its graded panel with the neither job
-    assert points["values"] == nodes(visited["values"] | visited["both"])
-    assert points["gradients"] == nodes(visited["grads"] | visited["both"])
-    assert visited["values"] & visited["both"] == {(0.3, 0.6)}
-    assert visited["values"] & visited["neither"] == {(0.0, 0.3)}
+    cases = [("values", ball((0.0, 0.0), 0.6), (0.3,), True, False),
+             ("grads", annulus((0.0, 0.0), 0.15, 0.6), (), False, True),
+             ("both", annulus((0.0, 0.0), 0.3, 0.9), (0.6,), True, True),
+             ("neither", ball((0.0, 0.0), 0.3), (), False, False)]
+    for name, region, breakpoints, need_values, need_gradients in cases:
+        seen[:] = []
+        g, points = _counted_field(f, lambda X: X.shape[0])
+        integrate_region(g, region, QUAD, probe(name), breakpoints=breakpoints,
+                         need_values=need_values, need_gradients=need_gradients)
+        assert set(seen) == {(name, not need_values, not need_gradients)}
+        assert points == {"values": nodes(region, breakpoints) if need_values else 0,
+                          "gradients": nodes(region, breakpoints) if need_gradients else 0}
 
 
-def test_regions_need_one_center():
-    f = make_branch_field(3, 2)
-    jobs = [variational.dirichlet_job(ball((0.0, 0.0), 0.5)),
-            variational.dirichlet_job(ball((0.1, 0.0), 0.5))]
-    with pytest.raises(ValueError, match="one center"):
-        integrate_regions(f, jobs, COARSE)
-    assert integrate_regions(f, [], COARSE) == []
+@pytest.mark.parametrize("quad", [COARSE, QUAD], ids=["coarse", "reference"])
+@pytest.mark.parametrize("spec, x", [("wound", (0.0, 0.0)), ("branch:3/2", (0.5, 0.0))],
+                         ids=["centred-wound", "off-centre-branch"])
+def test_variant_agreement_matches_lone_balls(spec, x, quad):
+    # both energies come from one integral over B_2r split at r; each is bit
+    # for bit the lone ball B_r and the lone ramp ball, centred on the
+    # winding-3 branch point or off the 3/2 one
+    from qvlab import frequency
+
+    f = _winding3_wound_field() if spec == "wound" else parse_field_spec(spec)
+    r = 0.1
+
+    def ramp(X, rho, vals, grads):
+        phi = np.minimum(1.0, np.maximum(0.0, 2.0 - rho / r))
+        return phi * variational._dirichlet_density(X, rho, vals, grads)
+
+    def shell(X, rho, vals, grads):
+        return variational._mass_density(X, rho, vals, grads) / rho
+
+    rep = frequency.variant_agreement(f, x, r, quad)
+    sharp = r * dirichlet_energy(f, ball(x, r), quad) / frequency.height(f, x, r, quad)
+    linear = integrate_region(f, ball(x, 2.0 * r), quad, ramp, need_values=False,
+                              breakpoints=(r,)) / (
+        integrate_region(f, annulus(x, r, 2.0 * r), quad, shell, need_gradients=False) / r)
+    assert (rep.quantities["sharp"], rep.quantities["linear"]) == (sharp, linear)
 
 
 def test_profile_and_variant_share_panels_on_capped_wound_field():
@@ -964,7 +904,7 @@ def test_off_centre_ball_near_a_branch_point(quad, tol):
     # (b/2, b) and ends in a plain panel on (0, b/2); against thrice the
     # radial order (same angular rule) its radial error stays at that of
     # the geometric panels, where one plain panel on (0, b) lost two digits
-    assert variational._region_panels(ball((0.5, 0.0), 0.45), quad, (), False) == [
+    assert variational._region_panels(ball((0.5, 0.0), 0.45), (), False) == [
         (0.225, 0.45), (0.0, 0.225)]
     fine = dataclasses.replace(quad, radial_order=3 * quad.radial_order)
     for f in (make_branch_field(3, 2), make_branch_field(1, 2), _winding3_wound_field()):
@@ -1001,3 +941,37 @@ def test_three_dimensional_stationarity_and_caccioppoli():
                                             bps[0], bps[-1], points=bps[1:-1])[0]
     assert rep.quantities["lhs"] == pytest.approx(lhs, rel=1e-10)
     assert rep.quantities["rhs"] == pytest.approx(rhs, rel=1e-10)
+
+
+def test_wound_ball_cycle_field_calls_are_all_traced(monkeypatch):
+    """Every field call of the wound-ball-shaped cycle happens inside
+    integrate_region or sphere_integral, rebound in every loaded qvlab
+    module the way perfbench/tracer.py rebinds them, so a tracer that wraps
+    these two sees all of the cycle's field work."""
+    import functools
+    import sys
+    from qvlab import frequency, weiss2d  # noqa: F401  (rebound only once loaded)
+
+    depth = [0]
+
+    def traced(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for fn in (variational.integrate_region, variational.sphere_integral):
+        wrapper = traced(fn)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "qvlab" or name.startswith("qvlab.")):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, wrapper)
+    f, outside = _counted_field(_winding3_wound_field(), lambda X: int(depth[0] == 0))
+    monkeypatch.setitem(globals(), "_winding3_wound_field", lambda: f)
+    test_wound_ball_cycle_field_points()
+    assert outside == {"values": 0, "gradients": 0}
