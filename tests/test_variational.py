@@ -715,7 +715,7 @@ def test_multi_integral_check_field_call_counts():
 
 
 # ---------------------------------------------------------------------------
-# several regions from one panel sweep
+# region panels, blocks and requested field data
 
 
 def test_regions_keep_each_early_stop():
