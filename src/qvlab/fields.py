@@ -211,12 +211,29 @@ class QField:
     gradients_fn: Callable
     branch_set: tuple = ()
     domain_radius: float = math.inf
-    construction_cert: dict | None = None
+    certificate_fn: Callable[[], dict] | None = None
     radial_grading: int | None = None
 
     def __post_init__(self):
         if self.branch_set and self.radial_grading is None:
             raise ValueError("field %r declares branch points but no radial_grading" % self.tag)
+
+    @property
+    def construction_cert(self) -> dict | None:
+        """The construction certificate, or None for a field built without one.
+
+        certificate_fn runs on the first read and its dict is kept on this
+        field object; later reads return that same dict. The certificate is
+        deterministic, so two threads that read it at once build equal dicts
+        and either may be kept; no lock is needed.
+        """
+        if self.certificate_fn is None:
+            return None
+        cert = self.__dict__.get("_construction_cert")
+        if cert is None:
+            cert = self.certificate_fn()
+            object.__setattr__(self, "_construction_cert", cert)
+        return cert
 
     def _coerce(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -450,8 +467,7 @@ def _wound_closures(pieces, m):
     return q_total, values, gradients
 
 
-def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = math.inf,
-                     construction_cert: dict | None = None) -> QField:
+def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = math.inf) -> QField:
     """Field whose sheets rewind harmonic extensions of unwound circle data.
 
     pieces are FourierPiece objects or (winding, a0, modes) tuples, which
@@ -467,7 +483,7 @@ def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = m
     branch = () if smooth else (np.zeros(2),)
     return QField(n=2, m=m, q=q_total, tag=tag or "wound-pieces:%d" % q_total,
                   values_fn=values, gradients_fn=gradients, branch_set=branch,
-                  domain_radius=domain_radius, construction_cert=construction_cert,
+                  domain_radius=domain_radius,
                   radial_grading=math.lcm(*(p.winding for p in pieces)))
 
 

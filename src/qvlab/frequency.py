@@ -42,6 +42,7 @@ USC_STENCIL = 8
 USC_N_RADII = 6
 VARIANT_TOL = 1e-6
 IDENTITY_TOL = 1e-6
+IDENTITY_NODES = 24
 
 
 class ZeroHeightError(ValueError):
@@ -266,7 +267,7 @@ def vanishing_order(f: QField, x, r_max: float = 0.5, n_radii: int = 8,
 
 def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
                              quad: QuadratureSpec = REFERENCE_QUAD,
-                             nodes: int = 24) -> CheckReport:
+                             nodes: int = IDENTITY_NODES) -> CheckReport:
     """Integrated height identity between two scales.
 
     Checks log(H(r)/r^{n-1}) - log(H(s)/s^{n-1}) = int_s^r 2 I(t) dt / t by

@@ -9,7 +9,6 @@ the check report carry the analysis of why the bound does not hold.
 
 import json
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 from qvlab import carleman, cli, fields, frequency, variational, weiss2d
 from qvlab.cli import example_library
 from qvlab.qcore import QPoint, metric_g
-from qvlab.variational import REFERENCE_QUAD, ball
+from qvlab.variational import REFERENCE_QUAD
 
 ACC = REFERENCE_QUAD
 

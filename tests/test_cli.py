@@ -9,7 +9,6 @@ own suites.
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -489,6 +488,44 @@ def test_cli_paths_up_to_six_sheets_load_no_scipy(tmp_path):
     assert result["seen"] == {"import": [], "sweep": [], "epiperimetric": []}
     assert result["perm"] == result["brute"]
     assert result["solver_loaded"]
+
+
+_BATTERY_GATE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from qvlab import cli, weiss2d
+
+    runs = []
+    inner = weiss2d.stationarity_battery
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return inner(*args, **kwargs)
+
+    weiss2d.stationarity_battery = counted
+    argv = json.loads(sys.argv[1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(json.dumps({"code": code, "batteries": len(runs)}))
+""")
+
+
+@pytest.mark.parametrize("argv, batteries", [
+    (["epiperimetric", "--field", "wound:1,3,1,1.8", "--kappa", "1.0"], 0),
+    (["solve2d", "--boundary", "BOUNDARY", *FQ], 1),
+])
+def test_wound_cli_call_runs_battery_only_when_it_reads_the_certificate(tmp_path, argv, batteries):
+    """A parsed wound field builds its construction certificate on first
+    read, which no subcommand but solve2d (on its own --boundary solve)
+    does."""
+    bd = tmp_path / "bd.json"
+    _write_boundary(bd)
+    argv = [str(bd) if a == "BOUNDARY" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qvlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, QVLAB_WORKERS="1")
+    proc = subprocess.run([sys.executable, "-c", _BATTERY_GATE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"code": 0, "batteries": batteries}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qvlab import fields, qcore
 from qvlab.fields import (
     HarmonicityError,
     FieldSpecError,
-    Polynomial,
     ProbeGrid,
     make_branch_field,
     make_harmonic_sheets,

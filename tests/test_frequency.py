@@ -9,7 +9,6 @@ of a kappa-homogeneous field tested against exponent kappa' equals
 
 import math
 
-import numpy as np
 import pytest
 
 from qvlab import carleman, weiss2d

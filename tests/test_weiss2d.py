@@ -20,6 +20,7 @@ from qvlab.fields import (
     make_branch_field,
     make_harmonic_sheets,
     make_trivial,
+    parse_field_spec,
     parse_polynomial,
     random_wound_field,
     random_wound_pieces,
@@ -256,6 +257,48 @@ def test_solve_disk_validation_and_skip():
     f = w2.solve_disk([two], certify=False)
     assert f.construction_cert["energy_cross_check"] == "skipped"
     assert f.construction_cert["stationarity"] == "skipped"
+
+
+def _count_certificate_work(monkeypatch):
+    """Count the battery runs and quadrature energies of solve_disk's certificate."""
+    calls = {"battery": 0, "energy": 0}
+
+    def counted(name, key):
+        inner = getattr(w2, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(w2, name, wrapper)
+
+    counted("stationarity_battery", "battery")
+    counted("dirichlet_energy", "energy")
+    return calls
+
+
+def test_wound_parse_defers_certificate_to_first_read(monkeypatch):
+    calls = _count_certificate_work(monkeypatch)
+    f = parse_field_spec("wound:1,3,1,1.8")
+    assert calls == {"battery": 0, "energy": 0}
+    cert = f.construction_cert
+    assert calls == {"battery": 1, "energy": 1}
+    assert cert["energy_cross_check"] == "pass"
+    assert cert["stationarity"] == "pass"
+    assert f.construction_cert is cert
+    assert calls == {"battery": 1, "energy": 1}
+
+
+def test_uncertified_solve_never_runs_battery(monkeypatch):
+    calls = _count_certificate_work(monkeypatch)
+    piece = _pure_mode_piece(2, 3, (0.0, 0.8), (0.8, 0.0))
+    f = w2.solve_disk([piece], certify=False)
+    assert f.construction_cert["stationarity"] == "skipped"
+    assert f.construction_cert is f.construction_cert
+    assert calls == {"battery": 0, "energy": 0}
+
+
+def test_fields_without_construction_have_no_certificate():
+    assert make_branch_field(3, 2).construction_cert is None
 
 
 def test_solve_disk_target_dimension_three():
