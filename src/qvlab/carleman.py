@@ -2,7 +2,10 @@
 doubling estimates, and the bent-weight variant.
 
 Every checker computes both sides of its inequality by quadrature and
-reports the empirical constant; no constant is ever assumed. Weights are
+reports the empirical constant; no constant is ever assumed. The four
+Carleman variants and three-sphere rerun every integral at quad.refined()
+and judge the two runs by the one rule of variational._two_resolution
+(1e-4 relative, roundoff-level integrals exempt). Weights are
 powers of |x| (or exp(-2 tau phi(log|x|)) for the bent variant) against an
 annular cutoff chi supported away from the origin, where the power weights
 are smooth.
@@ -35,13 +38,13 @@ from .variational import (
     RadialBump,
     _dirichlet_density,
     _mass_density,
+    _ratio_verdict,
+    _two_resolution,
     annulus,
     ball,
     integrate_region,
     l2_mass,
 )
-
-CONVERGENCE_REL_TOL = 1e-4
 
 
 class BentWeightError(ValueError):
@@ -120,48 +123,17 @@ def _require_origin_cutoff(cutoff: RadialBump) -> None:
                          "weights are singular at the origin")
 
 
-def _converged(pairs) -> bool:
-    """Two-resolution agreement of (reference, refined) pairs within
-    CONVERGENCE_REL_TOL relative. A pair at roundoff level relative to the
-    largest magnitude among all pairs carries no convergence information, so
-    it passes automatically."""
-    scale = max(abs(v) for pair in pairs for v in pair)
-    return all(max(abs(a), abs(b)) <= 1e-12 * scale
-               or abs(a - b) <= CONVERGENCE_REL_TOL * max(abs(a), abs(b), 1e-30)
-               for a, b in pairs)
-
-
-def _ratio_verdict(lhs, rhs, converged, signed_lhs=False):
-    """Ratio, verdict and notes of a left side against its right side: pass
-    when both resolutions agree and the ratio is finite, or the left side is
-    signed and not positive (the bound then holds trivially). A vanishing
-    right side passes unless the left side is positive."""
-    notes = []
-    if not converged:
-        notes.append("two-resolution disagreement above %g relative" % CONVERGENCE_REL_TOL)
-    if rhs == 0.0:
-        if lhs > 0.0:
-            notes.append("right side vanished while left side is positive")
-            return math.inf, "fail", notes
-        return 0.0, "pass", notes
-    ratio = lhs / rhs
-    ok = converged and (math.isfinite(ratio) or (signed_lhs and lhs <= 0.0))
-    return ratio, "pass" if ok else "fail", notes
-
-
 def _over_cutoff(f, cutoff, q, density):
     """integrate_region of density over the cutoff's support, split at its radii."""
     return integrate_region(f, cutoff.support(f.n), q, density, breakpoints=cutoff.breakpoints())
 
 
 def _two_sided_report(name, f, params, cutoff, sides, quad, extra=None, signed_lhs=False):
-    """Evaluate sides(q) -> (lhs, rhs) at the reference and a refined
-    resolution, assemble the standard ratio report with the convergence flag
-    and the cutoff's kind and radii."""
+    """Evaluate sides(q) -> (lhs, rhs) at quad and its refinement
+    (_two_resolution), assemble the standard ratio report with the
+    convergence flag and the cutoff's kind and radii."""
     _require_origin_cutoff(cutoff)
-    lhs, rhs = sides(quad)
-    lhs2, rhs2 = sides(quad.refined())
-    converged = _converged(((lhs, lhs2), (rhs, rhs2)))
+    (lhs, rhs), (lhs2, rhs2), converged = _two_resolution(sides, quad)
     ratio, verdict, notes = _ratio_verdict(lhs, rhs, converged, signed_lhs)
     quantities = {"lhs": lhs, "rhs": rhs, "ratio": ratio,
                   "lhs_refined": lhs2, "rhs_refined": rhs2}
@@ -185,6 +157,22 @@ def _carleman_rhs(cutoff: RadialBump, tau: float, r, dmag, mass):
     return dchi * (dmag / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
 
 
+def _carleman_density(cutoff: RadialBump, tau: float, eta: float, eps: float, exps):
+    """The weighted density (lhs, rhs, lhs under each further exponent in
+    exps): lhs = chi (eps^2 |f|^2 / |x|^E + |Df . x - eta f|^2 / |x|^{2 tau + 2})
+    for each E in exps, rhs that of _carleman_rhs."""
+    def density(X, r, vals, grads):
+        chi = cutoff.chi_r(r)
+        radial = np.einsum("nqmk,nk->nqm", grads, X)
+        sq = radial - eta * vals
+        main = np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
+        mass = _mass_density(X, r, vals, grads)
+        lhs = tuple(chi * (eps ** 2 * mass / r ** e + main) for e in exps)
+        rhs = _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
+        return (lhs[0], rhs) + lhs[1:]
+    return density
+
+
 def carleman_sides(f: QField, w: WeightSpec, cutoff: RadialBump,
                    quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
     """Both sides of the full weighted estimate.
@@ -197,7 +185,6 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: RadialBump,
     reported too, from the same sweep as the reference-resolution sides.
     """
     eta = w.eta(f.n)
-    tau = w.tau
     exponent = w.mass_exponent()
     extra = {"eta": eta, "mass_exponent": exponent}
     exponents = (exponent,)
@@ -207,44 +194,26 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: RadialBump,
         extra["mass_exponent_" + other] = other_exp
         exponents += (other_exp,)
 
-    def density_for(exps):
-        """(lhs, rhs, lhs under each further exponent in exps)."""
-        def density(X, r, vals, grads):
-            chi = cutoff.chi_r(r)
-            radial = np.einsum("nqmk,nk->nqm", grads, X)
-            sq = radial - eta * vals
-            main = np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
-            mass = _mass_density(X, r, vals, grads)
-            lhs = tuple(chi * (w.eps ** 2 * mass / r ** e + main) for e in exps)
-            rhs = _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
-            return (lhs[0], rhs) + lhs[1:]
-        return density
-
     def sides(q):
         exps = exponents if q is quad else exponents[:1]
-        lhs, rhs, *variant = _over_cutoff(f, cutoff, q, density_for(exps))
+        lhs, rhs, *variant = _over_cutoff(
+            f, cutoff, q, _carleman_density(cutoff, w.tau, eta, w.eps, exps))
         if variant:
             extra["lhs_" + other + "_variant"] = variant[0]
         return lhs, rhs
 
     return _two_sided_report(
-        "carleman", f, {"tau": tau, "eps": w.eps, "exponent_variant": w.exponent_variant},
+        "carleman", f, {"tau": w.tau, "eps": w.eps, "exponent_variant": w.exponent_variant},
         cutoff, sides, quad, extra=extra)
 
 
 def first_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
                          quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
-    """The completed-square estimate: eps = 0, no mass term on the left."""
-    eta = WeightSpec(tau=tau).eta(f.n)
-
-    def density(X, r, vals, grads):
-        chi = cutoff.chi_r(r)
-        radial = np.einsum("nqmk,nk->nqm", grads, X)
-        sq = radial - eta * vals
-        lhs = chi * np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
-        return lhs, _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads),
-                                  _mass_density(X, r, vals, grads))
-
+    """The completed-square estimate: the density of carleman_sides at
+    eps = 0, so no mass term on the left."""
+    w = WeightSpec(tau=tau)
+    eta = w.eta(f.n)
+    density = _carleman_density(cutoff, tau, eta, 0.0, (w.mass_exponent(),))
     return _two_sided_report("first-carleman", f, {"tau": tau}, cutoff,
                              lambda q: _over_cutoff(f, cutoff, q, density), quad,
                              extra={"eta": eta})
@@ -320,10 +289,7 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
         return (shell_mass(f, x_arr, r1, q), shell_mass(f, x_arr, r2, q),
                 shell_mass(f, x_arr, r3, q))
 
-    m1, m2, m3 = masses(quad)
-    m1f, m2f, m3f = masses(quad.refined())
-    converged = all(abs(a - b) <= CONVERGENCE_REL_TOL * max(abs(a), abs(b), 1e-30)
-                    for a, b in ((m1, m1f), (m2, m2f), (m3, m3f)))
+    (m1, m2, m3), _, converged = _two_resolution(masses, quad)
     log32 = math.log(r3 / r2)
     log21 = math.log(r2 / r1)
     weight = 1.0 / (1.0 + log32 ** 2) + 1.0 / (1.0 + log21 ** 2)
@@ -590,12 +556,8 @@ def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
                 dchi * (r * dmag + mass / r) * weight,
                 chi * (dmag + mass / r ** 2) * weight)
 
-    def run(q):
-        return integrate_region(f, support, q, density, breakpoints=bps)
-
-    lhs, boundary, bulk_int = run(quad)
-    lhs2, boundary2, bulk2 = run(quad.refined())
-    converged = _converged(((lhs, lhs2), (boundary, boundary2), (bulk_int, bulk2)))
+    (lhs, boundary, bulk_int), _, converged = _two_resolution(
+        lambda q: integrate_region(f, support, q, density, breakpoints=bps), quad)
     rhs = boundary + bulge * bulk_int
     ratio, verdict, notes = _ratio_verdict(lhs, rhs, converged)
     return CheckReport(

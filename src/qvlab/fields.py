@@ -1,4 +1,4 @@
-"""Evaluable Q-valued fields: example library, jets, rescaling, singular probe.
+"""Evaluable Q-valued fields: example library, rescaling, singular probe.
 
 A QField packages batch evaluation (values and per-sheet gradients) of a
 Q-valued map together with its declared branch set and a canonical textual
@@ -181,17 +181,9 @@ def require_harmonic(p: Polynomial, where: str) -> None:
 # the field type
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Per-sheet values (q, m) and gradients (q, m, n) at one point."""
-
-    values: np.ndarray
-    gradients: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class QField:
-    """Batch-evaluable Q-valued map with per-sheet jets away from branch points.
+    """Batch-evaluable Q-valued map with per-sheet gradients away from branch points.
 
     values(X) maps (N, n) sample points to (N, q, m) sheet values; the sheet
     axis carries a deterministic labeling that is continuous away from the
@@ -251,10 +243,6 @@ class QField:
 
     def eval(self, x) -> qcore.QPoint:
         return qcore.QPoint(self.values(x)[0])
-
-    def jet(self, x) -> Jet:
-        x = self._coerce(x)
-        return Jet(values=self.values_fn(x)[0], gradients=self.gradients_fn(x)[0])
 
 
 def values_diameter(values: np.ndarray) -> np.ndarray:

@@ -32,8 +32,16 @@ from qvlab.carleman import (
     tau_trend_statistic,
     three_sphere_check,
 )
-from qvlab.fields import make_branch_field, make_harmonic_sheets, make_trivial, parse_polynomial, superpose
-from qvlab.variational import QuadratureSpec, RadialBump
+from qvlab.fields import (
+    QField,
+    make_branch_field,
+    make_harmonic_sheets,
+    make_trivial,
+    parse_field_spec,
+    parse_polynomial,
+    superpose,
+)
+from qvlab.variational import DEFAULT_BATTERY_BUMP, QuadratureSpec, RadialBump, caccioppoli_check
 
 FAST = QuadratureSpec(radial_order=12, angular_nodes=64, polar_nodes=16)
 CUT = linear_cutoff(0.1, 0.2, 0.6, 0.9)
@@ -229,6 +237,35 @@ def test_three_sphere_trivial():
     rep = three_sphere_check(make_trivial(2), (0.0, 0.0), 0.02, 0.05, 0.12, 1.0, FAST)
     assert rep.verdict == "pass"
     assert rep.quantities["lhs"] == 0.0 and rep.quantities["rhs"] == 0.0
+
+
+def _bump_sheet_field() -> QField:
+    """One sheet equal to a radial bump supported in the shell [0.2, 0.4]."""
+    bump = RadialBump(0.2, 0.25, 0.35, 0.4)
+    return QField(n=2, m=1, q=1, tag="bump-sheet:0.2,0.25,0.35,0.4",
+                  values_fn=lambda X: bump.chi(X)[:, None, None],
+                  gradients_fn=lambda X: bump.grad_chi(X)[:, None, None, :])
+
+
+@pytest.mark.parametrize("run, note, infinite", [
+    # r^(-64) crowds the weight onto the inner ramp, which 12 x 64 does not resolve
+    (lambda: carleman_sides(parse_field_spec("branch:3/2"), WeightSpec(tau=32.0),
+                            smoothed_cutoff(0.1, 0.2, 0.6, 0.8), FAST),
+     "two-resolution disagreement above 0.0001 relative", None),
+    (lambda: caccioppoli_check(parse_field_spec("harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2"),
+                               DEFAULT_BATTERY_BUMP,
+                               QuadratureSpec(radial_order=6, angular_nodes=24)),
+     "two-resolution disagreement above 1e-06 relative", None),
+    # the shells about r1 and r3 miss the bump's support, the one about r2 meets it
+    (lambda: three_sphere_check(_bump_sheet_field(), (0.0, 0.0), 0.05, 0.15, 0.45, 1.0, FAST),
+     "right side vanished while left side is positive", "c_est"),
+], ids=["carleman-tau32", "caccioppoli-coarse", "three-sphere-bump"])
+def test_two_sided_failure_paths_are_noted(run, note, infinite):
+    rep = run()
+    assert rep.verdict == "fail"
+    assert note in rep.notes
+    if infinite is not None:
+        assert rep.quantities[infinite] == math.inf
 
 
 def test_three_sphere_case_split_recorded():

@@ -187,12 +187,6 @@ class TestJetConsistency:
         order = math.log(errors[0] / errors[1]) / math.log(2.0)
         assert order >= 1.9 or errors[0] < 1e-11
 
-    def test_jet_values_match_eval(self):
-        f = make_branch_field(3, 2)
-        x = np.array([0.3, -0.4])
-        jet = f.jet(x)
-        assert qcore.multiset_equal(qcore.QPoint(jet.values), f.eval(x))
-
 
 def _reference_wound_arrays(pieces, m, X):
     """The original sheet-by-sheet wound kernel, kept as a bit-exact reference."""

@@ -15,7 +15,10 @@ a wider variant pair, also on two wound fields of windings 2 and 3) before
 several regions shared one panel sweep. The 42 digests of reports whose
 ball integrals changed panels were re-recorded when a ball on a branch
 point became one graded panel and any other ball one plain panel below
-its outer geometric one; the leaf-level comparison is in CHANGES.md. Only in
+its outer geometric one; the leaf-level comparison is in CHANGES.md. The
+harmonic-pair first-carleman digest was re-recorded when that check came to
+share the weighted density of carleman_sides at eps = 0: chi (0 + main)
+rounds its lhs_refined one ulp away from (chi |.|^2) / r^p. Only in
 three dimensions does the inner rotation
 generator differ from the outer quarter turn R, so only the last case
 tells the two apart. Any change to the quadrature engine or the checks
@@ -115,7 +118,7 @@ DIGESTS = {
     "harmonic-pair/stationarity": "d9577be36448b1267d720e783144901ac8a19b548304a944d3404b1884e4e6e5",
     "harmonic-pair/stationarity-ball": "b5bc272968c67c015d9a4c658ece7c6c786cd871db2e23c4c7ff8df55cab341a",
     "harmonic-pair/carleman": "58d2cbaa5f4ee8e0fe3a71ac966cf6a8e414a16d6d8797c99ea47d1d821f40e4",
-    "harmonic-pair/first-carleman": "292a56e6644fba9e6916753b34f706f870b156cdc91a262e60d372b296cac51e",
+    "harmonic-pair/first-carleman": "0a8c1986eb4d3f74a4398d7e0b26f0f9e1f606864c2d6b5e168d959082cfb9f1",
     "harmonic-pair/pre-carleman": "bd267530fe61b5dcf58251aa72ed02d5de6995108c520bc398e50d6a9095ca93",
     "harmonic-pair/modified-carleman": "15493e939cac8adf53572f7f3f74b08ae7297d771298bce8ca8f2a548828bbfb",
     "harmonic-pair/caccioppoli": "405af2259a212bcc8b4770f1db617050b527e277b87d68cf0022e9e0221890d4",

@@ -1,9 +1,13 @@
-"""Source hygiene: every name a qvlab module or test module imports is used in it.
+"""Source hygiene: every name a qvlab module or test module imports is used in it,
+and only variational._two_resolution reruns a check at a refined quadrature.
 
-An AST scan, so it needs no linter: it collects the names each import
-statement binds (leaving out `from __future__ import ...`) and the names
-the module reads anywhere, annotations included. The package's
+AST scans, so they need no linter. The import scan collects the names each
+import statement binds (leaving out `from __future__ import ...`) and the
+names the module reads anywhere, annotations included. The package's
 `__init__.py` is left out, since its imports are the package's re-exports.
+The refinement scan finds every call of a `.refined` attribute in `src`
+outside `_two_resolution` in variational.py, so each two-sided check keeps
+taking its second route from that one helper.
 """
 
 import ast
@@ -53,3 +57,33 @@ def test_src_modules_import_no_unused_names():
 
 def test_test_modules_import_no_unused_names():
     assert _unused_in(TESTS) == {}
+
+
+def refined_calls(source: str, allowed=()) -> list:
+    """Lines that call `.refined(...)` outside the functions named in allowed."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "refined" and id(node) not in inside)
+
+
+def test_refined_scanner_flags_calls_outside_the_helper():
+    source = ("def _two_resolution(run, quad):\n    return run(quad.refined())\n"
+              "def check(quad):\n    return quad.refined().meta()\n")
+    assert refined_calls(source, allowed=("_two_resolution",)) == [4]
+    assert refined_calls(source) == [2, 4]
+
+
+def test_only_two_resolution_refines_in_src():
+    found = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                allowed = ("_two_resolution",) if name == "variational.py" else ()
+                lines = refined_calls(fh.read(), allowed)
+            if lines:
+                found[name] = lines
+    assert found == {}
