@@ -124,9 +124,26 @@ REFERENCE_QUAD = QuadratureSpec()
 _GL_CACHE: dict = {}
 
 
+def _legendre(order: int, x: np.ndarray):
+    """P_order(x) and P_order'(x) by the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for k in range(2, order + 1):
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+    return p, order * (x * p - prev) / (x * x - 1.0)
+
+
 def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]: numpy's nodes after three
+    Newton steps on the recurrence, weights 2 / ((1 - x^2) P'(x)^2) at the
+    polished nodes. numpy's rule misses the u^9 moment on [0, 1] by 2.3e-14
+    relative at 60 nodes; the polished one by 1e-15."""
     if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
+        x = np.polynomial.legendre.leggauss(order)[0]
+        for _ in range(3):
+            p, dp = _legendre(order, x)
+            x = x - p / dp
+        dp = _legendre(order, x)[1]
+        _GL_CACHE[order] = (x, 2.0 / ((1.0 - x * x) * dp * dp))
     return _GL_CACHE[order]
 
 

@@ -587,7 +587,7 @@ def test_sweep_delta_and_kappa_grids(capsys, tmp_path):
     assert cases == {"carleman", "modified", "epiperimetric"}
 
 
-SWEEP_GOLDEN_CSV = "2920d6f3565f9110c2932340eb76def8544357a2d03b54206c01e1fe064c2c82"
+SWEEP_GOLDEN_CSV = "54707b59d753df3b47070a1c9c3c10dc6684c8b0094ed057cab1017adb81ede0"
 SWEEP_GOLDEN_REPORT = "c15bd31753f94f0ceb714fd0c53187a598a5316d8e7b404bd8d3751bad4a62af"
 
 

@@ -18,7 +18,9 @@ point became one graded panel and any other ball one plain panel below
 its outer geometric one; the leaf-level comparison is in CHANGES.md. The
 harmonic-pair first-carleman digest was re-recorded when that check came to
 share the weighted density of carleman_sides at eps = 0: chi (0 + main)
-rounds its lhs_refined one ulp away from (chi |.|^2) / r^p. Only in
+rounds its lhs_refined one ulp away from (chi |.|^2) / r^p. 82 digests
+were re-recorded when variational._leggauss came to polish numpy's nodes by
+Newton steps: integrals moved in their last bits, and no verdict moved. Only in
 three dimensions does the inner rotation
 generator differ from the outer quarter turn R, so only the last case
 tells the two apart. Any change to the quadrature engine or the checks
@@ -103,98 +105,98 @@ CHECKS = tuple(_checks(None, 1.0))
 NESTED_CHECKS = tuple(_nested_checks(None, 1.0))
 
 DIGESTS = {
-    "branch-three-halves/stationarity": "8783d2c3f65aaa829701f5190da5f867efc68d6b31b66e257cdc315f4e510cef",
-    "branch-three-halves/stationarity-ball": "e87e50c68c998322d471dfe949aad5e8f89de61cc86f64bed5a8543787482722",
-    "branch-three-halves/carleman": "2462de26283d896cdfe666e930286a176661ed769d2807895f20a32c1b918cae",
-    "branch-three-halves/first-carleman": "166988b0671a482860de54b10bed78c0b4194febe2b886a9bde0d4cea6d0fe3f",
-    "branch-three-halves/pre-carleman": "13c753d14c3e80d86c817134c5a57502cd8a355eb7d9a36032906006ac150b52",
-    "branch-three-halves/modified-carleman": "2287b43f67cbf70207f926743c3094b3b621a63669938668fa48188aab90a76b",
-    "branch-three-halves/caccioppoli": "b71eab07fe6d9532dc0ff76b36186dae9cb0f0b1f9968c127780e29fe7ef4e14",
+    "branch-three-halves/stationarity": "6b3a4401ec32e479ad786a58a4969e8ac447c8cdf43cda9acc688290dac7da83",
+    "branch-three-halves/stationarity-ball": "06b4415d6b8cd12e82f51ce1d68bd67cb59af4bd8446855430a58a78abc16717",
+    "branch-three-halves/carleman": "7493ad6b1fe8259378cb2f07a688b836e9414cb09b0ff6aab1a812e2d451877e",
+    "branch-three-halves/first-carleman": "fbdcdf4a9943c28bd54f0d627af96a1a2720bdfc4f4d4218e25fac7e7fd4b9e6",
+    "branch-three-halves/pre-carleman": "642f62559f81398f4dc1200a17a73e068db2a3b8120d3a6aef3b7209b6ac8960",
+    "branch-three-halves/modified-carleman": "e89369e81263d636cc9635406633a798402a25e44dcd83dbb62e480dc59cac5c",
+    "branch-three-halves/caccioppoli": "c97230acf197de17d37ea9d9fb55341f86ab93a6bf10496175a06e5cc5c10ed9",
     "branch-three-halves/deficit-profile": "4a7071e32decd813c98093804092f1525226b0d47329708535cd04836e716e21",
-    "branch-three-halves/frequency-identity": "4f9e4d360f3986c582b0844416168d514995f8c16d75dd619302d912bac69780",
-    "branch-three-halves/weiss-derivative": "7b5f50955c5a0d3e1c32efbe86453e604eb7c45f3ca654b87e0a21699f51511f",
-    "branch-three-halves/three-sphere": "894db89627b84f65bfa792fd25c0e4ef1c5e9022cdd59b4656ba0c4965cbeab0",
-    "branch-three-halves/carleman-sweep": "105e5d5a1f7698385849405bb9c649228fe9598d686480cb523012cc04ce9bd0",
-    "harmonic-pair/stationarity": "d9577be36448b1267d720e783144901ac8a19b548304a944d3404b1884e4e6e5",
-    "harmonic-pair/stationarity-ball": "b5bc272968c67c015d9a4c658ece7c6c786cd871db2e23c4c7ff8df55cab341a",
-    "harmonic-pair/carleman": "58d2cbaa5f4ee8e0fe3a71ac966cf6a8e414a16d6d8797c99ea47d1d821f40e4",
-    "harmonic-pair/first-carleman": "0a8c1986eb4d3f74a4398d7e0b26f0f9e1f606864c2d6b5e168d959082cfb9f1",
-    "harmonic-pair/pre-carleman": "bd267530fe61b5dcf58251aa72ed02d5de6995108c520bc398e50d6a9095ca93",
-    "harmonic-pair/modified-carleman": "15493e939cac8adf53572f7f3f74b08ae7297d771298bce8ca8f2a548828bbfb",
-    "harmonic-pair/caccioppoli": "405af2259a212bcc8b4770f1db617050b527e277b87d68cf0022e9e0221890d4",
-    "harmonic-pair/deficit-profile": "561b5d2ce407639d9ed556ff4c67f1ba05aaca2c9f4b64063992524ba1627e49",
+    "branch-three-halves/frequency-identity": "a32950c7a108caccc8f9a517c0588b262800b5019b65937b74543e456234f0de",
+    "branch-three-halves/weiss-derivative": "760fc4bde0fe89a1bc5d36dd0ef04095f5a5528ec510bba0be85397a5a76eab8",
+    "branch-three-halves/three-sphere": "be5ce37eab53a31eeb0a44dca63f45944bfb9fdbe2174ab23d0a816cca97fc9f",
+    "branch-three-halves/carleman-sweep": "69958c14cb30c74c30d89dad0f911b3fa04545660085e96a393b9071646f8c95",
+    "branch-three-halves/vanishing-order": "c5cd18fa8eae780f7ffc4135d30b020f7748c8f50b9beb7ecd5daf145983e5e4",
+    "branch-three-halves/vanishing-order-off-centre": "91c31f977d239646daec8d5abe91b580d4035fa480e77089220f5c2e2db57870",
+    "branch-three-halves/semicontinuity": "a72c5edb9fb5e80e584ef9e611884ae14ea72bb074c838bc79b9f329bf41303f",
+    "branch-three-halves/doubling": "b07454b121cd670c050626014f5830db8e296897fb475dfc4dac3c0c9435f9f6",
+    "branch-three-halves/frequency-variants": "d83d69527d10a435070a64fe3afd082c88ad9824555d09cf6b8bda86fe157b9f",
+    "harmonic-pair/stationarity": "af508d69d292db0475f108d0db11c5b5af888b8ab967a972c9fe15508fd0fd97",
+    "harmonic-pair/stationarity-ball": "59046c5b9d76ee45f7687059b431332694bc093cb7704c543af4bf1c30a72c09",
+    "harmonic-pair/carleman": "e33c43f62ede7d493434bc60a72468eba12e8df44868db08e8eca1f5af5916d5",
+    "harmonic-pair/first-carleman": "c80a451c2b7d96d83c8a683b68d0f84734c538f7dee0583b2d357e25ddbfcd7b",
+    "harmonic-pair/pre-carleman": "47f26b479cbb5ab8c2f66f4ec8848dd7e27272ca6a63ece9fb7f9d067bbdd642",
+    "harmonic-pair/modified-carleman": "0ef65590ae96780cae38f5d0738ab1068cc0a8b125df0c0b7abfd3dbe286c5e6",
+    "harmonic-pair/caccioppoli": "0882b5b899b0c8c8ed909f53b73016c391ff4edcdfcf7e3c9a1b0b2fa8ae02ff",
+    "harmonic-pair/deficit-profile": "94fb7e23f7e598e0cca7792406eb33ecdf7d537b3f9a8d7be8487753b541e82e",
     "harmonic-pair/frequency-identity": "8f810c47b2ed12505d99cdc35369b390590341607e9f9321be75b3478a14542d",
-    "harmonic-pair/weiss-derivative": "a674366a1bebfc76b35a5b99b5d8fd405305939cff9be4a6113b49a850da67bc",
-    "harmonic-pair/three-sphere": "cebde0e86707a437a273ce9d182aedf2c33063ffd0088a1f7355da6712253119",
-    "harmonic-pair/carleman-sweep": "7d54ea27d69e1070f433cab4a68780700396787117e223d405e0677ac698e0e1",
-    "wound-s0/stationarity": "04e0d2e155f1595b5f3944acb9677c286ace0a26bd264bf2fa30f2bb85acf6c4",
-    "wound-s0/stationarity-ball": "58c8aa62225712ca1fb1b83d510af0c8623db978cb0307eb92bdf86b228894f2",
-    "wound-s0/carleman": "2096d87e857aa20e5b86c80d938ba5851d832cc96ed0331268756e3c3959a389",
-    "wound-s0/first-carleman": "fb86163cfd9025c7b11b4e15579da47b5ab2012961450d10140612875ae0fbd5",
-    "wound-s0/pre-carleman": "70abbee581b985d3cfa256b6ffb21a39b871dc8abfa1cff643544899ef8062e7",
-    "wound-s0/modified-carleman": "e12e244467ee8adf96619aa1008232e34c25d66ab364429b6937f42447315028",
-    "wound-s0/caccioppoli": "d45acf697b7734be0e1a0e913274f04522d7416a7b82189fe4b8df7b265a3e1b",
-    "wound-s0/deficit-profile": "00234b091c54698d0fca620856d941db5364bfd7fbc219e444b4bf33579bfc48",
-    "wound-s0/frequency-identity": "137aeae13fde86da9b4df4d685fb86ada40e62cd731101c619a607542ebcde23",
-    "wound-s0/weiss-derivative": "fb2d80da5ae6a4ba3dbdd9bfba12e6641068515a6c942969d76f6b3eb115ba22",
-    "wound-s0/three-sphere": "2529a98beb019e78ee127dcfffdadacf02f6e142c0a433411205935ca70ace43",
-    "wound-s0/carleman-sweep": "95bd01ee49b12108a27c11e2a192f2f20369427d9740870fdd337e15797ae7de",
-    "wound-s0/construction-cert": "6a2a17cb8dc81f9e65d035e6db04f6d53064590f7f872b4186b3370ba7dbce90",
-    "branch-three-halves/vanishing-order": "b7fec545968b597ff90575b253227f9a58f67c73c288eec4bbaa3f50c4a38c27",
-    "branch-three-halves/vanishing-order-off-centre": "59c9276adad692128c78abe377859afd181ff42bc4e0bdcf0945f16fcc487174",
-    "branch-three-halves/semicontinuity": "1556608781c06664b6f16e8b93010fadd8017d4a43649b4e9c530dcb28c215b6",
-    "branch-three-halves/doubling": "1d2d6de2e9b22590150412861f81cccffe6267211e7296bc2ab2f52a81626a7c",
-    "branch-three-halves/frequency-variants": "84ab69b472e6e51279ea690b6e37c940f8e1aaafaaf063f8ebf5dd993ce309c6",
-    "harmonic-pair/vanishing-order": "1d3f26075f9d00b3c98556d0bc1a53a56e736efea1bb5faf0ad85818063b76e8",
-    "harmonic-pair/vanishing-order-off-centre": "ae5b4789c4d48ab2862c989bbcdd782b911fadfe9bb9370474ba3263b3701d19",
-    "harmonic-pair/semicontinuity": "885abd87a9950ab296493c8c29d582e47116ef03de6d515c4c49619ead3418b9",
-    "harmonic-pair/doubling": "b88e2616ece36682f160565f9518a838637b8cab6b43349d324ba433c9738fa5",
+    "harmonic-pair/weiss-derivative": "dee0be257636c41a7b34684c8d06d8303dde0427d5d9aa592bd0b28778d9270c",
+    "harmonic-pair/three-sphere": "0e0971cd1ddb84460ee074ec1aadefa2a5b620925a481a710dd26d374eaabd49",
+    "harmonic-pair/carleman-sweep": "d4365d2f8d04f1e5428a181520098f02dd254b8d77f8f2b3b430f771a7cd6a2e",
+    "harmonic-pair/vanishing-order": "9dfedaa6ccde8af6ce19ac203e8ff63b6f997c8bd89ebda73ab030677e7c576e",
+    "harmonic-pair/vanishing-order-off-centre": "0f8f35297d39e35fcf7f0255d129240365bf1bf6ed835e3f27fe3fc9761f9746",
+    "harmonic-pair/semicontinuity": "c84dc1d4c7924cb468e9fade95d326f4c3a35895ef235b2b27d9b6789e0874a7",
+    "harmonic-pair/doubling": "c54434fced3cd3377a54e2dce0afb827a5d62d4b909f37753be63a6ee962b08b",
     "harmonic-pair/frequency-variants": "f941005168790e1067800beb626564877efa1db46e1c2be448906c4875163722",
-    "wound-s0/vanishing-order": "945c4a91bee82fc4c0dc2a66853af013a207ddc8ba1e65175b69fa35c1e8be50",
-    "wound-s0/vanishing-order-off-centre": "c4e61b2ee1d76431c0dd08a74e1733facf2946c37149bd86df95e5254182c0e1",
-    "wound-s0/semicontinuity": "af46218c0a988ee2a2307eae071b01647893839ef5dc497f02ace14da00c41f9",
+    "wound-s0/stationarity": "a202da707167414ce899abcfa96263abcb86eb12b29e9cf78950437d2bbfa514",
+    "wound-s0/stationarity-ball": "347d2cb30982e57af9597c75fa68fd564089c423d1d6479f541cd98728bb0e01",
+    "wound-s0/carleman": "f7edb789c529e97d59caee8eaf2d753048ca2326179b93177fb5953dd2d49573",
+    "wound-s0/first-carleman": "24cdfcc411089dc9813e2d2d74ce9e7db18935233349069049f758d48c513ed0",
+    "wound-s0/pre-carleman": "6cecda5e70698630bcec607589aaf557342ae031b0c1da30893f8880f98a7dea",
+    "wound-s0/modified-carleman": "4cf33656180c7ac7e19a8e72599500fbe49c59edf491dcbd2875d2e836e689ef",
+    "wound-s0/caccioppoli": "3661d9cd9ff31b893689c5d499f09cd93690e3f632175c9aa403707a52c3e4db",
+    "wound-s0/deficit-profile": "e0c44e9c6d81217b5a1f58b0aeaa4025210eda649ca2a5563f4b8faa0ad98858",
+    "wound-s0/frequency-identity": "137aeae13fde86da9b4df4d685fb86ada40e62cd731101c619a607542ebcde23",
+    "wound-s0/weiss-derivative": "5aa9cb55f64e96458578bb0e570f66300f38fd916501eb230d049c9b50ef9809",
+    "wound-s0/three-sphere": "0ee31430d51dd0f55b7a133b3eae7cf3ec5b38d9b99c1ff008bc531053402d8d",
+    "wound-s0/carleman-sweep": "a59ddf208257dd87cd60cf3de0cbd44c7e2207d1b06aaf44f6648bcb1e31cee0",
+    "wound-s0/vanishing-order": "d4a4c6d4865e710a03d105fe4b37d8466a414fbc555ad61251db7447296c1b16",
+    "wound-s0/vanishing-order-off-centre": "3bed0a24e57e3cf7edd1e565428b52e1529e469cafc3e9082460e5ad7f6a4bfb",
+    "wound-s0/semicontinuity": "55d01e9c4076b76ec25da6ac86f751c1e04cf1e6e27499a4f66c476fbd64985a",
     "wound-s0/doubling": "d4ade6ffaf347be95c807948286d331838dbc00cc7308ee10ccb10b8d03b5251",
-    "wound-s0/frequency-variants": "7fbeb5dba76351a21c77b445927cfc358588054d6e40438586c53d6aa3dc9fa3",
-    "harmonic-3d/stationarity": "b730c425a0ff85cfdd818f1e096b4733e1cf3c87b957cfbfb125c4d9cdba7a49",
-    "branch-three-halves/frequency-profile-sharp-dyadic": "c20ca184245b291aa402d8c56ab3e3d04123464be3f130c2aa9b4bdd2d9a0f9e",
-    "branch-three-halves/frequency-profile-linear-dyadic": "def535bd5074537e41b744ba85971f07c4d5818a80ef119e396cbaaf23a0a998",
-    "branch-three-halves/weiss-profile-dyadic": "f8f36d5c55996cde7cbc4ac4030a0f92e34ae7c6682c9839e79771f88152e0ee",
-    "branch-three-halves/frequency-profile-sharp-increasing": "2eecceee2f3c3a326d06a1260d6a6618fad391081aea9504ed20755fb05bd552",
-    "branch-three-halves/frequency-profile-linear-increasing": "306e0924d76d9ab803f4091fc0cf40a64a5b2879935268124dac9b23225934c8",
-    "branch-three-halves/weiss-profile-increasing": "71647b2a4624701285c5e28603093d8f11687423e0a07a360ea99e1177ddf7cc",
-    "branch-three-halves/doubling-4": "33eec63b328b996d921e21003b73ee3d7664dfb2d59ebd2f2c314f5e134ff69c",
-    "branch-three-halves/frequency-variants-wide": "00740950894f4d8266a2c944a403a5a865a8e2abb7489db7be284fb864ffae37",
-    "harmonic-pair/frequency-profile-sharp-dyadic": "99f60a92e1787323b1fd68d97be455906babc7d31abe3d3bcd34c6ed0c5448f7",
-    "harmonic-pair/frequency-profile-linear-dyadic": "f78858958a903b815bc92fc2977c282c497355242001a096d8d9c6f6fa5a14f2",
-    "harmonic-pair/weiss-profile-dyadic": "25281ee8b2ed395e98deab85275c9cdeaf57e96edbc34e73dc8e41cc892ad9fe",
+    "wound-s0/frequency-variants": "19791775e8356cd361ff13f07f41b30fb626052f1aae98270f27f2a42e7458f2",
+    "wound-s0/construction-cert": "1b0f465f407a0b2b381831480af1a2730f4886fa1fa2636233fe4cd028a0aa08",
+    "harmonic-3d/stationarity": "0cc451cb52295232912a0dd631a4ee71eb37d768f79caeb9ebdeb795ec970e7a",
+    "branch-three-halves/frequency-profile-sharp-dyadic": "b5c3bd649889d254aa932b2c00508653732d8a44b2bc29c6a54892991d237536",
+    "branch-three-halves/frequency-profile-linear-dyadic": "7571826c8a31e9915bd216c3549c2a00cc0affa6f1efed7c40e3d2e14c259659",
+    "branch-three-halves/weiss-profile-dyadic": "da6c2e0ee4d8ead904c2585da0660ae9a425baf7cc4097f563a0848beb04c6f9",
+    "branch-three-halves/frequency-profile-sharp-increasing": "67920f221cad6cc58d28a430ed36379548f9ed1af6c10185132bb8e81aa9eec4",
+    "branch-three-halves/frequency-profile-linear-increasing": "7fd377c6902cceb813947d89fd23465b12de57e435af1684a26f5faee9a060c3",
+    "branch-three-halves/weiss-profile-increasing": "83fa0e3e6e55afd2fa05696e1774dc5632c5c7e4d0a7775da9a161c323353923",
+    "branch-three-halves/doubling-4": "04b9ed7daa0e32c02f8b4f1e910e76de665cc2375eda08c67bb347f14bd2cfdf",
+    "branch-three-halves/frequency-variants-wide": "818dc2a1c74536650f2c115fd2c9d16f808f63a41e5654cdbdbf825fcd818814",
+    "harmonic-pair/frequency-profile-sharp-dyadic": "31f3f3b61102d41765845061ab8abbb5fcaf54a58bb241feae5fe02384debf3d",
+    "harmonic-pair/frequency-profile-linear-dyadic": "91834784d3a74ee0461007a147abc1198494f8baa6ae8bee26eb66c2b6dd91c5",
+    "harmonic-pair/weiss-profile-dyadic": "9b7631c3d0cef355898c4aff0448c647caa16866653f7e94860aeb9ce8292cd3",
     "harmonic-pair/frequency-profile-sharp-increasing": "2eb216e0924e8623ff19aaa021d6a7a5c1f8e9f34ee86819044599132890edd9",
-    "harmonic-pair/frequency-profile-linear-increasing": "b0d90536d743305a1418249b5de41483cb248f12cc305d5f79d625933945ae97",
+    "harmonic-pair/frequency-profile-linear-increasing": "ce16363072ac8885ff0a216901bf552b91ecaaf1f6942840f5305464da15a8fa",
     "harmonic-pair/weiss-profile-increasing": "d6abd34dd37872592d1582ead9dc5640c4e1a534558efe7f5375e618f8f4cc19",
-    "harmonic-pair/doubling-4": "ddd48fff24f59e03892e878019f29ade54554a6a5320b2d503dcc00d87cf90d4",
-    "harmonic-pair/frequency-variants-wide": "865f8a29209f077701c5039fbf1068567c3549f82099522104206f9b77107677",
+    "harmonic-pair/doubling-4": "736ef6db807b7e8cc4e4653b16c3df8943b12b1dac3fa7259269d76c0ed418b4",
+    "harmonic-pair/frequency-variants-wide": "1bd9b96f8d44a883408d6a84987c5fdf5415d1118184958b2e7ea6586b036da7",
     "wound-s0/frequency-profile-sharp-dyadic": "5f68d035c2e15e75bf270fb9c164fab2c8721dabbc57dda832f04380368fbfbf",
-    "wound-s0/frequency-profile-linear-dyadic": "d0b965851180191fcb9beacbd9486e8dfdae088eff1e18a2d4d06cc3f221be52",
-    "wound-s0/weiss-profile-dyadic": "cd1d86baa648bba1c344f967b0eb219726fa3de6fcc1cca5c0600032ebab3f51",
-    "wound-s0/frequency-profile-sharp-increasing": "b34712543cf2bdde1f98419e36364d3392f6ba9038887335a8252489ca17d3f1",
-    "wound-s0/frequency-profile-linear-increasing": "c885c325bc0c0e468e94b9a39ebad53b6b126b2d58ecf213c67196e37c5319a5",
-    "wound-s0/weiss-profile-increasing": "56ee2162414d64fc4941bdc437dbac7ce873158eaa5a082c8057b58cd5a4734d",
+    "wound-s0/frequency-profile-linear-dyadic": "b510f8e19d229b700ddceb9ee0521f03845828c8ad2bf6609226d1daa0a454ab",
+    "wound-s0/weiss-profile-dyadic": "c53dd1a4770e27bbe0b57f381e09d6eac9065ed0dbc01f44a8cd2d3ce978a512",
+    "wound-s0/frequency-profile-sharp-increasing": "b5bf9fd8ba7e91d561ce0697d545b60077cebafc8ce234dada4983237ec85a9c",
+    "wound-s0/frequency-profile-linear-increasing": "e61baf57651552f91e003030692df9ccf91f5b56f1b95901eaab9af02b1973f5",
+    "wound-s0/weiss-profile-increasing": "08fe2e82f49d30d799082340d72d876efda642b9e136066fc312a242cdc22bd8",
     "wound-s0/doubling-4": "51d97365101b4d887dd3f815123bdfbf810478c6eb7b17be5e46d9ae6b92e302",
-    "wound-s0/frequency-variants-wide": "706a90f53b261177c132118d8fd1a2167256c58a56b1528e6e933aa5d98f12f0",
-    "wound-deep/frequency-profile-sharp-dyadic": "0d0aad9c6edb481e08c009c87d16a87394821c5115e7bc30a420d49152d99ccc",
-    "wound-deep/frequency-profile-linear-dyadic": "73f9cd1c1a703dc14b2033477a32cf89e7b559b6cfa6648124c010912fcc028c",
-    "wound-deep/weiss-profile-dyadic": "afd19156853d77c21fb3f3ac1262166e157f834a05aa1a97b779df40fbc5e10f",
-    "wound-deep/frequency-profile-sharp-increasing": "9bae3df939d79987941110c7a39b60ff2c729e265ad24c265d2b3c3ae743b80f",
-    "wound-deep/frequency-profile-linear-increasing": "cca8e1d044f59361a04d45848a39a75eb3ffcbaffd3ec28e216b402e2a4c42b2",
-    "wound-deep/weiss-profile-increasing": "c09e644ad8b8ef1773eb72050f68393c3ae49f48fbde6a42700ae361fc7f27bb",
-    "wound-deep/doubling-4": "cd414ab02207dabd7c31e61ac4e223c42c2ffa644226bbae3990cad76265ac5a",
-    "wound-deep/frequency-variants-wide": "6318975fbcbf518714dacd7bc115cd2576ae07565c572632cb94d8bc117b6bed",
-    "wound-capped/frequency-profile-sharp-dyadic": "b34844ba9091372d3194e34a722c884066a8fe995c0479757ba6841c1556f652",
+    "wound-s0/frequency-variants-wide": "fa3071c4d367779f3f9d396530d93303caef70319ab5463c0b5b199083b31d93",
+    "wound-deep/frequency-profile-sharp-dyadic": "8227c659b62275e7bbef603cac606a658ffa38f886c18c80ee84a9fd3f28f4e4",
+    "wound-deep/frequency-profile-linear-dyadic": "489390656aebbe63a9d6339b7e415769365af8ecab303e489b0a195642e287db",
+    "wound-deep/weiss-profile-dyadic": "695a53556365f5a2173d40aff15d7e25d10b82ea14a9cce8d87f479f318f109f",
+    "wound-deep/frequency-profile-sharp-increasing": "7083b6db826ae54c84d8707691e20b051614ba1627147c133c9f7507b16407c0",
+    "wound-deep/frequency-profile-linear-increasing": "7eeaba99a7013c4f61c947745cfa96b714e9147beca7883615aa48ea26414a8a",
+    "wound-deep/weiss-profile-increasing": "ab1d0711e61cb9279dcf3361456e8115056a5de854b254d70e9f5a442628ea88",
+    "wound-deep/doubling-4": "7f827d5ad648022c5c0870c15c6ad9c689cf65b564c6747e274b6f9ec5955c7a",
+    "wound-deep/frequency-variants-wide": "23692877365456c587aa954560c387a3f2e56deb3eff3d7cd39236d14809897f",
+    "wound-capped/frequency-profile-sharp-dyadic": "f778d078c9100fe7e3583fa12c904bc74d27937d90a8cea593715752ef6ce688",
     "wound-capped/frequency-profile-linear-dyadic": "f88531ee623136c1cbdddfc0aacb8d681b3199bd020d5bc5ea5456d4e245902e",
     "wound-capped/weiss-profile-dyadic": "55b8d06f3a770f76338239cb7bef05cff7d66b8fd2f70ee7f827eeec78056699",
-    "wound-capped/frequency-profile-sharp-increasing": "7025faae3aeb740cafcd1df0ad0bae7e117731cfba3a60087eb9a433b85e96b7",
-    "wound-capped/frequency-profile-linear-increasing": "020eab922bd6b7e6c1f1c234436b2f3ef1282ea63e7ab905d6de2da962d1fabf",
-    "wound-capped/weiss-profile-increasing": "ae28e283634068b0458d4045a9906e0c2a831ac282b24adf1de11e4bad9b170c",
-    "wound-capped/doubling-4": "5e081341067fdea7303c6b449f35134485c53201685fd93b5b35438e3dcce78f",
+    "wound-capped/frequency-profile-sharp-increasing": "210e0d66606fd52a2f0d163f46a75cdb5e9de74450f2b63b8ad52afe4f60db92",
+    "wound-capped/frequency-profile-linear-increasing": "ff7367ba20f9d5be06fb5f73625db49b1970e14b60e8fd7d119fb2142209cf41",
+    "wound-capped/weiss-profile-increasing": "c6e54714262cfbc6ab59530662975d9bdca05579f1753e0d7fccb577e48c299a",
+    "wound-capped/doubling-4": "363a5b2581e650e5e02060f01af2b733d53fb38f2089007ad54fbb73e17d00ce",
     "wound-capped/frequency-variants-wide": "0845578f381a4d095e743631e083d41970ae9c5993e104be102a90de8fd23790",
 }
 
