@@ -2,7 +2,8 @@
 
 Value space and matching metric (qcore), an example library of stationary
 fields (fields), Dirichlet variations and quadrature (variational), weighted
-radial inequalities (carleman), frequency and vanishing order (frequency),
+radial inequalities (carleman) with the closed-form second route of their
+two-sided checks (radial), frequency and vanishing order (frequency),
 and the 2D unwinding / epiperimetric machinery (weiss2d), wired together by
 a reproducible command-line front end (cli).
 """

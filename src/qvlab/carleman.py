@@ -3,9 +3,10 @@ doubling estimates, and the bent-weight variant.
 
 Every checker computes both sides of its inequality by quadrature and
 reports the empirical constant; no constant is ever assumed. The four
-Carleman variants and three-sphere rerun every integral at quad.refined()
-and judge the two runs by the one rule of variational._two_resolution
-(1e-4 relative, roundoff-level integrals exempt). Weights are
+Carleman variants and three-sphere compare every integral with a second
+route under the one rule of variational._two_resolution (1e-4 relative,
+roundoff-level integrals exempt): the closed form of radial on a field with
+known pieces about the origin, else a rerun at quad.refined(). Weights are
 powers of |x| (or exp(-2 tau phi(log|x|)) for the bent variant) against an
 annular cutoff chi supported away from the origin, where the power weights
 are smooth.
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import radial
 from .fields import QField
 from .report import CheckReport
 from .variational import (
@@ -128,21 +130,27 @@ def _over_cutoff(f, cutoff, q, density):
     return integrate_region(f, cutoff.support(f.n), q, density, breakpoints=cutoff.breakpoints())
 
 
-def _two_sided_report(name, f, params, cutoff, sides, quad, extra=None, signed_lhs=False):
-    """Evaluate sides(q) -> (lhs, rhs) at quad and its refinement
-    (_two_resolution), assemble the standard ratio report with the
-    convergence flag and the cutoff's kind and radii."""
+def _two_sided_report(name, f, params, cutoff, sides, closed_form, quad, extra=None,
+                      signed_lhs=False):
+    """Evaluate sides(q) -> (lhs, rhs) at quad and compare with the second
+    route (_two_resolution), where closed_form(r, M, R, C) is the per-radius
+    (lhs, rhs) integrand of the closed-form route; assemble the standard
+    ratio report with both routes' sides and the cutoff's kind and radii."""
     _require_origin_cutoff(cutoff)
-    (lhs, rhs), (lhs2, rhs2), converged = _two_resolution(sides, quad)
-    ratio, verdict, notes = _ratio_verdict(lhs, rhs, converged, signed_lhs)
+    (lhs, rhs), (lhs2, rhs2), route, disagreement = _two_resolution(
+        sides, quad,
+        exact=radial.closed_form(f, cutoff.support(f.n), cutoff.breakpoints(), closed_form))
+    ratio, verdict, notes = _ratio_verdict(lhs, rhs, disagreement, signed_lhs)
+    second = route.replace("-", "_")
     quantities = {"lhs": lhs, "rhs": rhs, "ratio": ratio,
-                  "lhs_refined": lhs2, "rhs_refined": rhs2}
+                  "lhs_" + second: lhs2, "rhs_" + second: rhs2}
     if extra:
         quantities.update(extra)
     return CheckReport(
         name=name,
         field_spec=f.tag,
-        params={**params, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
+        params={**params, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii},
+                "second_route": route},
         quantities=quantities,
         resolutions=quad.meta(),
         verdict=verdict,
@@ -167,10 +175,24 @@ def _carleman_density(cutoff: RadialBump, tau: float, eta: float, eps: float, ex
         sq = radial - eta * vals
         main = np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
         mass = _mass_density(X, r, vals, grads)
-        lhs = tuple(chi * (eps ** 2 * mass / r ** e + main) for e in exps)
+        lhs = tuple(chi * (eps ** 2 * mass / r ** e + main) if eps else chi * main
+                    for e in exps)
         rhs = _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
         return (lhs[0], rhs) + lhs[1:]
     return density
+
+
+def _carleman_closed_form(cutoff: RadialBump, tau: float, eta: float, eps: float,
+                          exponent: float):
+    """The (lhs, rhs) integrand of _carleman_density at mass exponent
+    exponent, from the circle integrals M, R, C of radial: the angular
+    integral of |Df . x - eta f|^2 is r^2 R - 2 eta r C + eta^2 M."""
+    def integrand(r, mass, rad, cross):
+        chi = cutoff.chi_r(r)
+        main = (r * r * rad - 2.0 * eta * r * cross + eta * eta * mass) / r ** (2.0 * tau + 2.0)
+        lhs = chi * (eps ** 2 * mass / r ** exponent + main) if eps else chi * main
+        return lhs, _carleman_rhs(cutoff, tau, r, 2.0 * rad, mass)
+    return integrand
 
 
 def carleman_sides(f: QField, w: WeightSpec, cutoff: RadialBump,
@@ -204,7 +226,8 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: RadialBump,
 
     return _two_sided_report(
         "carleman", f, {"tau": w.tau, "eps": w.eps, "exponent_variant": w.exponent_variant},
-        cutoff, sides, quad, extra=extra)
+        cutoff, sides, _carleman_closed_form(cutoff, w.tau, eta, w.eps, exponent), quad,
+        extra=extra)
 
 
 def first_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
@@ -215,8 +238,9 @@ def first_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
     eta = w.eta(f.n)
     density = _carleman_density(cutoff, tau, eta, 0.0, (w.mass_exponent(),))
     return _two_sided_report("first-carleman", f, {"tau": tau}, cutoff,
-                             lambda q: _over_cutoff(f, cutoff, q, density), quad,
-                             extra={"eta": eta})
+                             lambda q: _over_cutoff(f, cutoff, q, density),
+                             _carleman_closed_form(cutoff, tau, eta, 0.0, w.mass_exponent()),
+                             quad, extra={"eta": eta})
 
 
 def pre_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
@@ -243,7 +267,11 @@ def pre_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
         lhs, rhs = _over_cutoff(f, cutoff, q, density)
         return lhs, (eta / tau) * rhs
 
-    return _two_sided_report("pre-carleman", f, {"tau": tau}, cutoff, sides, quad,
+    def closed_form(r, mass, rad, cross):
+        lhs = cutoff.chi_r(r) * (rad / r ** (2.0 * tau) - eta ** 2 * mass / r ** (2.0 * tau + 2.0))
+        return lhs, (eta / tau) * _carleman_rhs(cutoff, tau, r, 2.0 * rad, mass)
+
+    return _two_sided_report("pre-carleman", f, {"tau": tau}, cutoff, sides, closed_form, quad,
                              extra={"eta": eta}, signed_lhs=True)
 
 
@@ -289,7 +317,15 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
         return (shell_mass(f, x_arr, r1, q), shell_mass(f, x_arr, r2, q),
                 shell_mass(f, x_arr, r3, q))
 
-    (m1, m2, m3), _, converged = _two_resolution(masses, quad)
+    spec = radial.spectrum(f, x_arr)
+
+    def masses_closed_form():
+        return tuple(radial.integrals(spec, annulus(x_arr, r, 2.0 * r), (),
+                                      lambda rr, mass, rad, cross: (mass,))[0]
+                     for r in (r1, r2, r3))
+
+    (m1, m2, m3), _, route, disagreement = _two_resolution(
+        masses, quad, exact=None if spec is None else masses_closed_form)
     log32 = math.log(r3 / r2)
     log21 = math.log(r2 / r1)
     weight = 1.0 / (1.0 + log32 ** 2) + 1.0 / (1.0 + log21 ** 2)
@@ -301,11 +337,12 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
     else:
         case = "rescale-to-r3"
         eps = eps_recipe(r2, r3)
-    c_est, verdict, notes = _ratio_verdict(lhs, rhs, converged)
+    c_est, verdict, notes = _ratio_verdict(lhs, rhs, disagreement)
     return CheckReport(
         name="three-sphere",
         field_spec=f.tag,
-        params={"center": tuple(x_arr.tolist()), "r1": r1, "r2": r2, "r3": r3, "tau": tau},
+        params={"center": tuple(x_arr.tolist()), "r1": r1, "r2": r2, "r3": r3, "tau": tau,
+                "second_route": route},
         quantities={"lhs": lhs, "rhs": rhs, "c_est": c_est,
                     "shell_mass_r1": m1, "shell_mass_r2": m2, "shell_mass_r3": m3,
                     "eps_recipe": eps},
@@ -556,15 +593,24 @@ def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
                 dchi * (r * dmag + mass / r) * weight,
                 chi * (dmag + mass / r ** 2) * weight)
 
-    (lhs, boundary, bulk_int), _, converged = _two_resolution(
-        lambda q: integrate_region(f, support, q, density, breakpoints=bps), quad)
+    def closed_form(r, mass, rad, cross):
+        weight = np.exp(-2.0 * tau * bent.phi(np.log(r)))
+        chi = cutoff.chi_r(r)
+        return (chi * (rad - 2.0 * eta * cross / r + eta * eta * mass / (r * r)) * weight,
+                np.abs(cutoff.dchi_r(r)) * (2.0 * r * rad + mass / r) * weight,
+                chi * (2.0 * rad + mass / r ** 2) * weight)
+
+    (lhs, boundary, bulk_int), _, route, disagreement = _two_resolution(
+        lambda q: integrate_region(f, support, q, density, breakpoints=bps), quad,
+        exact=radial.closed_form(f, support, bps, closed_form))
     rhs = boundary + bulge * bulk_int
-    ratio, verdict, notes = _ratio_verdict(lhs, rhs, converged)
+    ratio, verdict, notes = _ratio_verdict(lhs, rhs, disagreement)
     return CheckReport(
         name="modified-carleman",
         field_spec=f.tag,
         params={"tau": tau, "delta": bent.delta, "r1": bent.r1, "r2": bent.r2,
-                "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii}},
+                "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii},
+                "second_route": route},
         quantities={"lhs": lhs, "rhs": rhs, "ratio": ratio,
                     "rhs_boundary": boundary, "rhs_bulk_integral": bulk_int,
                     "bulk_coefficient": bulge,

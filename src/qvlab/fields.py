@@ -193,6 +193,11 @@ class QField:
     radial_grading p: about each branch point every sheet is a finite sum of
     r^(j/p) times trigonometric terms in the angle; None (unknown) only
     without branch points.
+
+    pieces: planar FourierPiece records about the origin whose sheet-summed
+    angular integral of any quadratic density of values and gradients is the
+    sum of the pieces' integrals, each piece counted once (see radial); None
+    when unknown.
     """
 
     n: int
@@ -205,6 +210,7 @@ class QField:
     domain_radius: float = math.inf
     certificate_fn: Callable[[], dict] | None = None
     radial_grading: int | None = None
+    pieces: tuple | None = None
 
     def __post_init__(self):
         if self.branch_set and self.radial_grading is None:
@@ -314,7 +320,9 @@ def make_harmonic_sheets(sheets, tag: str | None = None) -> QField:
                     out[:, i, k, axis] = partials[i][k][axis].value(X)
         return out
 
-    return QField(n=n, m=m, q=q, tag=tag, values_fn=values, gradients_fn=gradients)
+    pieces = tuple(_polynomial_piece(sheet) for sheet in sheets) if n == 2 else None
+    return QField(n=n, m=m, q=q, tag=tag, values_fn=values, gradients_fn=gradients,
+                  pieces=pieces)
 
 
 @dataclass(frozen=True)
@@ -377,6 +385,25 @@ class FourierPiece:
         return cls(winding=d["winding"], a0=tuple(d["a0"]),
                    modes=tuple((entry["l"], tuple(entry["a"]), tuple(entry["b"]))
                                for entry in d["modes"]))
+
+
+def _polynomial_piece(components) -> FourierPiece:
+    """The winding-1 piece of a planar harmonic polynomial map, read from its
+    coefficients: the degree-l part of a component is A Re z^l + B Im z^l with
+    A = coeff(x1^l) and B = coeff(x1^(l-1) x2) / l, so b_l = A and a_l = B,
+    and a0 is twice the constant term."""
+    coeffs = [dict(comp.terms) for comp in components]
+    degrees = sorted({sum(expo) for comp in components for expo, _ in comp.terms} - {0})
+    return FourierPiece(
+        winding=1, a0=tuple(2.0 * c.get((0, 0), 0.0) for c in coeffs),
+        modes=tuple((l, tuple(c.get((l - 1, 1), 0.0) / l for c in coeffs),
+                     tuple(c.get((l, 0), 0.0) for c in coeffs)) for l in degrees))
+
+
+def _sums_to_zero(piece: FourierPiece) -> bool:
+    """Whether the sheets of the piece sum to zero at every point: no
+    constant term and no mode whose index the winding divides."""
+    return not any(piece.a0) and all(l % piece.winding for l, _, _ in piece.modes)
 
 
 def _wound_closures(pieces, m):
@@ -472,7 +499,7 @@ def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = m
     return QField(n=2, m=m, q=q_total, tag=tag or "wound-pieces:%d" % q_total,
                   values_fn=values, gradients_fn=gradients, branch_set=branch,
                   domain_radius=domain_radius,
-                  radial_grading=math.lcm(*(p.winding for p in pieces)))
+                  radial_grading=math.lcm(*(p.winding for p in pieces)), pieces=pieces)
 
 
 def make_branch_field(k: int, Q: int, amp: float = 1.0) -> QField:
@@ -484,17 +511,21 @@ def make_branch_field(k: int, Q: int, amp: float = 1.0) -> QField:
     """
     if k <= 0 or Q <= 0:
         raise FieldSpecError("branch field needs positive k and Q, got k=%d Q=%d" % (k, Q))
-    a = np.array([0.0, amp])
-    b = np.array([amp, 0.0])
-    piece = (Q, np.zeros(2), ((k, a, b),))
+    piece = FourierPiece(Q, (0.0, 0.0), ((k, (0.0, amp), (amp, 0.0)),))
     tag = "branch:%d/%d" % (k, Q) if amp == 1.0 else "branch:%d/%d:%s" % (k, Q, repr(float(amp)))
-    _, values, gradients = _wound_closures((piece,), 2)
+    _, values, gradients = _wound_closures([(piece.winding, piece.a0, piece.modes)], 2)
     return QField(n=2, m=2, q=Q, tag=tag, values_fn=values, gradients_fn=gradients,
-                  branch_set=(np.zeros(2),), radial_grading=Q // math.gcd(k, Q))
+                  branch_set=(np.zeros(2),), radial_grading=Q // math.gcd(k, Q),
+                  pieces=(piece,))
 
 
 def superpose(f: QField, h) -> QField:
-    """Add a single-valued harmonic polynomial map to every sheet of f."""
+    """Add a single-valued harmonic polynomial map to every sheet of f.
+
+    The result has pieces only where the cross terms of each quadratic
+    density vanish: f has pieces and each of them sums to zero over its
+    sheets. It then counts the shift's winding-1 piece once per sheet.
+    """
     h = tuple(h)
     if len(h) != f.m:
         raise FieldSpecError("superpose needs %d components, got %d" % (f.m, len(h)))
@@ -520,9 +551,12 @@ def superpose(f: QField, h) -> QField:
                 shift[:, k, axis] = partials[k][axis].value(X)
         return base + shift[:, None, :, :]
 
+    pieces = None
+    if f.pieces is not None and all(_sums_to_zero(p) for p in f.pieces):
+        pieces = f.pieces + (_polynomial_piece(h),) * f.q
     return QField(n=f.n, m=f.m, q=f.q, tag=tag, values_fn=values, gradients_fn=gradients,
                   branch_set=f.branch_set, domain_radius=f.domain_radius,
-                  radial_grading=f.radial_grading)
+                  radial_grading=f.radial_grading, pieces=pieces)
 
 
 def blowup_rescale(f: QField, y, rho: float, norm: float) -> QField:

@@ -16,7 +16,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, asdict
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 VERDICTS = ("pass", "fail", "diagnostic")
 

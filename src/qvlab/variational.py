@@ -359,37 +359,45 @@ def l2_mass(f: QField, region: Region, quad: QuadratureSpec = REFERENCE_QUAD,
 CONVERGENCE_REL_TOL = 1e-4
 
 
-def _two_resolution(run, quad: QuadratureSpec, rel_tol: float = CONVERGENCE_REL_TOL):
-    """(ref, fine, converged): run(quad) and run(quad.refined()) as tuples,
-    and whether each pair agrees within rel_tol relative. A pair at
-    roundoff level of the largest magnitude among all pairs carries no
-    convergence information, so it passes. run gets this very quad object
-    first."""
+def _two_resolution(run, quad: QuadratureSpec, rel_tol: float = CONVERGENCE_REL_TOL,
+                    exact: Callable | None = None):
+    """(ref, second, route, disagreement): run(quad) as a tuple, the second
+    route's tuple and its name, and None when each pair agrees within rel_tol
+    relative, else the note that says it did not. run gets this very quad
+    object.
+
+    The second route is exact() ("closed-form"), the check's closed form on
+    a piece field (see radial), when the caller has one; otherwise it is
+    run(quad.refined()) ("refined"), the same quadrature with every node
+    count doubled. A pair at roundoff level of the largest magnitude among
+    all pairs carries no information, so it passes."""
     ref = tuple(run(quad))
-    fine = tuple(run(quad.refined()))
-    scale = max(abs(v) for v in ref + fine)
-    converged = all(max(abs(a), abs(b)) <= 1e-12 * scale
-                    or abs(a - b) <= rel_tol * max(abs(a), abs(b), 1e-30)
-                    for a, b in zip(ref, fine))
-    return ref, fine, converged
+    if exact is None:
+        route, second, label = "refined", tuple(run(quad.refined())), "two-resolution"
+    else:
+        route, second, label = "closed-form", tuple(exact()), "closed-form"
+    scale = max(abs(v) for v in ref + second)
+    agree = all(max(abs(a), abs(b)) <= 1e-12 * scale
+                or abs(a - b) <= rel_tol * max(abs(a), abs(b), 1e-30)
+                for a, b in zip(ref, second))
+    return ref, second, route, None if agree else (
+        "%s disagreement above %g relative" % (label, rel_tol))
 
 
-def _ratio_verdict(lhs, rhs, converged, signed_lhs=False, rel_tol=CONVERGENCE_REL_TOL):
+def _ratio_verdict(lhs, rhs, disagreement, signed_lhs=False):
     """Ratio, verdict and notes of a left side against its right side: pass
-    when both resolutions agree (within rel_tol, which the disagreement
-    note names) and the ratio is finite, or the left side is signed and not
+    when the second route agreed (disagreement None; else it is the first
+    note) and the ratio is finite, or the left side is signed and not
     positive (the bound then holds trivially). A vanishing right side
     passes unless the left side is positive."""
-    notes = []
-    if not converged:
-        notes.append("two-resolution disagreement above %g relative" % rel_tol)
+    notes = [] if disagreement is None else [disagreement]
     if rhs == 0.0:
         if lhs > 0.0:
             notes.append("right side vanished while left side is positive")
             return math.inf, "fail", notes
         return 0.0, "pass", notes
     ratio = lhs / rhs
-    ok = converged and (math.isfinite(ratio) or (signed_lhs and lhs <= 0.0))
+    ok = disagreement is None and (math.isfinite(ratio) or (signed_lhs and lhs <= 0.0))
     return ratio, "pass" if ok else "fail", notes
 
 
@@ -756,11 +764,18 @@ def caccioppoli_check(f: QField, cutoff, quad: QuadratureSpec = REFERENCE_QUAD,
     (RadialBump or a compatible object). The reported constant is the plain
     ratio; the default acceptance constant 4 is what the stationarity
     identity plus Cauchy-Schwarz yields, so stationary fields must sit at or
-    below it. Both integrals must also agree with their refined rerun
-    within CACCIOPPOLI_REL_TOL (see _two_resolution).
+    below it. Both integrals must also agree with their second route within
+    CACCIOPPOLI_REL_TOL (see _two_resolution): the closed form on a piece
+    field under a RadialBump centred at the origin, the refined rerun
+    otherwise.
     """
+    from . import radial
+
     support = cutoff.support(f.n)
     bps = cutoff.breakpoints()
+
+    def closed_form(r, mass, rad, cross):
+        return cutoff.chi_r(r) ** 2 * 2.0 * rad, cutoff.dchi_r(r) ** 2 * mass
 
     def density(X, r, vals, grads):
         chi = cutoff.chi(X)
@@ -769,18 +784,20 @@ def caccioppoli_check(f: QField, cutoff, quad: QuadratureSpec = REFERENCE_QUAD,
         return (chi * chi * _dirichlet_density(X, r, vals, grads),
                 g2 * _mass_density(X, r, vals, grads))
 
-    (lhs, rhs), (lhs2, rhs2), converged = _two_resolution(
+    (lhs, rhs), (lhs2, rhs2), route, disagreement = _two_resolution(
         lambda q: integrate_region(f, support, q, density, breakpoints=bps), quad,
-        CACCIOPPOLI_REL_TOL)
-    c_est, verdict, notes = _ratio_verdict(lhs, rhs, converged, rel_tol=CACCIOPPOLI_REL_TOL)
+        CACCIOPPOLI_REL_TOL,
+        radial.closed_form(f, support, bps, closed_form) if isinstance(cutoff, RadialBump) else None)
+    c_est, verdict, notes = _ratio_verdict(lhs, rhs, disagreement)
     if c_est > c_max:
         verdict = "fail"
+    second = route.replace("-", "_")
     return CheckReport(
         name="caccioppoli",
         field_spec=f.tag,
-        params={"cutoff_radii": bps, "c_max": c_max},
+        params={"cutoff_radii": bps, "c_max": c_max, "second_route": route},
         quantities={"lhs": lhs, "rhs": rhs, "c_est": c_est,
-                    "lhs_refined": lhs2, "rhs_refined": rhs2},
+                    "lhs_" + second: lhs2, "rhs_" + second: rhs2},
         resolutions=quad.meta(),
         verdict=verdict,
         notes=tuple(notes),

@@ -8,6 +8,7 @@ weight; the doubling constant of a kappa-homogeneous field is 2^{2 kappa + n}
 at every scale.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -32,6 +33,7 @@ from qvlab.carleman import (
     tau_trend_statistic,
     three_sphere_check,
 )
+from qvlab import fields
 from qvlab.fields import (
     QField,
     make_branch_field,
@@ -41,7 +43,13 @@ from qvlab.fields import (
     parse_polynomial,
     superpose,
 )
-from qvlab.variational import DEFAULT_BATTERY_BUMP, QuadratureSpec, RadialBump, caccioppoli_check
+from qvlab.variational import (
+    DEFAULT_BATTERY_BUMP,
+    REFERENCE_QUAD,
+    QuadratureSpec,
+    RadialBump,
+    caccioppoli_check,
+)
 
 FAST = QuadratureSpec(radial_order=12, angular_nodes=64, polar_nodes=16)
 CUT = linear_cutoff(0.1, 0.2, 0.6, 0.9)
@@ -248,24 +256,127 @@ def _bump_sheet_field() -> QField:
 
 
 @pytest.mark.parametrize("run, note, infinite", [
-    # r^(-64) crowds the weight onto the inner ramp, which 12 x 64 does not resolve
+    # r^(-64) crowds the weight onto the inner ramp, which 12 x 64 does not
+    # resolve; branch:3/2 is a piece field, so its second route is the closed form
     (lambda: carleman_sides(parse_field_spec("branch:3/2"), WeightSpec(tau=32.0),
                             smoothed_cutoff(0.1, 0.2, 0.6, 0.8), FAST),
-     "two-resolution disagreement above 0.0001 relative", None),
+     "closed-form disagreement above 0.0001 relative", None),
     (lambda: caccioppoli_check(parse_field_spec("harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2"),
                                DEFAULT_BATTERY_BUMP,
                                QuadratureSpec(radial_order=6, angular_nodes=24)),
-     "two-resolution disagreement above 1e-06 relative", None),
+     "closed-form disagreement above 1e-06 relative", None),
+    # the same weight on a field whose sheets do not sum to zero: no pieces,
+    # so the refined rerun is the second route
+    (lambda: carleman_sides(parse_field_spec("superpose(branch:2/2,n2m2:x1;x2)"),
+                            WeightSpec(tau=32.0), smoothed_cutoff(0.1, 0.2, 0.6, 0.8), FAST),
+     "two-resolution disagreement above 0.0001 relative", None),
     # the shells about r1 and r3 miss the bump's support, the one about r2 meets it
     (lambda: three_sphere_check(_bump_sheet_field(), (0.0, 0.0), 0.05, 0.15, 0.45, 1.0, FAST),
      "right side vanished while left side is positive", "c_est"),
-], ids=["carleman-tau32", "caccioppoli-coarse", "three-sphere-bump"])
+], ids=["carleman-tau32", "caccioppoli-coarse", "carleman-tau32-refined", "three-sphere-bump"])
 def test_two_sided_failure_paths_are_noted(run, note, infinite):
     rep = run()
     assert rep.verdict == "fail"
     assert note in rep.notes
+    route = "closed-form" if note.startswith("closed-form") else "refined"
+    if note.endswith("relative"):
+        assert rep.params["second_route"] == route
     if infinite is not None:
         assert rep.quantities[infinite] == math.inf
+
+
+@pytest.mark.parametrize("tau, verdict", [(16.0, "pass"), (32.0, "fail")])
+def test_both_second_routes_judge_the_crowded_weight_alike(tau, verdict):
+    # At 12 x 64 the refined rerun of branch:3/2 is within 1e-8 of the closed
+    # form, so both routes see the same error of the reference run: 8.6e-5
+    # at tau 16, just inside 1e-4, and 1.2e-2 at tau 32
+    f = parse_field_spec("branch:3/2")
+    cut = smoothed_cutoff(0.1, 0.2, 0.6, 0.8)
+    closed = carleman_sides(f, WeightSpec(tau=tau), cut, FAST)
+    refined = carleman_sides(dataclasses.replace(f, pieces=None), WeightSpec(tau=tau), cut, FAST)
+    assert closed.params["second_route"] == "closed-form"
+    assert refined.params["second_route"] == "refined"
+    assert closed.verdict == refined.verdict == verdict
+    q, r = closed.quantities, refined.quantities
+    assert (q["lhs"], q["rhs"], q["ratio"]) == (r["lhs"], r["rhs"], r["ratio"])
+    for side in ("lhs", "rhs"):
+        assert q[side + "_closed_form"] == pytest.approx(r[side + "_refined"], rel=1e-8)
+    gap = abs(q["lhs"] / q["lhs_closed_form"] - 1.0)
+    assert (5e-5 < gap < 1e-4) if verdict == "pass" else gap > 1e-2
+
+
+PIECE_FIELDS = ["branch:3/2", "harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2",
+                "superpose(branch:1/3,n2m2:x1+0.5*x2;x1^2-x2^2)", "wound:0,2,4,1.8"]
+
+
+def _six_checks(f, center=(0.0, 0.0), quad=REFERENCE_QUAD):
+    lin = linear_cutoff(0.1, 0.2, 0.4, 0.8)
+    smooth = smoothed_cutoff(0.05, 0.1, 0.3, 0.45)
+    return {
+        "carleman": lambda: carleman_sides(f, WeightSpec(tau=1.5, eps=0.3), lin, quad),
+        "first": lambda: first_carleman_sides(f, 1.25, smooth, quad),
+        "pre": lambda: pre_carleman_sides(f, 1.25, lin, quad),
+        "modified": lambda: modified_carleman_sides(f, 1.5, build_phi_delta(0.1, 0.05, 0.4),
+                                                    smooth, quad),
+        "caccioppoli-ball": lambda: caccioppoli_check(f, RadialBump(0.0, 0.2, 0.5, 0.8), quad),
+        "three-sphere": lambda: three_sphere_check(f, center, 0.05, 0.11, 0.24, 1.5, quad),
+    }
+
+
+def _recorded_routes(monkeypatch):
+    """Swap the helper for a wrapper that records each (ref, second, route)."""
+    from qvlab import carleman, variational
+
+    seen = []
+    original = variational._two_resolution
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append(result[:3])
+        return result
+
+    monkeypatch.setattr(carleman, "_two_resolution", recording)
+    monkeypatch.setattr(variational, "_two_resolution", recording)
+    return seen
+
+
+@pytest.mark.parametrize("spec", PIECE_FIELDS)
+def test_closed_form_route_matches_reference_quadrature(spec, monkeypatch):
+    seen = _recorded_routes(monkeypatch)
+    f = parse_field_spec(spec)
+    for name, check in _six_checks(f).items():
+        rep = check()
+        assert rep.verdict == "pass" and rep.params["second_route"] == "closed-form", name
+        (ref, exact, route), = seen
+        seen.clear()
+        assert route == "closed-form"
+        scale = max(abs(v) for v in ref + exact)
+        for a, b in zip(ref, exact):
+            # the tuned first-carleman left side is roundoff of its right side
+            assert abs(a - b) <= 1e-10 * max(abs(a), abs(b)) + 1e-14 * scale, name
+    rep = carleman_sides(f, WeightSpec(tau=2.0), linear_cutoff(0.1, 0.2, 0.4, 0.8))
+    assert set(rep.quantities) >= {"lhs_closed_form", "rhs_closed_form"}
+    assert not any(key.endswith("_refined") for key in rep.quantities)
+
+
+@pytest.mark.parametrize("make, center, names", [
+    (lambda: parse_field_spec("superpose(branch:2/2,n2m2:x1;x2)"), (0.0, 0.0), None),
+    (lambda: parse_field_spec("harmonic:n3m1:x1*x2|x3"), (0.0, 0.0, 0.0), ("caccioppoli-ball",)),
+    (lambda: fields.blowup_rescale(make_branch_field(3, 2), (0.0, 0.0), 0.5, 1.0),
+     (0.0, 0.0), None),
+    (lambda: parse_field_spec("harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2"), (0.3, 0.2),
+     ("three-sphere",)),
+], ids=["superpose-nonzero-sum", "three-dimensional", "blowup", "off-centre-three-sphere"])
+def test_fields_without_a_spectrum_keep_the_refined_rerun(make, center, names, monkeypatch):
+    seen = _recorded_routes(monkeypatch)
+    checks = _six_checks(make(), center, FAST)
+    for name in names or checks:
+        rep = checks[name]()
+        assert rep.params["second_route"] == "refined", name
+        assert [route for _, _, route in seen] == ["refined"]
+        seen.clear()
+        if "lhs" in rep.quantities and name not in ("modified", "three-sphere"):
+            assert "lhs_refined" in rep.quantities and "lhs_closed_form" not in rep.quantities
 
 
 def test_three_sphere_case_split_recorded():

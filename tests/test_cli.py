@@ -588,13 +588,16 @@ def test_sweep_delta_and_kappa_grids(capsys, tmp_path):
 
 
 SWEEP_GOLDEN_CSV = "54707b59d753df3b47070a1c9c3c10dc6684c8b0094ed057cab1017adb81ede0"
-SWEEP_GOLDEN_REPORT = "c15bd31753f94f0ceb714fd0c53187a598a5316d8e7b404bd8d3751bad4a62af"
+SWEEP_GOLDEN_REPORT = "479b6db6d707e3e5bbf9c28d1ea5523555c088f577f4590d55b9adfc5757289d"
 
 
 def test_sweep_golden_bytes(capsys, tmp_path):
     """sha256 of the CSV and the report of one sweep with carleman, modified
     and epiperimetric rows at radial 8 x angular 32, recorded before the two
-    cutoff types were merged; any change to a row or report byte fails here."""
+    cutoff types were merged and re-recorded for report schema 2 (the CSV
+    when the Gauss-Legendre nodes were polished, five rows moving in their
+    last digits; the report for its format string); any change to a row or
+    report byte fails here."""
     cfg = _sweep_config(tmp_path, fields=["branch:3/2", "harmonic:n2m1:x1"],
                         taus=[1.5, 2.0], deltas=[0.02], kappas=[1.5])
     code, out, _ = run_cli(capsys, "sweep", "--config-sweep", str(cfg),

@@ -387,6 +387,94 @@ class TestRadialGrading:
             assert fields.blowup_rescale(g, y, rho, 1.0).radial_grading == p
 
 
+def _harmonic_component(const, coeffs):
+    """const + sum_l (A Re z^l + B Im z^l) for coeffs {l: (A, B)} as a Polynomial."""
+    terms = {(0, 0): const}
+    for l, (A, B) in coeffs.items():
+        for k in range(l + 1):
+            # the x1^(l-k) x2^k term of z^l is binom(l, k) i^k
+            c = math.comb(l, k) * (A * (-1) ** (k // 2) if k % 2 == 0 else B * (-1) ** (k // 2))
+            terms[(l - k, k)] = terms.get((l - k, k), 0.0) + c
+    return fields.Polynomial.from_dict(2, terms)
+
+
+class TestPieces:
+    """QField.pieces and the radial spectrum built from them."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_harmonic_pieces_reproduce_the_sheets(self, q, m, degree, seed):
+        rng = np.random.default_rng(seed)
+        sheets = [[_harmonic_component(float(rng.uniform(-1, 1)),
+                                       {l: tuple(rng.uniform(-1, 1, 2)) for l in range(1, degree + 1)
+                                        if rng.uniform() < 0.7})
+                   for _ in range(m)] for _ in range(q)]
+        f = make_harmonic_sheets(sheets)
+        assert len(f.pieces) == q and all(p.winding == 1 for p in f.pieces)
+        g = fields.make_wound_field(f.pieces, m=m)
+        X = rng.uniform(-1.5, 1.5, size=(40, 2))
+        scale = 1.0 + np.abs(f.values(X)).max()
+        assert np.allclose(g.values(X), f.values(X), rtol=0, atol=1e-12 * scale)
+        assert np.allclose(g.gradients(X), f.gradients(X), rtol=0,
+                           atol=1e-12 * (1.0 + np.abs(f.gradients(X)).max()))
+
+    @pytest.mark.parametrize("spec", ["branch:3/2", "branch:5/3:0.7", "wound:0,2,4,1.8",
+                                      "harmonic:n2m2:x1;x2|2*x1*x2;x1^2-x2^2",
+                                      "superpose(branch:1/3,n2m2:x1+0.5*x2;x1^2-x2^2+0.3)"])
+    def test_spectrum_matches_the_weiss2d_closed_forms(self, spec):
+        from qvlab import radial, variational, weiss2d
+
+        f = parse_field_spec(spec)
+        s = radial.spectrum(f, (0.0, 0.0))
+        for r in (0.3, 0.7, 1.0):
+            mass, _, _ = s.moments(np.array([r]))
+            assert mass[0] * r == pytest.approx(
+                sum(weiss2d.trace_l2(p, r) for p in f.pieces), rel=1e-13)
+            energy, = radial.integrals(s, variational.ball((0.0, 0.0), r), (),
+                                       lambda rr, mass, rad, cross: (2.0 * rad,))
+            assert energy == pytest.approx(weiss2d.closed_form_dirichlet(f.pieces, r), rel=1e-13)
+            assert energy == pytest.approx(
+                variational.dirichlet_energy(f, variational.ball((0.0, 0.0), r)), rel=1e-12)
+
+    def test_constructors_that_know_their_pieces(self):
+        branch = make_branch_field(3, 2, 0.5)
+        assert [(p.winding, p.modes) for p in branch.pieces] == [(2, ((3, (0.0, 0.5), (0.5, 0.0)),))]
+        wound = parse_field_spec("wound:1,3,4,1.8")
+        assert sum(p.winding for p in wound.pieces) == wound.q == 3
+        pair = parse_field_spec("harmonic:n2m2:x1+2;x2|2*x1*x2;x1^2-x2^2")
+        assert [(p.a0, p.modes) for p in pair.pieces] == [
+            ((4.0, 0.0), ((1, (0.0, 1.0), (1.0, 0.0)),)),
+            ((0.0, 0.0), ((2, (1.0, 0.0), (0.0, 1.0)),))]
+        shifted = fields.superpose(make_branch_field(1, 3), [poly("x2"), poly("1.5")])
+        assert shifted.pieces[:1] == make_branch_field(1, 3).pieces
+        assert shifted.pieces[1:] == (fields.FourierPiece(1, (0.0, 3.0), ((1, (1.0, 0.0), (0.0, 0.0)),)),) * 3
+
+    @pytest.mark.parametrize("make", [
+        # k divisible by Q: every sheet pair sums to a nonzero mode
+        lambda: fields.superpose(make_branch_field(2, 2), [poly("x1"), poly("x2")]),
+        # winding-1 base pieces never sum to zero over their one sheet
+        lambda: fields.superpose(parse_field_spec("harmonic:n2m1:x1|-x1"), [poly("x2")]),
+        lambda: fields.blowup_rescale(make_branch_field(3, 2), (0.0, 0.0), 0.5, 1.0),
+        lambda: parse_field_spec("harmonic:n3m1:x1*x2|x3"),
+        lambda: make_trivial(2),
+        lambda: dataclasses.replace(make_branch_field(3, 2), pieces=None),
+    ], ids=["superpose-nonzero-sum", "superpose-winding-one", "blowup", "three-dimensional",
+            "trivial", "hand-built"])
+    def test_fields_without_known_pieces(self, make):
+        from qvlab import radial
+
+        f = make()
+        assert f.pieces is None
+        assert radial.spectrum(f, (0.0,) * f.n) is None
+
+    def test_spectrum_needs_the_origin(self):
+        from qvlab import radial
+
+        f = make_branch_field(3, 2)
+        assert radial.spectrum(f, (0.0, 0.0)) is not None
+        assert radial.spectrum(f, (0.3, 0.0)) is None
+
+
 class TestSingularProbe:
     def test_distinct_sheets_give_empty_probe(self):
         f = make_harmonic_sheets([[poly("x1+2.0")], [poly("x1-2.0")]])

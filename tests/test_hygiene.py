@@ -7,7 +7,11 @@ names the module reads anywhere, annotations included. The package's
 `__init__.py` is left out, since its imports are the package's re-exports.
 The refinement scan finds every call of a `.refined` attribute in `src`
 outside `_two_resolution` in variational.py, so each two-sided check keeps
-taking its second route from that one helper.
+taking its second route from that one helper. The closed-form scan keeps
+that route independent of the evaluation kernels: no function of
+radial.py, and no function in `src` whose name contains `closed_form`,
+names a field's `values_fn` or `gradients_fn`, `integrate_region` or
+`sphere_integral`.
 """
 
 import ast
@@ -86,4 +90,45 @@ def test_only_two_resolution_refines_in_src():
                 lines = refined_calls(fh.read(), allowed)
             if lines:
                 found[name] = lines
+    assert found == {}
+
+
+KERNEL_NAMES = ("values_fn", "gradients_fn", "integrate_region", "sphere_integral")
+
+
+def kernel_references(source: str, whole_module: bool = False) -> list:
+    """(line, name) of each kernel name read inside a function whose name
+    contains closed_form, or anywhere in the module when whole_module."""
+    tree = ast.parse(source)
+    scopes = [tree] if whole_module else [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)) and "closed_form" in getattr(fn, "name", "")]
+    found = set()
+    for scope in scopes:
+        for node in ast.walk(scope):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name in KERNEL_NAMES:
+                found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_kernel_scanner_flags_only_the_closed_form_scopes():
+    source = ("def check(f, q):\n    return integrate_region(f, q)\n"
+              "def check_closed_form(f):\n    return f.values_fn(0)\n"
+              "def _carleman_closed_form(spec):\n    def integrand(r):\n"
+              "        return sphere_integral(r)\n    return integrand\n")
+    assert kernel_references(source) == [(4, "values_fn"), (7, "sphere_integral")]
+    assert kernel_references(source, whole_module=True) == [
+        (2, "integrate_region"), (4, "values_fn"), (7, "sphere_integral")]
+
+
+def test_closed_form_route_never_evaluates_the_field():
+    found = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                refs = kernel_references(fh.read(), whole_module=name == "radial.py")
+            if refs:
+                found[name] = refs
     assert found == {}

@@ -690,7 +690,10 @@ def test_multi_integral_check_field_call_counts():
     At REFERENCE_QUAD every panel is its own block. The Carleman cutoff
     (0.1, 0.2, 0.6, 0.9) and the battery bump both split into 3-4 panels;
     the refined resolution keeps one panel per block, the battery's coarse
-    and mid resolutions fit all panels in one block.
+    and mid resolutions fit all panels in one block. branch:3/2 is a piece
+    field, so its two-sided checks take the closed form as second route and
+    evaluate the field at the reference resolution only; the same field
+    with its pieces removed takes the refined rerun.
     """
     from qvlab import frequency
 
@@ -698,20 +701,24 @@ def test_multi_integral_check_field_call_counts():
     bent = carleman.build_phi_delta(0.1, 0.05, 0.4)
     cases = [
         # lhs, rhs and the variant lhs: 4 panels, reference plus refined
-        (lambda f: carleman.carleman_sides(f, carleman.WeightSpec(tau=1.5, eps=0.3), cut), 8),
-        (lambda f: carleman.first_carleman_sides(f, 1.5, cut), 8),
-        (lambda f: carleman.pre_carleman_sides(f, 1.5, cut), 8),
+        (lambda f: carleman.carleman_sides(f, carleman.WeightSpec(tau=1.5, eps=0.3), cut), 8, 4),
+        (lambda f: carleman.first_carleman_sides(f, 1.5, cut), 8, 4),
+        (lambda f: carleman.pre_carleman_sides(f, 1.5, cut), 8, 4),
         # the bend's knots split the cutoff into 7 panels
-        (lambda f: carleman.modified_carleman_sides(f, 1.5, bent, cut), 14),
+        (lambda f: carleman.modified_carleman_sides(f, 1.5, bent, cut), 14, 7),
         # 3 panels at reference, one block each at coarse and mid
-        (lambda f: stationarity_battery(f), 5),
-        (lambda f: caccioppoli_check(f, BUMP), 6),
-        (lambda f: frequency.homogeneity_deficit(f, (0.0, 0.0), 0.25, 0.5, 1.5), 1),
+        (lambda f: stationarity_battery(f), 5, 5),
+        (lambda f: caccioppoli_check(f, BUMP), 6, 3),
+        (lambda f: frequency.homogeneity_deficit(f, (0.0, 0.0), 0.25, 0.5, 1.5), 1, 1),
     ]
-    for check, count in cases:
-        f, calls = _counted_field(parse_field_spec("branch:3/2"))
-        check(f)
-        assert calls == {"values": count, "gradients": count}
+    pieces = parse_field_spec("branch:3/2")
+    assert pieces.pieces is not None
+    for check, refined, closed in cases:
+        for field, count in ((dataclasses.replace(pieces, pieces=None), refined),
+                             (pieces, closed)):
+            f, calls = _counted_field(field)
+            check(f)
+            assert calls == {"values": count, "gradients": count}
 
 
 # ---------------------------------------------------------------------------
