@@ -493,7 +493,7 @@ def _cmd_weiss(args, ctx: _Context) -> None:
 def _cmd_epiperimetric(args, ctx: _Context) -> None:
     if args.boundary:
         pieces = _load_pieces(args.boundary)
-        probe = weiss2d.solve_disk(pieces, certify=False)
+        probe = weiss2d.solve_disk(pieces)
     else:
         probe = fields.parse_field_spec(args.field)
         if probe.n != 2:
@@ -508,23 +508,23 @@ def _cmd_epiperimetric(args, ctx: _Context) -> None:
 def _cmd_solve2d(args, ctx: _Context) -> None:
     pieces = _load_pieces(args.boundary)
     f = weiss2d.solve_disk(pieces, quad=ctx.quad)
-    cert = dict(f.construction_cert or {})
+    cert = f.construction_cert
     if args.samples:
         radii = _parse_floats(args.sample_radii, None, "--sample-radii")
         weiss2d.export_polar_grid(f, args.samples, radii, n_theta=args.n_theta)
-    ok = cert.get("energy_cross_check") == "pass" and cert.get("stationarity") == "pass"
+    ok = cert["energy_cross_check"] == "pass" and cert["stationarity"] == "pass"
     report = CheckReport(
         name="solve2d",
         field_spec=f.tag,
         params={"boundary": os.path.basename(args.boundary),
                 "pieces": len(pieces)},
-        quantities={"energy_closed_form": cert.get("energy_closed_form", 0.0),
-                    "energy_quadrature": cert.get("energy_quadrature", 0.0),
-                    "energy_rel_gap": cert.get("energy_rel_gap", 0.0)},
+        quantities={"energy_closed_form": cert["energy_closed_form"],
+                    "energy_quadrature": cert["energy_quadrature"],
+                    "energy_rel_gap": cert["energy_rel_gap"]},
         resolutions=ctx.quad.meta(),
         verdict="pass" if ok else "fail",
         notes=("energy cross-check %s; stationarity %s"
-               % (cert.get("energy_cross_check"), cert.get("stationarity")),),
+               % (cert["energy_cross_check"], cert["stationarity"]),),
     )
     ctx.emit(report, args.out)
 

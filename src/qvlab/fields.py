@@ -400,10 +400,19 @@ def _polynomial_piece(components) -> FourierPiece:
                      tuple(c.get((l, 0), 0.0) for c in coeffs)) for l in degrees))
 
 
-def _sums_to_zero(piece: FourierPiece) -> bool:
-    """Whether the sheets of the piece sum to zero at every point: no
-    constant term and no mode whose index the winding divides."""
-    return not any(piece.a0) and all(l % piece.winding for l, _, _ in piece.modes)
+def _sums_to_zero(pieces) -> bool:
+    """Whether the sheets of all the pieces together sum to zero at every
+    point. Over its w sheets a piece sums to w a0/2 plus, for each mode
+    whose index l the winding divides, w r^(l/w) (a_l sin + b_l cos) of
+    (l/w) theta; so w a0/2 and, per degree l/w, w (a_l, b_l) must each total
+    exactly zero over the pieces."""
+    totals = {0: sum(p.winding * np.asarray(p.a0) / 2.0 for p in pieces)}
+    for p in pieces:
+        for l, a, b in p.modes:
+            if l % p.winding == 0:
+                degree = l // p.winding
+                totals[degree] = totals.get(degree, 0.0) + p.winding * np.asarray(a + b)
+    return not any(np.any(total) for total in totals.values())
 
 
 def _wound_closures(pieces, m):
@@ -523,8 +532,8 @@ def superpose(f: QField, h) -> QField:
     """Add a single-valued harmonic polynomial map to every sheet of f.
 
     The result has pieces only where the cross terms of each quadratic
-    density vanish: f has pieces and each of them sums to zero over its
-    sheets. It then counts the shift's winding-1 piece once per sheet.
+    density vanish: f has pieces and its sheets sum to zero, possibly only
+    across pieces. It then counts the shift's winding-1 piece once per sheet.
     """
     h = tuple(h)
     if len(h) != f.m:
@@ -552,7 +561,7 @@ def superpose(f: QField, h) -> QField:
         return base + shift[:, None, :, :]
 
     pieces = None
-    if f.pieces is not None and all(_sums_to_zero(p) for p in f.pieces):
+    if f.pieces is not None and _sums_to_zero(f.pieces):
         pieces = f.pieces + (_polynomial_piece(h),) * f.q
     return QField(n=f.n, m=f.m, q=f.q, tag=tag, values_fn=values, gradients_fn=gradients,
                   branch_set=f.branch_set, domain_radius=f.domain_radius,

@@ -515,9 +515,13 @@ class RadialBump:
 @dataclass(frozen=True)
 class OuterTestField:
     """Value deformation psi(x, u) = chi(x) (A u + c) under the cutoff bump,
-    so D_x psi = (A u + c) (x) grad chi and D_u psi = chi A. The growth
-    certificate |D_u psi| <= growth_du and |psi| + |D_x psi| <=
-    growth_linear * (1 + |u|) is checked by sampling on the quadrature nodes."""
+    so D_x psi = (A u + c) (x) grad chi and D_u psi = chi A.
+
+    The growth certificate |D_u psi| <= growth_du and |psi| + |D_x psi| <=
+    growth_linear (1 + |u|) is proved when the test is built: 0 <= chi <= 1
+    and |grad chi| <= bump.slope_bound give |D_u psi| <= |A|_F and
+    |psi| + |D_x psi| <= (1 + slope_bound) max(|A|_2, |c|) (1 + |u|), and
+    declared constants below these bounds raise ValueError."""
 
     bump: RadialBump
     A: np.ndarray
@@ -525,6 +529,15 @@ class OuterTestField:
     growth_du: float
     growth_linear: float
     label: str
+
+    def __post_init__(self):
+        du = float(np.linalg.norm(self.A))
+        linear = (1.0 + self.bump.slope_bound) * max(float(np.linalg.norm(self.A, 2)),
+                                                     float(np.linalg.norm(self.c)))
+        if self.growth_du < du or self.growth_linear < linear:
+            raise ValueError("%s: growth certificate (growth_du %g, growth_linear %g) below "
+                             "its proved bounds (%g, %g)" % (self.label, self.growth_du,
+                                                            self.growth_linear, du, linear))
 
 
 @dataclass(frozen=True)
@@ -538,84 +551,54 @@ class InnerVectorField:
     label: str
 
 
-def _outer_integrand(test: OuterTestField, chi, dchi, vals, grads, violations=None):
-    """Per-node outer variation of test from chi and grad chi on the nodes;
-    when violations is a [count, max |D_u psi|] pair, growth-certificate
-    failures at the nodes are tallied into it."""
-    du = chi[:, None, None] * test.A[None, :, :]
-    if violations is not None:
-        du_norm = np.sqrt(np.einsum("nab,nab->n", du, du))
-    total = np.zeros(chi.shape[0])
-    for i in range(vals.shape[1]):
-        U = vals[:, i, :]
-        G = grads[:, i, :, :]
-        shifted = U @ test.A.T + test.c
-        dx = shifted[:, :, None] * dchi[:, None, :]
-        total += np.einsum("nmk,nmk->n", dx, G)
-        total += np.einsum("nab,nbk,nak->n", du, G, G)
-        if violations is not None:
-            psi_val = chi[:, None] * shifted
-            lin = np.sqrt(np.einsum("nm,nm->n", psi_val, psi_val)) + \
-                np.sqrt(np.einsum("nmk,nmk->n", dx, dx))
-            u_norm = np.sqrt(np.einsum("nm,nm->n", U, U))
-            bad = (du_norm > test.growth_du + 1e-9) | \
-                  (lin > test.growth_linear * (1.0 + u_norm) + 1e-9)
-            if np.any(bad):
-                violations[0] += int(bad.sum())
-                violations[1] = max(violations[1], float(du_norm.max()))
-    return total
+def _cutoff_density(bump: RadialBump, outers=(), inners=(), extra=()):
+    """One density for deformations under one cutoff.
 
-
-def _inner_integrand(test: InnerVectorField, chi, dchi, X, grads):
-    """Per-node inner variation of test from chi and grad chi on the nodes X."""
-    dphi = chi[:, None, None] * test.J[None, :, :] + \
-        np.einsum("nk,nl->nkl", X @ test.J.T + test.c, dchi)
-    df_dphi = np.einsum("nqml,nlk->nqmk", grads, dphi)
-    stress = 2.0 * np.einsum("nqmk,nqmk->n", grads, df_dphi)
-    div = np.einsum("nkk->n", dphi)
-    return stress - _dirichlet_density(X, None, None, grads) * div
-
-
-def _cutoff_density(bump: RadialBump, outers, inners, tallies, extra=()):
-    """One density for deformations under one cutoff: bump.chi and
-    bump.grad_chi are evaluated once per panel, on the nodes X, and handed to
-    every integrand. Entries run extra (plain densities), then outers (each
-    with its growth tally, see _outer_integrand), then inners; one entry
-    comes back as a plain array, several as a tuple."""
+    Per panel it evaluates bump.chi and bump.grad_chi once on the nodes X
+    and forms four per-node sheet sums, so no entry loops over sheets:
+    T = sum_i Df_i^T Df_i (n x n) for the inner tests, and P = sum_i
+    Df_i Df_i^T (m x m), S = sum_i Df_i (m x n) and W_bak = sum_i u_ib
+    d_k f_ia for the outer ones. The outer entry of chi (A u + c) is
+    <grad chi, A:W + c S> + chi <A, P>, with (A:W)_k = sum_ab A_ab W_bak
+    and (c S)_k = sum_a c_a S_ak; the inner entry of chi (J x + c) is
+    2 <T, Dphi> - tr T tr Dphi. Entries run extra (plain densities), then
+    outers, then inners; one entry comes back as a plain array, several as
+    a tuple."""
 
     def density(X, r, vals, grads):
         chi, dchi = bump.chi(X), bump.grad_chi(X)
-        entries = tuple(d(X, r, vals, grads) for d in extra) + \
-            tuple(_outer_integrand(t, chi, dchi, vals, grads, tally)
-                  for t, tally in zip(outers, tallies)) + \
-            tuple(_inner_integrand(t, chi, dchi, X, grads) for t in inners)
-        return entries[0] if len(entries) == 1 else entries
+        entries = [d(X, r, vals, grads) for d in extra]
+        if outers:
+            P = np.einsum("nqak,nqbk->nab", grads, grads, optimize=True)
+            S = np.einsum("nqak->nak", grads)
+            W = np.einsum("nqb,nqak->nbak", vals, grads, optimize=True)
+            for t in outers:
+                paired = np.einsum("ab,nbak->nk", t.A, W, optimize=True) + \
+                    np.einsum("a,nak->nk", t.c, S)
+                entries.append(np.einsum("nk,nk->n", dchi, paired) +
+                               chi * np.einsum("ab,nab->n", t.A, P))
+        if inners:
+            T = np.einsum("nqmk,nqml->nkl", grads, grads, optimize=True)
+            trace = np.einsum("nkk->n", T)
+            for t in inners:
+                shifted = X @ t.J.T + t.c
+                entries.append(chi * (2.0 * np.einsum("kl,nkl->n", t.J, T) - trace * np.trace(t.J))
+                               + 2.0 * np.einsum("nk,nkl,nl->n", shifted, T, dchi, optimize=True)
+                               - trace * np.einsum("nk,nk->n", shifted, dchi))
+        return entries[0] if len(entries) == 1 else tuple(entries)
 
     return density
 
 
-def _note_growth(violations: list, warnings_sink: list) -> None:
-    if violations[0]:
-        warnings_sink.append(
-            "growth certificate violated at %d quadrature nodes (max |D_u psi| %g)"
-            % (violations[0], violations[1])
-        )
-
-
-def outer_variation(f: QField, test: OuterTestField, quad: QuadratureSpec = REFERENCE_QUAD,
-                    warnings_sink: list | None = None) -> float:
+def outer_variation(f: QField, test: OuterTestField,
+                    quad: QuadratureSpec = REFERENCE_QUAD) -> float:
     """First variation of the energy under f_i -> f_i + t psi(x, f_i).
 
     Returns the integral of sum_i [ <D_x psi(x, f_i) : Df_i>
     + <D_u psi(x, f_i) Df_i : Df_i> ] over the support of the cutoff.
     """
-    violations = None if warnings_sink is None else [0, 0.0]
-    value = integrate_region(f, test.bump.support(f.n), quad,
-                             _cutoff_density(test.bump, [test], (), [violations]),
-                             breakpoints=test.bump.breakpoints())
-    if violations is not None:
-        _note_growth(violations, warnings_sink)
-    return value
+    return integrate_region(f, test.bump.support(f.n), quad, _cutoff_density(test.bump, [test]),
+                            breakpoints=test.bump.breakpoints())
 
 
 def inner_variation(f: QField, test: InnerVectorField,
@@ -625,7 +608,7 @@ def inner_variation(f: QField, test: InnerVectorField,
     Returns 2 int sum_i <Df_i : Df_i Dphi> - int |Df|^2 div phi.
     """
     return integrate_region(f, test.bump.support(f.n), quad,
-                            _cutoff_density(test.bump, (), [test], ()), need_values=False,
+                            _cutoff_density(test.bump, inners=[test]), need_values=False,
                             breakpoints=test.bump.breakpoints())
 
 
@@ -700,19 +683,12 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
     outers = outer_battery(bump, f.m)
     inners = inner_battery(bump, f.n)
     support = bump.support(f.n)
-    warnings: list = []
 
     def run(q: QuadratureSpec, *extra):
         """The extra integrals, then the outer and the inner variations, all
-        from one sweep over the shared support. Growth certificates are
-        sampled on every node the sweep visits."""
-        tallies = [[0, 0.0] for _ in outers]
-        values = integrate_region(f, support, q,
-                                  _cutoff_density(bump, outers, inners, tallies, extra),
-                                  breakpoints=bump.breakpoints())
-        for v in tallies:
-            _note_growth(v, warnings)
-        return values
+        from one sweep over the shared support."""
+        return integrate_region(f, support, q, _cutoff_density(bump, outers, inners, extra),
+                                breakpoints=bump.breakpoints())
 
     dir_support, *variations = run(quad, _dirichlet_density)
     o_ref, i_ref = variations[:len(outers)], variations[len(outers):]
@@ -745,7 +721,6 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
                     "max_residual": worst, **pairs, **decay},
         resolutions=quad.meta(),
         verdict=verdict,
-        notes=tuple(warnings),
     )
 
 

@@ -452,20 +452,42 @@ class TestPieces:
     @pytest.mark.parametrize("make", [
         # k divisible by Q: every sheet pair sums to a nonzero mode
         lambda: fields.superpose(make_branch_field(2, 2), [poly("x1"), poly("x2")]),
-        # winding-1 base pieces never sum to zero over their one sheet
-        lambda: fields.superpose(parse_field_spec("harmonic:n2m1:x1|-x1"), [poly("x2")]),
+        # the two winding-1 sheets leave x1 - 2 x1 = -x1 across the pieces
+        lambda: fields.superpose(parse_field_spec("harmonic:n2m1:x1|-2*x1"), [poly("x2")]),
         lambda: fields.blowup_rescale(make_branch_field(3, 2), (0.0, 0.0), 0.5, 1.0),
         lambda: parse_field_spec("harmonic:n3m1:x1*x2|x3"),
         lambda: make_trivial(2),
         lambda: dataclasses.replace(make_branch_field(3, 2), pieces=None),
-    ], ids=["superpose-nonzero-sum", "superpose-winding-one", "blowup", "three-dimensional",
-            "trivial", "hand-built"])
+    ], ids=["superpose-nonzero-sum", "superpose-nonzero-across-pieces", "blowup",
+            "three-dimensional", "trivial", "hand-built"])
     def test_fields_without_known_pieces(self, make):
         from qvlab import radial
 
         f = make()
         assert f.pieces is None
         assert radial.spectrum(f, (0.0,) * f.n) is None
+
+    def test_superpose_admits_sheets_cancelling_across_pieces(self):
+        # x1 and -x1 are two winding-1 pieces that each leave a nonzero sheet
+        # sum, yet together sum to zero, so the shift adds no cross term
+        from qvlab import carleman, variational
+
+        f = parse_field_spec("superpose(harmonic:n2m1:x1|-x1,n2m1:x2)")
+        assert f.pieces is not None
+        bare = dataclasses.replace(f, pieces=None)
+        for check in (
+            lambda g: carleman.carleman_sides(g, carleman.WeightSpec(tau=1.5, eps=0.3),
+                                              carleman.linear_cutoff(0.1, 0.2, 0.4, 0.8)),
+            lambda g: variational.caccioppoli_check(g, variational.DEFAULT_BATTERY_BUMP),
+        ):
+            closed, refined = check(f), check(bare)
+            assert closed.params["second_route"] == "closed-form"
+            assert refined.params["second_route"] == "refined"
+            assert closed.verdict == refined.verdict == "pass"
+            for side in ("lhs", "rhs"):
+                assert closed.quantities[side] == refined.quantities[side]
+                assert closed.quantities[side + "_closed_form"] == pytest.approx(
+                    refined.quantities[side + "_refined"], rel=1e-12)
 
     def test_spectrum_needs_the_origin(self):
         from qvlab import radial

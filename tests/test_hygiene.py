@@ -11,10 +11,15 @@ taking its second route from that one helper. The closed-form scan keeps
 that route independent of the evaluation kernels: no function of
 radial.py, and no function in `src` whose name contains `closed_form`,
 names a field's `values_fn` or `gradients_fn`, `integrate_region` or
-`sphere_integral`.
+`sphere_integral`. The tracer scan reads the TARGETS table of
+perfbench/tracer.py without importing it and checks that every
+(module, attribute) in it names a callable of qvlab: the tracer skips a
+missing target without a word, so a rename in `src` would quietly shrink
+the traced metrics.
 """
 
 import ast
+import importlib
 import os
 
 import qvlab
@@ -132,3 +137,20 @@ def test_closed_form_route_never_evaluates_the_field():
             if refs:
                 found[name] = refs
     assert found == {}
+
+
+def tracer_targets(source: str) -> list:
+    """The (module, attribute) pairs of the module-level TARGETS table."""
+    for node in ast.parse(source).body:
+        if "TARGETS" in [getattr(target, "id", None) for target in getattr(node, "targets", ())]:
+            return [tuple(entry[:2]) for entry in ast.literal_eval(node.value)]
+    return []
+
+
+def test_tracer_targets_resolve_to_callables():
+    with open(os.path.join(os.path.dirname(TESTS), "perfbench", "tracer.py"),
+              encoding="utf-8") as fh:
+        targets = tracer_targets(fh.read())
+    assert ("qvlab.variational", "integrate_region") in targets
+    assert [(module, attr) for module, attr in targets
+            if not callable(getattr(importlib.import_module(module), attr, None))] == []

@@ -305,16 +305,65 @@ def test_outer_variation_detects_non_harmonic_sheet():
     assert abs(got) > 1e-3
 
 
-def test_growth_certificate_violation_reported():
-    f = make_branch_field(1, 2)
+def test_growth_certificate_violation_refused():
+    # the certificate is proved from A, c and the bump's slope bound, so a
+    # declared constant below the proved bound is refused when the test is built
     honest = outer_battery(BUMP, 2)[0]
-    lying = dataclasses.replace(honest, growth_du=0.0, label="outer:lying")
-    sink = []
-    outer_variation(f, lying, FAST, warnings_sink=sink)
-    assert sink and "growth certificate" in sink[0]
-    sink = []
-    outer_variation(f, honest, FAST, warnings_sink=sink)
-    assert sink == []
+    with pytest.raises(ValueError, match="growth certificate"):
+        dataclasses.replace(honest, growth_du=0.0, label="outer:lying")
+    bound = 1.0 + BUMP.slope_bound  # times max(|A|_2, |c|) = 1, as A = I and c = 0
+    assert dataclasses.replace(honest, growth_linear=bound).growth_linear == bound
+    with pytest.raises(ValueError, match="growth certificate"):
+        dataclasses.replace(honest, growth_linear=math.nextafter(bound, 0.0))
+
+
+def _outer_reference(test, chi, dchi, vals, grads):
+    """Per-node outer variation of test, contracted sheet by sheet."""
+    du = chi[:, None, None] * test.A[None, :, :]
+    total = np.zeros(chi.shape[0])
+    for i in range(vals.shape[1]):
+        G = grads[:, i, :, :]
+        shifted = vals[:, i, :] @ test.A.T + test.c
+        dx = shifted[:, :, None] * dchi[:, None, :]
+        total += np.einsum("nmk,nmk->n", dx, G)
+        total += np.einsum("nab,nbk,nak->n", du, G, G)
+    return total
+
+
+def _inner_reference(test, chi, dchi, X, grads):
+    """Per-node inner variation of test from the full gradient array."""
+    dphi = chi[:, None, None] * test.J[None, :, :] + \
+        np.einsum("nk,nl->nkl", X @ test.J.T + test.c, dchi)
+    df_dphi = np.einsum("nqml,nlk->nqmk", grads, dphi)
+    stress = 2.0 * np.einsum("nqmk,nqmk->n", grads, df_dphi)
+    div = np.einsum("nkk->n", dphi)
+    return stress - variational._dirichlet_density(X, None, None, grads) * div
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_moment_entries_match_per_sheet_reference(q, m, n, seed):
+    # the four sheet moments give each node the per-sheet contraction,
+    # up to the rounding of a different summation order
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-0.9, 0.9, size=(64, n))
+    vals = rng.uniform(-2.0, 2.0, size=(64, q, m))
+    grads = rng.uniform(-2.0, 2.0, size=(64, q, m, n))
+    A, c = rng.uniform(-1.5, 1.5, size=(m, m)), rng.uniform(-1.5, 1.5, size=m)
+    J, cx = rng.uniform(-1.5, 1.5, size=(n, n)), rng.uniform(-1.5, 1.5, size=n)
+    outer = variational.OuterTestField(BUMP, A, c, math.inf, math.inf, "outer:random")
+    inner = variational.InnerVectorField(BUMP, J, cx, "inner:random")
+    got = variational._cutoff_density(BUMP, [outer], [inner])(X, None, vals, grads)
+    chi, dchi = BUMP.chi(X), BUMP.grad_chi(X)
+    size = (1.0 + np.linalg.norm(X, axis=1)) * (1.0 + np.linalg.norm(dchi, axis=1))
+    g2 = np.einsum("nqmk,nqmk->n", grads, grads)
+    ug = np.sqrt(np.einsum("nqm,nqm->n", vals, vals) * g2)
+    pairs = ((_outer_reference(outer, chi, dchi, vals, grads),
+              size * (1.0 + np.linalg.norm(A) + np.linalg.norm(c)) * (g2 + ug)),
+             (_inner_reference(inner, chi, dchi, X, grads),
+              size * (1.0 + np.linalg.norm(J) + np.linalg.norm(cx)) * g2))
+    for entry, (expected, scale) in zip(got, pairs):
+        assert np.all(np.abs(entry - expected) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +384,18 @@ def test_battery_passes_on_trivial_field():
 
 
 def test_battery_fails_on_non_stationary_field():
-    report = stationarity_battery(_non_stationary_field(), FAST)
+    # inner:radial on u = x1^2: with T = diag(4 x1^2, 0), the integrand
+    # 2 <T, Dphi> - tr T div phi averages to chi'(r) 2 pi r^3 on circles,
+    # so the variation is 2 pi int r^4 chi'(r) dr
+    from scipy.integrate import quad as scalar_quad
+
+    f = _non_stationary_field()
+    bps = list(BUMP.breakpoints())
+    radial = 2.0 * math.pi * scalar_quad(lambda r: r ** 4 * BUMP.dchi_r(r), bps[0], bps[-1],
+                                         points=bps[1:-1])[0]
+    assert inner_variation(f, inner_battery(BUMP, 2)[0], FAST) == pytest.approx(radial, rel=1e-13)
+    report = stationarity_battery(f, FAST)
+    assert report.quantities["pair_o1_i1"]["inner"] == pytest.approx(radial, rel=1e-13)
     assert report.verdict == "fail"
     assert report.quantities["max_residual"] > report.quantities["threshold"]
 
@@ -549,15 +609,10 @@ def test_block_evaluation_keeps_early_stop():
 
 def test_block_evaluation_keeps_outer_variation_notes(monkeypatch):
     f = make_branch_field(3, 2)
-    honest = outer_battery(BUMP, 2)[0]
-    lying = dataclasses.replace(honest, growth_du=0.0, label="outer:lying")
-    blocked_sink = []
-    got = outer_variation(f, lying, COARSE, warnings_sink=blocked_sink)
+    test = outer_battery(BUMP, 2)[0]
+    got = outer_variation(f, test, COARSE)
     monkeypatch.setattr(variational, "integrate_region", _panel_by_panel)
-    single_sink = []
-    expected = outer_variation(f, lying, COARSE, warnings_sink=single_sink)
-    assert got == expected
-    assert blocked_sink and blocked_sink == single_sink
+    assert got == outer_variation(f, test, COARSE)
 
 
 def test_capped_wound_ball_field_call_counts():
@@ -609,20 +664,16 @@ def test_tuple_density_matches_separate_calls_on_annulus():
     region = annulus((0.0, 0.0), 0.15, 0.9)
     outer, inner = outer_battery(BUMP, 2)[0], inner_battery(BUMP, 2)[1]
 
-    def outer_part(X, r, vals, grads):
-        return variational._outer_integrand(outer, BUMP.chi(X), BUMP.grad_chi(X), vals, grads)
-
-    def inner_part(X, r, vals, grads):
-        return variational._inner_integrand(inner, BUMP.chi(X), BUMP.grad_chi(X), X, grads)
-
-    parts = [variational._dirichlet_density, variational._mass_density, outer_part, inner_part]
+    parts = [variational._dirichlet_density, variational._mass_density,
+             variational._cutoff_density(BUMP, [outer]),
+             variational._cutoff_density(BUMP, inners=[inner])]
     got = integrate_region(f, region, QUAD, _stacked(*parts), breakpoints=BUMP.breakpoints())
     assert isinstance(got, tuple) and len(got) == len(parts)
     expected = tuple(integrate_region(f, region, QUAD, d, breakpoints=BUMP.breakpoints())
                      for d in parts)
     assert got == expected
     # the one-cutoff density of the battery gives the same entries in the same order
-    shared = variational._cutoff_density(BUMP, [outer], [inner], [None], parts[:2])
+    shared = variational._cutoff_density(BUMP, [outer], [inner], parts[:2])
     assert integrate_region(f, region, QUAD, shared, breakpoints=BUMP.breakpoints()) == expected
     # a single-array density still returns a plain float
     assert type(integrate_region(f, region, QUAD, parts[0])) is float

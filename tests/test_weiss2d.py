@@ -247,16 +247,13 @@ def test_solve_disk_classical_harmonic_extension():
         4 * math.pi * c, rel=1e-9)
 
 
-def test_solve_disk_validation_and_skip():
+def test_solve_disk_validation():
     with pytest.raises(FieldSpecError):
         w2.solve_disk([])
     three = w2.FourierPiece(winding=1, a0=(0.0, 0.0, 0.0), modes=())
     two = w2.FourierPiece(winding=1, a0=(0.0, 0.0), modes=())
     with pytest.raises(FieldSpecError):
         w2.solve_disk([three, two])
-    f = w2.solve_disk([two], certify=False)
-    assert f.construction_cert["energy_cross_check"] == "skipped"
-    assert f.construction_cert["stationarity"] == "skipped"
 
 
 def _count_certificate_work(monkeypatch):
@@ -289,11 +286,13 @@ def test_wound_parse_defers_certificate_to_first_read(monkeypatch):
 
 
 def test_uncertified_solve_never_runs_battery(monkeypatch):
+    # a solve whose certificate is never read pays for none of it, even
+    # when the field is evaluated and integrated
     calls = _count_certificate_work(monkeypatch)
     piece = _pure_mode_piece(2, 3, (0.0, 0.8), (0.8, 0.0))
-    f = w2.solve_disk([piece], certify=False)
-    assert f.construction_cert["stationarity"] == "skipped"
-    assert f.construction_cert is f.construction_cert
+    f = w2.solve_disk([piece], quad=FAST)
+    f.values(np.array([[0.3, 0.4]]))
+    assert dirichlet_energy(f, ball((0.0, 0.0), 1.0), FAST) > 0.0
     assert calls == {"battery": 0, "energy": 0}
 
 
@@ -304,7 +303,7 @@ def test_fields_without_construction_have_no_certificate():
 def test_solve_disk_target_dimension_three():
     piece = w2.FourierPiece(winding=2, a0=(0.0, 0.0, 0.0),
                             modes=((3, (0.0, 0.5, 0.1), (0.5, 0.0, -0.2)),))
-    f = w2.solve_disk([piece], certify=False)
+    f = w2.solve_disk([piece])
     assert f.m == 3 and f.q == 2
     quadr = dirichlet_energy(f, ball((0.0, 0.0), 1.0), FAST)
     assert quadr == pytest.approx(w2.harmonic_extension_energy(piece), rel=1e-9)
@@ -317,7 +316,7 @@ def test_round_trip_recovers_pieces():
         w2.FourierPiece(winding=1, a0=(4.0, 4.0),
                         modes=((2, (0.1, -0.3), (0.2, 0.2)),)),
     ]
-    f = w2.solve_disk(pieces, quad=FAST, certify=False)
+    f = w2.solve_disk(pieces, quad=FAST)
     recovered = w2.analyze_trace(f, n_nodes=512)
     assert sorted(p.winding for p in recovered) == [1, 2]
     by_winding = {p.winding: p for p in recovered}
@@ -383,7 +382,7 @@ def test_weiss_exponent_dim_flag():
 def test_weiss_domain_guard():
     pieces = [w2.FourierPiece(winding=2, a0=(0.0, 0.0),
                               modes=((1, (0.2, 0.0), (0.0, 0.2)),))]
-    f = w2.solve_disk(pieces, certify=False, domain_radius=1.0)
+    f = w2.solve_disk(pieces, domain_radius=1.0)
     with pytest.raises(ValueError):
         w2.weiss_energy(f, (0.0, 0.0), 0.5, 1.2, FAST)
     with pytest.raises(ValueError):
