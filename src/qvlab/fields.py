@@ -56,13 +56,18 @@ class Polynomial:
         return Polynomial(n, items)
 
     def value(self, X: np.ndarray) -> np.ndarray:
+        """Values at the (N, n) points X; each power X[:, axis] ** e is
+        taken once per call, however many terms share it."""
         X = np.asarray(X, dtype=float)
         out = np.zeros(X.shape[0])
+        powers: dict = {}
         for expo, coeff in self.terms:
-            term = np.full(X.shape[0], coeff)
+            term = coeff
             for axis, e in enumerate(expo):
                 if e:
-                    term = term * X[:, axis] ** e
+                    if (axis, e) not in powers:
+                        powers[axis, e] = X[:, axis] ** e
+                    term = term * powers[axis, e]
             out += term
         return out
 
@@ -198,6 +203,16 @@ class QField:
     angular integral of any quadratic density of values and gradients is the
     sum of the pieces' integrals, each piece counted once (see radial); None
     when unknown.
+
+    polar: optional evaluation on the polar product grid about the origin.
+    polar(rr, dirs, need_values, need_gradients) returns (values | None,
+    gradients | None) at the nodes (rr[:, None, None] * dirs[None]).reshape(
+    -1, 2), radius-major, with each node's angle taken as arctan2 of its
+    direction; the arrays are those of values_fn and gradients_fn up to the
+    rounding of each node's (r, theta). Branch, wound and superposed fields
+    set it, so they can take trig per angle and powers per radius; None
+    elsewhere. The name does not end in _fn: a one-argument wrapper of every
+    *_fn field would not fit it.
     """
 
     n: int
@@ -211,6 +226,7 @@ class QField:
     certificate_fn: Callable[[], dict] | None = None
     radial_grading: int | None = None
     pieces: tuple | None = None
+    polar: Callable | None = None
 
     def __post_init__(self):
         if self.branch_set and self.radial_grading is None:
@@ -415,80 +431,112 @@ def _sums_to_zero(pieces) -> bool:
     return not any(np.any(total) for total in totals.values())
 
 
-def _wound_closures(pieces, m):
+def _wound_kernel(pieces, m):
     """Batch evaluation of rewound harmonic extensions on the plane.
 
     pieces: tuple of (winding, a0 (m,), modes) with modes a tuple of
     (l, a (m,), b (m,)). Piece j contributes winding sheets
-        w_i(r, theta) = a0/2 + sum_l r^(l/Q_j) [a_l sin(phase) + b_l cos(phase)],
-        phase = l (theta + 2 pi i) / Q_j,
+        w_i(r, theta) = a0/2 + sum_l r^s [a_l sin(phase) + b_l cos(phase)],
+        s = l / Q_j,  phase = l (theta + 2 pi i) / Q_j,
     the i-th sheet of the Q_j-fold rewinding of the harmonic extension of the
-    unwound circle data. Gradients come from the polar frame
-    (d_r, (1/r) d_theta) rotated to Cartesian axes; at the puncture r = 0 the
-    gradient entries are reported as zero placeholders (the point belongs to
-    the branch set whenever any winding exceeds one or a fractional
-    homogeneity is present).
+    unwound circle data.
+
+    Returns (q_total, kernel). kernel(r, theta, need_values, need_gradients)
+    returns (values | None, gradients | None) of shapes grid + (q_total, m)
+    and grid + (q_total, m, 2), where r and theta broadcast to the node
+    grid: (N,) and (N,) for scattered points, or (R, 1) and (1, M) for the
+    product of R radii and M angles. On a product grid the sheet phases
+    and their sin/cos run once per angle, r^s once per radius, and all m
+    components in one array operation. With g = a_l sin + b_l cos and
+    g' = a_l cos - b_l sin of the phase, a mode's gradient is
+    s r^(s-1) (g cos(theta) - g' sin(theta), g sin(theta) + g' cos(theta)):
+    the polar frame (d_r, (1/r) d_theta) rotated to Cartesian axes per
+    angle, then scaled per radius. At the puncture r = 0 the gradient
+    entries are zero placeholders (the point belongs to the branch set
+    whenever any winding exceeds one or a fractional homogeneity is
+    present). Values sum a0/2 and then the modes in order, as one sheet at
+    a time would. Only elementwise broadcasting is used, so results do not
+    depend on BLAS threads.
     """
-    q_total = sum(int(p[0]) for p in pieces)
-    # Per piece: its sheet columns, a0/2 and per mode (s, sheet phase shifts,
-    # per-component (a_k, b_k)). Each mode takes one sin/cos/power pass over
-    # all sheets of its piece; the sums run into (component, sheet, point)
-    # views of the output, so every numpy call spans whole rows of points.
+    # Work arrays are laid out (row, sheet, component[, axis], node): a
+    # product grid is R rows of M angle nodes, scattered points one row of N
+    # nodes, so every numpy loop runs along the nodes. Per piece: its sheet
+    # columns, a0/2, the modes' s, and their sheet phase shifts and a, b
+    # stacked over the modes.
     plan = []
     col = 0
     for winding, a0, modes in pieces:
         winding = int(winding)
-        terms = tuple(
-            (l / winding,
-             np.array([(2.0 * math.pi * l * i) / winding for i in range(winding)])[:, None],
-             tuple(zip(np.asarray(a, dtype=float), np.asarray(b, dtype=float))))
-            for l, a, b in modes
-        )
-        plan.append((slice(col, col + winding), 0.5 * np.asarray(a0, dtype=float)[:, None, None],
-                     terms))
+        L = len(modes)
+        plan.append((slice(col, col + winding), 0.5 * np.asarray(a0, dtype=float).reshape(m, 1),
+                     [l / winding for l, _, _ in modes],
+                     np.array([[(2.0 * math.pi * l * i) / winding for i in range(winding)]
+                               for l, _, _ in modes]).reshape(L, 1, winding, 1, 1),
+                     np.array([a for _, a, _ in modes], dtype=float).reshape(L, 1, 1, m, 1),
+                     np.array([b for _, _, b in modes], dtype=float).reshape(L, 1, 1, m, 1)))
         col += winding
+    q_total = col
 
-    def polar(X):
-        return np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
+    def kernel(r, theta, need_values, need_gradients):
+        grid = np.broadcast_shapes(np.shape(r), np.shape(theta))
+        r = np.atleast_2d(r)[:, None, None, :]
+        theta = np.atleast_2d(theta)[:, None, None, :]
+        rows, width = r.shape[0], theta.shape[-1]
+        values = np.zeros((rows, q_total, m, width)) if need_values else None
+        gradients = np.zeros((rows, q_total, m, 2, width)) if need_gradients else None
+        if need_gradients:
+            at_zero = r == 0.0
+            safe_r = np.where(at_zero, 1.0, r)
+            cos_t, sin_t = np.cos(theta), np.sin(theta)
+        for cols, half_a0, s, shifts, a, b in plan:
+            if need_values:
+                values[:, cols] += half_a0
+            # the angle work of all modes in one pass on a product grid;
+            # scattered points take the modes one at a time, so that no
+            # temporary outgrows one mode's share of the result
+            step = max(len(s), 1) if rows > 1 else 1
+            for lo in range(0, len(s), step):
+                ks = slice(lo, lo + step)
+                phase = np.reshape(s[ks], (-1, 1, 1, 1, 1)) * theta + shifts[ks]
+                sin_p, cos_p = np.sin(phase), np.cos(phase)
+                g = sin_p * a[ks] + cos_p * b[ks]
+                if need_gradients:
+                    dg = cos_p * a[ks] - sin_p * b[ks]
+                    rotated = np.stack([g * cos_t - dg * sin_t, g * sin_t + dg * cos_t], axis=-2)
+                # the radius work one mode at a time, in order; each power
+                # takes a scalar exponent, as numpy's fast paths for 0.5
+                # and 2 need
+                for k, sk in enumerate(s[ks]):
+                    if need_values:
+                        values[:, cols] += r ** sk * g[k]
+                    if need_gradients:
+                        scale = sk * np.where(at_zero, 0.0, safe_r ** (sk - 1.0))
+                        gradients[:, cols] += scale[..., None, :] * rotated[k]
+        if need_values:
+            values = np.ascontiguousarray(values.transpose(0, 3, 1, 2)).reshape(grid + (q_total, m))
+        if need_gradients:
+            gradients = np.ascontiguousarray(gradients.transpose(0, 4, 1, 2, 3)).reshape(
+                grid + (q_total, m, 2))
+        return values, gradients
 
-    def sheet_trig(theta, s, shifts):
-        # (winding, N) sin and cos of every sheet's phase in one pass
-        phase = s * theta + shifts
-        return np.sin(phase), np.cos(phase)
+    return q_total, kernel
 
-    def values(X):
-        r, theta = polar(X)
-        out = np.zeros((X.shape[0], q_total, m))
-        comps = out.transpose(2, 1, 0)
-        for cols, half_a0, terms in plan:
-            comps[:, cols] += half_a0
-            for s, shifts, coeffs in terms:
-                sin_p, cos_p = sheet_trig(theta, s, shifts)
-                rs = r ** s
-                for k, (a, b) in enumerate(coeffs):
-                    comps[k, cols] += rs * (sin_p * a + cos_p * b)
-        return out
 
-    def gradients(X):
-        r, theta = polar(X)
-        at_zero = r == 0.0
-        safe_r = np.where(at_zero, 1.0, r)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        out = np.zeros((X.shape[0], q_total, m, 2))
-        gx, gy = out.transpose(3, 2, 1, 0)
-        for cols, _, terms in plan:
-            for s, shifts, coeffs in terms:
-                sin_p, cos_p = sheet_trig(theta, s, shifts)
-                scale = s * np.where(at_zero, 0.0, safe_r ** (s - 1.0))
-                for k, (a, b) in enumerate(coeffs):
-                    radial = scale * (sin_p * a + cos_p * b)
-                    angular = scale * (cos_p * a - sin_p * b)
-                    # polar frame (d_r, (1/r) d_theta) rotated to Cartesian axes
-                    gx[k, cols] += radial * cos_t - angular * sin_t
-                    gy[k, cols] += radial * sin_t + angular * cos_t
-        return out
+def _planar_fns(kernel):
+    """values_fn, gradients_fn and polar of a planar kernel(r, theta,
+    need_values, need_gradients) (see _wound_kernel and QField.polar)."""
 
-    return q_total, values, gradients
+    def scattered(X, need_values, need_gradients):
+        return kernel(np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0]),
+                      need_values, need_gradients)
+
+    def polar(rr, dirs, need_values, need_gradients):
+        theta = np.arctan2(dirs[:, 1], dirs[:, 0])
+        out = kernel(rr[:, None], theta[None, :], need_values, need_gradients)
+        return tuple(None if a is None else a.reshape((-1,) + a.shape[2:]) for a in out)
+
+    return (lambda X: scattered(X, True, False)[0], lambda X: scattered(X, False, True)[1],
+            polar)
 
 
 def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = math.inf) -> QField:
@@ -500,13 +548,14 @@ def make_wound_field(pieces, m: int = 2, tag: str = "", domain_radius: float = m
     pieces = tuple(p if isinstance(p, FourierPiece) else FourierPiece(*p) for p in pieces)
     if any(p.m != m for p in pieces):
         raise FieldSpecError("a0 must be a vector of dimension %d" % m)
-    q_total, values, gradients = _wound_closures([(p.winding, p.a0, p.modes) for p in pieces], m)
+    q_total, kernel = _wound_kernel([(p.winding, p.a0, p.modes) for p in pieces], m)
+    values, gradients, polar = _planar_fns(kernel)
     # winding-1 pieces with integer modes are harmonic polynomial sheets, hence
     # smooth; any winding above one puts a genuine branch point at the origin
     smooth = all(p.winding == 1 for p in pieces)
     branch = () if smooth else (np.zeros(2),)
     return QField(n=2, m=m, q=q_total, tag=tag or "wound-pieces:%d" % q_total,
-                  values_fn=values, gradients_fn=gradients, branch_set=branch,
+                  values_fn=values, gradients_fn=gradients, polar=polar, branch_set=branch,
                   domain_radius=domain_radius,
                   radial_grading=math.lcm(*(p.winding for p in pieces)), pieces=pieces)
 
@@ -522,8 +571,9 @@ def make_branch_field(k: int, Q: int, amp: float = 1.0) -> QField:
         raise FieldSpecError("branch field needs positive k and Q, got k=%d Q=%d" % (k, Q))
     piece = FourierPiece(Q, (0.0, 0.0), ((k, (0.0, amp), (amp, 0.0)),))
     tag = "branch:%d/%d" % (k, Q) if amp == 1.0 else "branch:%d/%d:%s" % (k, Q, repr(float(amp)))
-    _, values, gradients = _wound_closures([(piece.winding, piece.a0, piece.modes)], 2)
-    return QField(n=2, m=2, q=Q, tag=tag, values_fn=values, gradients_fn=gradients,
+    values, gradients, polar = _planar_fns(
+        _wound_kernel([(piece.winding, piece.a0, piece.modes)], 2)[1])
+    return QField(n=2, m=2, q=Q, tag=tag, values_fn=values, gradients_fn=gradients, polar=polar,
                   branch_set=(np.zeros(2),), radial_grading=Q // math.gcd(k, Q),
                   pieces=(piece,))
 
@@ -534,6 +584,8 @@ def superpose(f: QField, h) -> QField:
     The result has pieces only where the cross terms of each quadratic
     density vanish: f has pieces and its sheets sum to zero, possibly only
     across pieces. It then counts the shift's winding-1 piece once per sheet.
+    Over a base with polar, its polar is the base's plus the shift evaluated
+    at the grid's nodes.
     """
     h = tuple(h)
     if len(h) != f.m:
@@ -547,25 +599,35 @@ def superpose(f: QField, h) -> QField:
     body = ";".join(format_polynomial(c) for c in h)
     tag = "superpose(%s,n%dm%d:%s)" % (f.tag, f.n, f.m, body)
 
-    def values(X):
-        base = f.values_fn(X)
-        shift = np.stack([comp.value(X) for comp in h], axis=1)
-        return base + shift[:, None, :]
+    def value_shift(X):
+        return np.stack([comp.value(X) for comp in h], axis=1)[:, None, :]
 
-    def gradients(X):
-        base = f.gradients_fn(X)
+    def gradient_shift(X):
         shift = np.empty((X.shape[0], f.m, f.n))
         for k in range(f.m):
             for axis in range(f.n):
                 shift[:, k, axis] = partials[k][axis].value(X)
-        return base + shift[:, None, :, :]
+        return shift[:, None, :, :]
+
+    def values(X):
+        return f.values_fn(X) + value_shift(X)
+
+    def gradients(X):
+        return f.gradients_fn(X) + gradient_shift(X)
+
+    def polar(rr, dirs, need_values, need_gradients):
+        vals, grads = f.polar(rr, dirs, need_values, need_gradients)
+        X = (rr[:, None, None] * dirs[None]).reshape(-1, f.n)
+        return (vals + value_shift(X) if need_values else None,
+                grads + gradient_shift(X) if need_gradients else None)
 
     pieces = None
     if f.pieces is not None and _sums_to_zero(f.pieces):
         pieces = f.pieces + (_polynomial_piece(h),) * f.q
     return QField(n=f.n, m=f.m, q=f.q, tag=tag, values_fn=values, gradients_fn=gradients,
-                  branch_set=f.branch_set, domain_radius=f.domain_radius,
-                  radial_grading=f.radial_grading, pieces=pieces)
+                  polar=None if f.polar is None else polar, branch_set=f.branch_set,
+                  domain_radius=f.domain_radius, radial_grading=f.radial_grading,
+                  pieces=pieces)
 
 
 def blowup_rescale(f: QField, y, rho: float, norm: float) -> QField:

@@ -57,8 +57,9 @@ class Region:
         if self.kind not in ("ball", "annulus"):
             raise ValueError("region kind must be ball or annulus")
         inner, outer = self.radii
-        if not (0.0 <= inner < outer):
-            raise ValueError("radii must satisfy 0 <= inner < outer, got %r" % (self.radii,))
+        if not (0.0 <= inner < outer < math.inf):
+            raise ValueError("radii must satisfy 0 <= inner < outer < inf, got %r"
+                             % (self.radii,))
         if self.kind == "ball" and inner != 0.0:
             raise ValueError("ball regions have inner radius 0")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -212,17 +213,22 @@ def _guard_branch(f: QField, region: Region) -> None:
                              % (reach, f.domain_radius))
 
 
+_ANGULAR_CACHE: dict = {}
+
+
 def _angular_nodes(n: int, quad: QuadratureSpec):
-    """Unit directions and weights for the sphere factor in R^n."""
+    """Unit directions and weights for the sphere factor in R^n, built once
+    per (n, angular_nodes, polar_nodes) and returned read-only."""
+    key = (n, quad.angular_nodes, quad.polar_nodes)
+    if key in _ANGULAR_CACHE:
+        return _ANGULAR_CACHE[key]
+    M = quad.angular_nodes
     if n == 2:
-        M = quad.angular_nodes
         theta = 2.0 * math.pi * np.arange(M) / M
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         w = np.full(M, 2.0 * math.pi / M)
-        return dirs, w
-    if n == 3:
+    elif n == 3:
         u, wu = _leggauss(quad.polar_nodes)
-        M = quad.angular_nodes
         phi = 2.0 * math.pi * np.arange(M) / M
         su = np.sqrt(1.0 - u ** 2)
         dirs = np.stack([
@@ -231,8 +237,12 @@ def _angular_nodes(n: int, quad: QuadratureSpec):
             np.repeat(u, M),
         ], axis=1)
         w = np.repeat(wu, M) * (2.0 * math.pi / M)
-        return dirs, w
-    raise ValueError("quadrature supports domain dimension 2 or 3, got %d" % n)
+    else:
+        raise ValueError("quadrature supports domain dimension 2 or 3, got %d" % n)
+    dirs.setflags(write=False)
+    w.setflags(write=False)
+    _ANGULAR_CACHE[key] = (dirs, w)
+    return dirs, w
 
 
 def _panel_nodes(n: int, quad: QuadratureSpec) -> int:
@@ -245,6 +255,15 @@ def _entries(dens):
     if isinstance(dens, tuple):
         return dens, False
     return (dens,), True
+
+
+def _evaluate(f: QField, polar, X, rr, dirs, need_values: bool, need_gradients: bool):
+    """(values | None, gradients | None) at the nodes X = rr (x) dirs: one
+    polar call when polar is given, else values_fn and gradients_fn on X."""
+    if polar is not None:
+        return polar(rr, dirs, need_values, need_gradients)
+    return (f.values_fn(X) if need_values else None,
+            f.gradients_fn(X) if need_gradients else None)
 
 
 def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: Callable,
@@ -269,9 +288,16 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     geometric panels, or a graded panel in slices of whole radial nodes.
     density runs per panel or slice, the summation per panel, so the
     results do not depend on the block size.
+
+    On a region centred exactly at the origin, a field with polar is
+    evaluated by one polar call per block on its radii and the rule's
+    directions, values and gradients together; other regions and fields
+    take values_fn and gradients_fn on the block's nodes X. X and r reach
+    density either way.
     """
     _guard_branch(f, region)
     center = region.center_array
+    polar = None if center.any() else f.polar
     tol = 1e-12 * (1.0 + region.radii[1])
     centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
     panels = _region_panels(region, breakpoints, centred)
@@ -298,8 +324,7 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
         r = np.repeat(rr, dirs.shape[0])
         w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-        vals = f.values_fn(X) if need_values else None
-        grads = f.gradients_fn(X) if need_gradients else None
+        vals, grads = _evaluate(f, polar, X, rr, dirs, need_values, need_gradients)
         for k, (_, _, closes) in enumerate(block):
             s = slice(ends[k], ends[k + 1])
             dens, single = _entries(density(X[s], r[s], None if vals is None else vals[s],
@@ -319,14 +344,19 @@ def sphere_integral(f: QField, center, r: float, quad: QuadratureSpec, density: 
 
     density always receives the field values; gradients only on request.
     As in integrate_region, a density that returns a tuple of per-node
-    arrays gives a tuple of integrals, each bit for bit a separate call.
+    arrays gives a tuple of integrals, each bit for bit a separate call, and
+    a sphere about the origin is evaluated by the field's polar when it has
+    one. r must satisfy 0 <= r < inf (ValueError otherwise).
     """
+    r = float(r)
+    if not 0.0 <= r < math.inf:
+        raise ValueError("sphere radius must satisfy 0 <= r < inf, got %r" % r)
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dirs, wdir = _angular_nodes(f.n, quad)
     X = center[None, :] + r * dirs
-    vals = f.values_fn(X)
-    grads = f.gradients_fn(X) if need_gradients else None
-    dens, single = _entries(density(X, np.full(X.shape[0], float(r)), vals, grads))
+    vals, grads = _evaluate(f, None if center.any() else f.polar, X, np.array([r]), dirs,
+                            True, need_gradients)
+    dens, single = _entries(density(X, np.full(X.shape[0], r), vals, grads))
     totals = tuple(tree_sum(d * wdir * r ** (f.n - 1)) for d in dens)
     return totals[0] if single else totals
 
@@ -406,7 +436,7 @@ def _ratio_verdict(lhs, rhs, disagreement, signed_lhs=False):
 
 
 class CutoffConstructionError(ValueError):
-    """Cutoff radii out of order, or an unknown ramp kind."""
+    """Cutoff radii out of order or not finite, or an unknown ramp kind."""
 
 
 # peak slope of each ramp shape on [0, 1]
@@ -444,6 +474,8 @@ class RadialBump:
     def __post_init__(self):
         if self.kind not in _RAMP_SLOPE:
             raise CutoffConstructionError("unknown cutoff kind %r" % (self.kind,))
+        if not all(math.isfinite(a) for a in self.radii):
+            raise CutoffConstructionError("cutoff radii must be finite, got %r" % (self.radii,))
         if not (0.0 <= self.a_in < self.a_lo <= self.a_hi < self.a_out):
             raise CutoffConstructionError(
                 "cutoff radii must satisfy 0 <= a_in < a_lo <= a_hi < a_out, got %r"

@@ -364,6 +364,14 @@ LIBRARY_ERRORS = [
       "--chi", "annulus:0.1,0.2,0.6,0.8"), "tau must be positive"),
     (("check", "carleman", "--field", "branch:3/2", "--tau", "1", "--eps", "nan",
       "--chi", "annulus:0.1,0.2,0.6,0.8"), "eps must be nonnegative"),
+    (("check", "caccioppoli", "--field", "branch:3/2", "--bump", "0.1,0.2,0.3,inf"),
+     "--bump '0.1,0.2,0.3,inf': cutoff radii must be finite, got (0.1, 0.2, 0.3, inf)"),
+    (("frequency", "--field", "branch:3/2", "--radii", "0.4,-0.1"),
+     "sphere radius must satisfy 0 <= r < inf, got -0.1"),
+    (("frequency", "--field", "branch:3/2", "--radii", "0.4,inf"),
+     "sphere radius must satisfy 0 <= r < inf, got inf"),
+    (("frequency", "--field", "branch:3/2", "--variant", "linear", "--radii", "0.4,-0.1"),
+     "radii must satisfy 0 <= inner < outer < inf, got (-0.1, -0.2)"),
 ]
 
 
@@ -587,7 +595,7 @@ def test_sweep_delta_and_kappa_grids(capsys, tmp_path):
     assert cases == {"carleman", "modified", "epiperimetric"}
 
 
-SWEEP_GOLDEN_CSV = "54707b59d753df3b47070a1c9c3c10dc6684c8b0094ed057cab1017adb81ede0"
+SWEEP_GOLDEN_CSV = "d9456236d06b23b3357e1aa8cba423aa2b58dad284efc87eaa6ea6b712fa3231"
 SWEEP_GOLDEN_REPORT = "479b6db6d707e3e5bbf9c28d1ea5523555c088f577f4590d55b9adfc5757289d"
 
 
@@ -596,8 +604,11 @@ def test_sweep_golden_bytes(capsys, tmp_path):
     and epiperimetric rows at radial 8 x angular 32, recorded before the two
     cutoff types were merged and re-recorded for report schema 2 (the CSV
     when the Gauss-Legendre nodes were polished, five rows moving in their
-    last digits; the report for its format string); any change to a row or
-    report byte fails here."""
+    last digits; the report for its format string). The CSV was re-recorded
+    again when branch fields came to be evaluated on the polar product grid:
+    the branch:3/2 carleman rhs moved by one ulp (its ratio with it) and the
+    modified lhs, a cancellation near 1e-30, in its leading digits. Any
+    change to a row or report byte fails here."""
     cfg = _sweep_config(tmp_path, fields=["branch:3/2", "harmonic:n2m1:x1"],
                         taus=[1.5, 2.0], deltas=[0.02], kappas=[1.5])
     code, out, _ = run_cli(capsys, "sweep", "--config-sweep", str(cfg),

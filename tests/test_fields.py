@@ -32,6 +32,32 @@ class TestPolynomials:
         assert np.allclose(p.partial(0).value(X), [2.0, 1.0])
         assert np.allclose(p.partial(1).value(X), [-4.0, 1.0])
 
+    @staticmethod
+    def seed_value(p, X):
+        """The original term-by-term evaluation, kept as a bit-exact reference."""
+        out = np.zeros(X.shape[0])
+        for expo, coeff in p.terms:
+            term = np.full(X.shape[0], coeff)
+            for axis, e in enumerate(expo):
+                if e:
+                    term = term * X[:, axis] ** e
+            out += term
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                        st.floats(-1e3, 1e3, allow_nan=False), max_size=8),
+        st.lists(st.tuples(*[st.floats(-10.0, 10.0, allow_nan=False)] * n),
+                 min_size=1, max_size=40))))
+    def test_value_is_bit_for_bit_the_term_by_term_loop(self, case):
+        n, coeffs, points = case
+        coeffs[(0,) * n] = coeffs.get((0,) * n, 0.0) or 1.5  # a constant term
+        p = fields.Polynomial.from_dict(n, coeffs)
+        X = np.array(points, dtype=float)
+        assert _bit_equal(p.value(X), self.seed_value(p, X))
+
     def test_laplacian_of_harmonic_is_zero(self):
         assert poly("x1^2-x2^2").laplacian().is_zero()
         assert poly("2.0*x1*x2").laplacian().is_zero()
@@ -188,12 +214,19 @@ class TestJetConsistency:
         assert order >= 1.9 or errors[0] < 1e-11
 
 
-def _reference_wound_arrays(pieces, m, X):
-    """The original sheet-by-sheet wound kernel, kept as a bit-exact reference."""
+def _polar_coords(X):
+    return np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
+
+
+def _reference_wound_arrays(pieces, m, r, theta, factored=False):
+    """The original sheet-by-sheet wound kernel at the nodes (r, theta), kept
+    as a reference. Its values are the kernel's bit for bit; its gradients,
+    each mode's radial and angular parts rotated per node, agree with the
+    kernel's up to the order of rounding. factored=True assembles each mode's
+    gradient as the kernel does, s r^(s-1) (g cos - g' sin, g sin + g' cos),
+    and must match the kernel bit for bit."""
     q_total = sum(int(p[0]) for p in pieces)
-    N = X.shape[0]
-    r = np.hypot(X[:, 0], X[:, 1])
-    theta = np.arctan2(X[:, 1], X[:, 0])
+    N = r.shape[0]
     values = np.zeros((N, q_total, m))
     grads = np.zeros((N, q_total, m, 2))
     at_zero = r == 0.0
@@ -214,6 +247,13 @@ def _reference_wound_arrays(pieces, m, X):
                 amp = np.outer(sin_p, a) + np.outer(cos_p, b)
                 values[:, col, :] += rs[:, None] * amp
                 rs1 = np.where(at_zero, 0.0, safe_r ** (s - 1.0))
+                if factored:
+                    damp = np.outer(cos_p, a) - np.outer(sin_p, b)
+                    c, sn = er[:, :1], er[:, 1:]
+                    scale = (s * rs1)[:, None]
+                    grads[:, col, :, 0] += scale * (amp * c - damp * sn)
+                    grads[:, col, :, 1] += scale * (amp * sn + damp * c)
+                    continue
                 radial = s * rs1[:, None] * amp
                 angular = s * rs1[:, None] * (np.outer(cos_p, a) - np.outer(sin_p, b))
                 grads[:, col, :, :] += (
@@ -228,8 +268,33 @@ def _bit_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _gradients_close(got, reference):
+    """Each node's gradient entries within 1e-14 of its largest reference entry."""
+    scale = np.abs(reference).reshape(reference.shape[0], -1).max(axis=1)
+    err = np.abs(got - reference).reshape(reference.shape[0], -1).max(axis=1)
+    return bool(np.all(err <= 1e-14 * scale))
+
+
+def _check_against_references(pieces, r, theta, values, grads):
+    """values bit for bit the original kernel's, gradients within 1e-14 of
+    it and bit for bit its factored twin."""
+    ref_values, ref_grads = _reference_wound_arrays(pieces, 2, r, theta)
+    assert _bit_equal(values, ref_values)
+    assert _gradients_close(grads, ref_grads)
+    assert _bit_equal(grads, _reference_wound_arrays(pieces, 2, r, theta, factored=True)[1])
+
+
+def _random_cases(Q):
+    """Random wound pieces of total winding Q, as drawn and with nonzero a0."""
+    for seed in range(6):
+        pieces = fields.random_wound_pieces(seed, Q, 4, 1.8)
+        yield pieces
+        yield tuple((w, np.array([0.3, -1.1]) * (seed + 1), modes) for w, _, modes in pieces)
+
+
 class TestWoundKernel:
-    """The vectorized wound kernel reproduces the sheet-by-sheet one bit for bit."""
+    """The vectorized wound kernel against the sheet-by-sheet one: values bit
+    for bit, gradients within 1e-14 (bit for bit against its factored twin)."""
 
     @staticmethod
     def points():
@@ -243,19 +308,17 @@ class TestWoundKernel:
 
     @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
     def test_matches_sheet_by_sheet_reference(self, Q):
-        X = self.points()
+        r, theta = _polar_coords(self.points())
         pieces_seen = set()
-        for seed in range(6):
-            pieces = fields.random_wound_pieces(seed, Q, 4, 1.8)
-            pieces_seen.add(len(pieces))
-            shifted = tuple((w, np.array([0.3, -1.1]) * (seed + 1), modes)
-                            for w, _, modes in pieces)
-            for case in (pieces, shifted):
-                q_total, values_fn, gradients_fn = fields._wound_closures(case, 2)
-                values, grads = _reference_wound_arrays(case, 2, X)
-                assert q_total == Q
-                assert _bit_equal(values_fn(X), values)
-                assert _bit_equal(gradients_fn(X), grads)
+        for case in _random_cases(Q):
+            pieces_seen.add(len(case))
+            q_total, kernel = fields._wound_kernel(case, 2)
+            assert q_total == Q
+            values, grads = kernel(r, theta, True, True)
+            _check_against_references(case, r, theta, values, grads)
+            assert _bit_equal(kernel(r, theta, True, False)[0], values)
+            assert kernel(r, theta, True, False)[1] is None
+            assert _bit_equal(kernel(r, theta, False, True)[1], grads)
         if Q >= 2:
             assert max(pieces_seen) > 1  # multi-piece partitions are covered
 
@@ -263,9 +326,7 @@ class TestWoundKernel:
         X = self.points()
         f = make_branch_field(5, 3, 0.7)
         piece = (3, np.zeros(2), ((5, np.array([0.0, 0.7]), np.array([0.7, 0.0])),))
-        values, grads = _reference_wound_arrays((piece,), 2, X)
-        assert _bit_equal(f.values(X), values)
-        assert _bit_equal(f.gradients(X), grads)
+        _check_against_references((piece,), *_polar_coords(X), f.values(X), f.gradients(X))
 
     def test_make_wound_field_checks_pieces_as_fourier_pieces(self):
         good = (2, (0.0, 0.0), ((1, (0.3, 0.1), (0.5, -0.2)),))
@@ -280,6 +341,82 @@ class TestWoundKernel:
                     (2, good[1], ((1, (math.nan, 0.1), (0.5, -0.2)),))):  # non-finite
             with pytest.raises(FieldSpecError):
                 fields.make_wound_field([bad])
+
+
+class TestPolarGrid:
+    """QField.polar on the product grid rr (x) dirs is the kernel's scattered
+    call at the same (r, theta), bit for bit."""
+
+    RR = np.array([0.0, 1e-3, 0.3, 0.77, 1.4])
+
+    @staticmethod
+    def dirs():
+        M = 24
+        theta = 2.0 * math.pi * np.arange(M) / M
+        special = np.array([[-1.0, 0.0], [-1.0, -0.0], [0.6, -0.8]])  # the cut at theta = pi
+        return np.vstack([np.stack([np.cos(theta), np.sin(theta)], axis=1), special])
+
+    def scattered(self, dirs):
+        theta = np.arctan2(dirs[:, 1], dirs[:, 0])
+        return np.repeat(self.RR, theta.size), np.tile(theta, self.RR.size)
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 5])
+    def test_wound_polar_is_the_scattered_kernel_call(self, Q):
+        dirs = self.dirs()
+        r, theta = self.scattered(dirs)
+        for case in _random_cases(Q):
+            f = fields.make_wound_field(case)
+            values, grads = f.polar(self.RR, dirs, True, True)
+            expected = fields._wound_kernel(case, 2)[1](r, theta, True, True)
+            assert _bit_equal(values, expected[0]) and _bit_equal(grads, expected[1])
+            _check_against_references(case, r, theta, values, grads)
+            only_values = f.polar(self.RR, dirs, True, False)
+            only_grads = f.polar(self.RR, dirs, False, True)
+            assert only_values[1] is None and _bit_equal(only_values[0], values)
+            assert only_grads[0] is None and _bit_equal(only_grads[1], grads)
+
+    def test_piece_without_modes_is_constant(self):
+        f = fields.make_wound_field([(2, (0.4, -0.2), ()),
+                                     (1, (0.0, 0.0), ((1, (1.0, 0.0), (0.0, 1.0)),))])
+        values, grads = f.polar(self.RR, self.dirs(), True, True)
+        assert np.all(values[:, :2] == [0.2, -0.1]) and np.all(grads[:, :2] == 0.0)
+        r, theta = self.scattered(self.dirs())
+        kernel = fields._wound_kernel([(2, (0.4, -0.2), ())], 2)[1]
+        assert np.all(kernel(r, theta, True, True)[0] == [0.2, -0.1])
+
+    def test_polar_nodes_are_the_scattered_nodes(self):
+        # up to the rounding of (r, theta) from the node's coordinates
+        f = fields.make_wound_field(fields.random_wound_pieces(2, 3, 4, 1.8))
+        dirs = self.dirs()
+        X = (self.RR[:, None, None] * dirs[None]).reshape(-1, 2)
+        values, grads = f.polar(self.RR, dirs, True, True)
+        assert np.allclose(values, f.values(X), rtol=0.0, atol=1e-14)
+        assert np.allclose(grads, f.gradients(X), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_superpose_polar_adds_the_shift_at_the_nodes(self, k):
+        h = [poly("0.3+x1-2.0*x1*x2"), poly("-0.7+x1^2-x2^2")]
+        base = make_branch_field(k, 3)
+        f = fields.superpose(base, h)
+        dirs = self.dirs()
+        r, theta = self.scattered(dirs)
+        X = (self.RR[:, None, None] * dirs[None]).reshape(-1, 2)
+        piece = (3, np.zeros(2), ((k, np.array([0.0, 1.0]), np.array([1.0, 0.0])),))
+        base_values, base_grads = fields._wound_kernel((piece,), 2)[1](r, theta, True, True)
+        shift = np.stack([c.value(X) for c in h], axis=1)
+        dshift = np.stack([np.stack([c.partial(a).value(X) for a in range(2)], axis=1)
+                           for c in h], axis=1)
+        values, grads = f.polar(self.RR, dirs, True, True)
+        assert _bit_equal(values, base_values + shift[:, None, :])
+        assert _bit_equal(grads, base_grads + dshift[:, None, :, :])
+
+    def test_polar_only_where_trig_can_be_shared(self):
+        assert make_branch_field(3, 2).polar is not None
+        assert fields.superpose(make_branch_field(3, 2), [poly("x1"), poly("x2")]).polar is not None
+        for spec in ("harmonic:n2m1:x1", "superpose(harmonic:n2m1:x1,n2m1:x2)", "trivial:2"):
+            assert parse_field_spec(spec).polar is None
+        f = make_branch_field(3, 2)
+        assert fields.blowup_rescale(f, np.zeros(2), 0.5, 1.0).polar is None
 
 
 class TestSuperpose:

@@ -78,6 +78,20 @@ def test_frequency_rejects_zero_field():
         frequency(make_trivial(2), (0.0, 0.0), 0.5, FAST)
 
 
+def test_negative_and_non_finite_radii_are_refused():
+    f = make_branch_field(3, 2)
+    with pytest.raises(ValueError, match=r"^sphere radius must satisfy 0 <= r < inf, got -0.1$"):
+        height(f, (0.0, 0.0), -0.1, FAST)
+    for r in (math.inf, math.nan, -0.1):
+        with pytest.raises(ValueError, match=r"^sphere radius must satisfy"):
+            frequency(f, (0.0, 0.0), r, FAST)
+    with pytest.raises(ValueError, match=r"^radii must satisfy 0 <= inner < outer < inf"):
+        frequency(f, (0.0, 0.0), math.inf, FAST, "linear")
+    # a zero radius still has a vanishing boundary trace
+    with pytest.raises(ZeroHeightError, match="^boundary trace vanishes at r=0$"):
+        frequency(f, (0.0, 0.0), 0.0, FAST)
+
+
 def test_frequency_profile_shape():
     prof = frequency_profile(make_branch_field(1, 2), (0.0, 0.0), (0.4, 0.2, 0.1), FAST)
     assert prof.quantity == "frequency-sharp"

@@ -32,12 +32,21 @@ sheet moments in place of the per-sheet gradient arrays: only the outer
 and inner pair values and the residuals built from them moved, by at most
 3.6e-15 in absolute value; the Dirichlet energy on the support, the
 threshold, the floor, the verdicts and the notes kept their bytes. Only in
-three dimensions does the inner rotation
-generator differ from the outer quarter turn R, so only the last case
-tells the two apart. Any change to the quadrature engine or the checks
-that moves a single report byte fails here. To record new digests after
-an intended change in the mathematics, run this file as a script and paste
-its output into DIGESTS.
+three dimensions does the inner rotation generator differ from the outer
+quarter turn R, so only the last case tells the two apart. The 38 digests
+of reports whose integrals take a field's polar product grid
+(branch-three-halves 15, wound-s0 14, wound-deep 7, wound-capped 2) were
+re-recorded when branch and wound fields came to be evaluated there, with
+trig per angle, powers per radius and the gradient rotated per angle
+before its radial scale: each node's (r, theta) now comes from the rule's
+radius and direction rather than from hypot and arctan2 of its
+coordinates, and gradients round in another order. No verdict, note, key
+or string moved; primary integrals moved by at most 2.7e-16 relative, and
+only cancellation leaves by more (the leaf comparison is in CHANGES.md).
+No harmonic, three-dimensional or off-centre digest moved. Any change to
+the quadrature engine or the checks that moves a single report byte fails
+here. To record new digests after an intended change in the mathematics,
+run this file as a script and paste its output into DIGESTS.
 """
 
 import dataclasses
@@ -116,22 +125,22 @@ CHECKS = tuple(_checks(None, 1.0))
 NESTED_CHECKS = tuple(_nested_checks(None, 1.0))
 
 DIGESTS = {
-    "branch-three-halves/stationarity": "7b8a4565d62573671876bcc2e9c13939b670f2eb1726050c03ad56c3e1b39054",
-    "branch-three-halves/stationarity-ball": "bd15aec0925890490b1e934f026ba7c2f57fc37c460eddc081c1efb808c32c7c",
+    "branch-three-halves/stationarity": "9181f349fe1ccb4969cec50e65d59a3351b8ad7ad695295d9ad7fa557fa26926",
+    "branch-three-halves/stationarity-ball": "dcf37f860ec79407fcece8e3a0d01da33b6bbc3b7c5da531f903d7f6153dc9ca",
     "branch-three-halves/carleman": "926eb92e1ba04e34617cb4cdd32b82798cc4730a8db4a0b478b06db175e8ece2",
-    "branch-three-halves/first-carleman": "6f7e2ea9540dc651cb6abb3cea857e3570cf6cc563f83d65b312ca808faa8e71",
-    "branch-three-halves/pre-carleman": "d385cc7d7fa1d0370b0ecf51decc216c05e9e045fa1d7738538d041f54262fc9",
-    "branch-three-halves/modified-carleman": "ac1adf1142eef5253dfeeb27b44d74ed96fa94b32e5b8ad3efc94ad92543e6b1",
+    "branch-three-halves/first-carleman": "5a76edd30293351c66ec3e675416c720600ad6d867a67cc8443f8904c5598f4f",
+    "branch-three-halves/pre-carleman": "40bdf9ac0512619317f47a6fa369d6802e917da2634a0ca784bf158c51818f3f",
+    "branch-three-halves/modified-carleman": "67c8384b647a5f8a48d20e712610102f3b301bc0048f8e15e6ee4bb9a0f156bc",
     "branch-three-halves/caccioppoli": "dca13c0d705126dd7d739a55458a59d602ad3bdfcb3f3f11e0586d13372562b0",
-    "branch-three-halves/deficit-profile": "4a7071e32decd813c98093804092f1525226b0d47329708535cd04836e716e21",
-    "branch-three-halves/frequency-identity": "e27e3e842b5268e06e85ccf37781cf4387bdcddbe65d8dee4bdcf52adb6fa84a",
-    "branch-three-halves/weiss-derivative": "62558b2844328cd3a406ec985dbea89594b680eb36bcc9a85577044227a49458",
+    "branch-three-halves/deficit-profile": "b74614391edf58c4866204254a054ab0a8116be44cf6656dfc4b526fd25f2a30",
+    "branch-three-halves/frequency-identity": "a03da68165a10ec790c101c01f90ec3782ca8f735523beeb56e90110c6876615",
+    "branch-three-halves/weiss-derivative": "6e029c8ea093e9b7835bcd92e5fb077cddd6c8b229d4feb55126f19d823b3b59",
     "branch-three-halves/three-sphere": "4fe2f69ed873e40311f8466ee56f3cdaf124315bdc1b0c2c76edc8b788342b2b",
-    "branch-three-halves/carleman-sweep": "69958c14cb30c74c30d89dad0f911b3fa04545660085e96a393b9071646f8c95",
+    "branch-three-halves/carleman-sweep": "b446f5e00f4758e7a7adac4734c319d80e805d6161ccd065d5bf74b8b280b2d5",
     "branch-three-halves/vanishing-order": "c5cd18fa8eae780f7ffc4135d30b020f7748c8f50b9beb7ecd5daf145983e5e4",
     "branch-three-halves/vanishing-order-off-centre": "91c31f977d239646daec8d5abe91b580d4035fa480e77089220f5c2e2db57870",
     "branch-three-halves/semicontinuity": "9c5587c2574bcf27c1c7b68e5aea1f26e7d4b93f0b2dfe1cb52b6c9d5dc3fd8f",
-    "branch-three-halves/doubling": "6c93b186643e2f5a1aff65588d846da3dc86611956f36adddabd3343610ab8a1",
+    "branch-three-halves/doubling": "112ae81f22f43efa461e313df0a313674fa00bf3af8b8bf7789e815f5a920df3",
     "branch-three-halves/frequency-variants": "dfcc364be4c1e03356089bd67533f5d23e9451015ebde6894b05d4560ac5144b",
     "harmonic-pair/stationarity": "f7fd1de975c62b652c27522008f35f776dba3b4f04617409e0426e2955e484c0",
     "harmonic-pair/stationarity-ball": "9d2a6af60b24d7974abd4763f2c07e6545f8be48535a2b2767f8dd7b46e97e82",
@@ -150,33 +159,33 @@ DIGESTS = {
     "harmonic-pair/semicontinuity": "a2e53a980fbff9b4ffcc27ddbf90e37f4e1098111086b6f17d897975db68fd3f",
     "harmonic-pair/doubling": "96687bce7e1e2b7ef46d5597b2b32b7377a2984d33aea8637f4132c44010d1df",
     "harmonic-pair/frequency-variants": "ebe6b9b7ffe87be430972ccfea5d6c47a7e14f4063994a7551b031c352c71ae9",
-    "wound-s0/stationarity": "a8f52b365e8e4da898c07ee6425f6ed4087a5e083b66b72162491831a6990fce",
-    "wound-s0/stationarity-ball": "535924cc86876c33f49538438fd5e7e1794d24c35f97cd409d84e1229add9512",
+    "wound-s0/stationarity": "c0c4fec0d4ce7689dde5916121cff28951505755ab91f77073e294b4b737b632",
+    "wound-s0/stationarity-ball": "96066c487faeadf1ce13cf229ce32b98e354b2bcb7a70c24d25a3c39d5394d85",
     "wound-s0/carleman": "914b866ea1c1d2d36a68a2a5df21c8cace01c1b6d89d333793900372e5d0d603",
     "wound-s0/first-carleman": "7c3d86e9170195fa48158fde31cb56cb53b350af59632a1cfc3ccbf57566bf11",
-    "wound-s0/pre-carleman": "952e66e5376dab56bf0caf97896d70e8b63909a2bdf177882c96246c500c6cf8",
+    "wound-s0/pre-carleman": "0bf2c938aea8fbf2abb6b51b5d38d238c0b6dd935455e44954821b2702cae2d0",
     "wound-s0/modified-carleman": "eb4e5673fd7d93f853e9005f3c355843d0f033fa1470cf6c34b49b16c56d20f2",
     "wound-s0/caccioppoli": "f7c21099ef01d240d3b230ecedd21db307ab954bf5ff1fe883914d3efc9117a9",
-    "wound-s0/deficit-profile": "e0c44e9c6d81217b5a1f58b0aeaa4025210eda649ca2a5563f4b8faa0ad98858",
-    "wound-s0/frequency-identity": "0929df349d2ff64b2fd4ebb012d5293325c595fdc9af43aca3abe824847ce13c",
-    "wound-s0/weiss-derivative": "0bd26f9f5ca3750bd94711e726723118c80c3d462bfdde81355b5a3f9fa761ef",
+    "wound-s0/deficit-profile": "f9843b9268f0257d9d8a7d635c19abb91bf15ecdb922412acb6767580e0ec5df",
+    "wound-s0/frequency-identity": "11cff43b90c735b4726c0d31db1959acfc6c9093956c26f2c83effcbeb65c400",
+    "wound-s0/weiss-derivative": "3e059cff2335ae80554e77e6f32566c3ad680ebabd4609f6f0d0a1e3e3d72577",
     "wound-s0/three-sphere": "bfef1c03f32b3fd404800c7d1edbf80be11daf76c0e5f69d8f942c4fe5902bc2",
-    "wound-s0/carleman-sweep": "a59ddf208257dd87cd60cf3de0cbd44c7e2207d1b06aaf44f6648bcb1e31cee0",
-    "wound-s0/vanishing-order": "d4a4c6d4865e710a03d105fe4b37d8466a414fbc555ad61251db7447296c1b16",
+    "wound-s0/carleman-sweep": "d2bd847012206fbf979cf5060312cc0d6557ab45a400c0eb713c6213bd372f2c",
+    "wound-s0/vanishing-order": "2eaf03420a3e653b274ed0952a27ae5ca9713bef5100f8f2e399e395e25b2ca1",
     "wound-s0/vanishing-order-off-centre": "3bed0a24e57e3cf7edd1e565428b52e1529e469cafc3e9082460e5ad7f6a4bfb",
     "wound-s0/semicontinuity": "b44826162997537311d2e8e1fe3c95272f3985ed62844efe2dacee460bbf6865",
     "wound-s0/doubling": "0c37a574f37b243d43c59a2c38cc9321ab2f258b5d790a8c70efbae3a5b24659",
     "wound-s0/frequency-variants": "d39505a8d871e0ad18b1d21534545a69f66d99e02832044e79bb91ffc9704ecd",
-    "wound-s0/construction-cert": "1b0f465f407a0b2b381831480af1a2730f4886fa1fa2636233fe4cd028a0aa08",
+    "wound-s0/construction-cert": "6f581ccd0b2e6760a7f1f25511f6b31bc2e18990c34710cc56488823602a9bfe",
     "harmonic-3d/stationarity": "0f23215ebba7c91455611e430d8e1ab2691bc4d63bcfe499c38f736f751789c4",
     "branch-three-halves/frequency-profile-sharp-dyadic": "b5c3bd649889d254aa932b2c00508653732d8a44b2bc29c6a54892991d237536",
     "branch-three-halves/frequency-profile-linear-dyadic": "7571826c8a31e9915bd216c3549c2a00cc0affa6f1efed7c40e3d2e14c259659",
     "branch-three-halves/weiss-profile-dyadic": "da6c2e0ee4d8ead904c2585da0660ae9a425baf7cc4097f563a0848beb04c6f9",
-    "branch-three-halves/frequency-profile-sharp-increasing": "67920f221cad6cc58d28a430ed36379548f9ed1af6c10185132bb8e81aa9eec4",
-    "branch-three-halves/frequency-profile-linear-increasing": "7fd377c6902cceb813947d89fd23465b12de57e435af1684a26f5faee9a060c3",
-    "branch-three-halves/weiss-profile-increasing": "83fa0e3e6e55afd2fa05696e1774dc5632c5c7e4d0a7775da9a161c323353923",
-    "branch-three-halves/doubling-4": "9b469ed31ab9dcf244a9570af76a78e220c170272ef1ba3af0d817946951872b",
-    "branch-three-halves/frequency-variants-wide": "506bb8f3fbb6f8afd6da69dc4adeecb5da2dc2174166c9db601b0a1a62d298c2",
+    "branch-three-halves/frequency-profile-sharp-increasing": "138a813d01a01497feaece8944678806ae138299f986ea29ed8f1e5f393fe836",
+    "branch-three-halves/frequency-profile-linear-increasing": "4037c9044b5eb80ce95c399f8f5be558eb546ac5168c160640f141ca5d6c9814",
+    "branch-three-halves/weiss-profile-increasing": "9a6b59a810e488ccf5198399c168afa90ffa96ce7f46e4500846f102ff9c7688",
+    "branch-three-halves/doubling-4": "007c54fcdf8b4bacea8561c8e8442b3e2b603052e882347d481b58fc4a9957f2",
+    "branch-three-halves/frequency-variants-wide": "a887ac2366f18def3c0a24d25e8d2c049d0f7b51146dde17f30763ab0085f583",
     "harmonic-pair/frequency-profile-sharp-dyadic": "31f3f3b61102d41765845061ab8abbb5fcaf54a58bb241feae5fe02384debf3d",
     "harmonic-pair/frequency-profile-linear-dyadic": "91834784d3a74ee0461007a147abc1198494f8baa6ae8bee26eb66c2b6dd91c5",
     "harmonic-pair/weiss-profile-dyadic": "9b7631c3d0cef355898c4aff0448c647caa16866653f7e94860aeb9ce8292cd3",
@@ -185,25 +194,25 @@ DIGESTS = {
     "harmonic-pair/weiss-profile-increasing": "d6abd34dd37872592d1582ead9dc5640c4e1a534558efe7f5375e618f8f4cc19",
     "harmonic-pair/doubling-4": "c0dd794d2b4a1e1d350c7f57d18a0a22c728742a1e62673b7077970c401df4b9",
     "harmonic-pair/frequency-variants-wide": "4f005b5232e24b176568d2a08d6253a8e03b9c2af3100f849f1a6d110d5da6d5",
-    "wound-s0/frequency-profile-sharp-dyadic": "5f68d035c2e15e75bf270fb9c164fab2c8721dabbc57dda832f04380368fbfbf",
+    "wound-s0/frequency-profile-sharp-dyadic": "af87cc3cdc8042d0b537f1789a6a28b355b19b7528cbf5aa8e3a72a6c077820b",
     "wound-s0/frequency-profile-linear-dyadic": "b510f8e19d229b700ddceb9ee0521f03845828c8ad2bf6609226d1daa0a454ab",
-    "wound-s0/weiss-profile-dyadic": "c53dd1a4770e27bbe0b57f381e09d6eac9065ed0dbc01f44a8cd2d3ce978a512",
+    "wound-s0/weiss-profile-dyadic": "b50e30bca0facd8f47468d42e9d8b0ab0077628e2730f67e40c61cfb8d34f228",
     "wound-s0/frequency-profile-sharp-increasing": "b5bf9fd8ba7e91d561ce0697d545b60077cebafc8ce234dada4983237ec85a9c",
-    "wound-s0/frequency-profile-linear-increasing": "e61baf57651552f91e003030692df9ccf91f5b56f1b95901eaab9af02b1973f5",
+    "wound-s0/frequency-profile-linear-increasing": "acfc00ff132a549341e9b1484c8e047ec271bf0c9063a19ec8b4e762f17afdff",
     "wound-s0/weiss-profile-increasing": "08fe2e82f49d30d799082340d72d876efda642b9e136066fc312a242cdc22bd8",
-    "wound-s0/doubling-4": "1f8097d3877fc2e026c5139e2b593d2204c489e44f75e2e5c793a47857d04c4b",
-    "wound-s0/frequency-variants-wide": "ee6544583a36ff7fea1cb06a7221b507f78a9ba00d21e4ff693c5878b76ef461",
-    "wound-deep/frequency-profile-sharp-dyadic": "8227c659b62275e7bbef603cac606a658ffa38f886c18c80ee84a9fd3f28f4e4",
+    "wound-s0/doubling-4": "513090c64963b0dca0471ec15b1ac269ac2871ccc9d136a6a5afef109a60f3fd",
+    "wound-s0/frequency-variants-wide": "5e547f1a45e2cf40829df61a0ca4b9f0b145d482698c4cfae759c0dd7a29975a",
+    "wound-deep/frequency-profile-sharp-dyadic": "6b29dfc91a867da4af36a9072ab970820c132243992618cbf5c19e97915d1476",
     "wound-deep/frequency-profile-linear-dyadic": "489390656aebbe63a9d6339b7e415769365af8ecab303e489b0a195642e287db",
-    "wound-deep/weiss-profile-dyadic": "695a53556365f5a2173d40aff15d7e25d10b82ea14a9cce8d87f479f318f109f",
-    "wound-deep/frequency-profile-sharp-increasing": "7083b6db826ae54c84d8707691e20b051614ba1627147c133c9f7507b16407c0",
-    "wound-deep/frequency-profile-linear-increasing": "7eeaba99a7013c4f61c947745cfa96b714e9147beca7883615aa48ea26414a8a",
-    "wound-deep/weiss-profile-increasing": "ab1d0711e61cb9279dcf3361456e8115056a5de854b254d70e9f5a442628ea88",
-    "wound-deep/doubling-4": "7e2a533384765a2766de3602f49be8e6eca9cc839c8865dc83de2c413feddc66",
-    "wound-deep/frequency-variants-wide": "61df4d17c0f48a01f0d38c6d5044836c466334a2c1d81a0d8562fb815ed6142b",
-    "wound-capped/frequency-profile-sharp-dyadic": "f778d078c9100fe7e3583fa12c904bc74d27937d90a8cea593715752ef6ce688",
+    "wound-deep/weiss-profile-dyadic": "008de96905f58a7a04112e70e2cbbb95f94fce23ff53ddaf5c77e61e768d9ecc",
+    "wound-deep/frequency-profile-sharp-increasing": "3da910dfb29f0b1e4b673f268594ac30de89109ab848d1bdd8f96cf36b3802c5",
+    "wound-deep/frequency-profile-linear-increasing": "db5717cd9e053c723f2a5e02805004177950f583099b2e6b44f1cf08ee974d8f",
+    "wound-deep/weiss-profile-increasing": "934fba2d315cefe5fb1c8bd3a7d487639a7f19a341608169a4f8ccc8e5367c00",
+    "wound-deep/doubling-4": "f17327c03535ed7180649b7139790f52f992cf48fefe64576165a73a8fab4088",
+    "wound-deep/frequency-variants-wide": "e7e9077479798a97ae0aa7eb3f271efcd725ff81c171cba751c69878c85a4de0",
+    "wound-capped/frequency-profile-sharp-dyadic": "1f3b5018af55ab77def426ed09ecef1ac5a9a9ba55ba45564fbea0c9488a7d1d",
     "wound-capped/frequency-profile-linear-dyadic": "f88531ee623136c1cbdddfc0aacb8d681b3199bd020d5bc5ea5456d4e245902e",
-    "wound-capped/weiss-profile-dyadic": "55b8d06f3a770f76338239cb7bef05cff7d66b8fd2f70ee7f827eeec78056699",
+    "wound-capped/weiss-profile-dyadic": "8c9522b9be58b336fc9a1edca8f684d92a2607d9fa3212dbc76e5c5d4e5b8be3",
     "wound-capped/frequency-profile-sharp-increasing": "210e0d66606fd52a2f0d163f46a75cdb5e9de74450f2b63b8ad52afe4f60db92",
     "wound-capped/frequency-profile-linear-increasing": "ff7367ba20f9d5be06fb5f73625db49b1970e14b60e8fd7d119fb2142209cf41",
     "wound-capped/weiss-profile-increasing": "c6e54714262cfbc6ab59530662975d9bdca05579f1753e0d7fccb577e48c299a",

@@ -98,7 +98,7 @@ def test_only_two_resolution_refines_in_src():
     assert found == {}
 
 
-KERNEL_NAMES = ("values_fn", "gradients_fn", "integrate_region", "sphere_integral")
+KERNEL_NAMES = ("values_fn", "gradients_fn", "polar", "integrate_region", "sphere_integral")
 
 
 def kernel_references(source: str, whole_module: bool = False) -> list:
@@ -126,6 +126,13 @@ def test_kernel_scanner_flags_only_the_closed_form_scopes():
     assert kernel_references(source) == [(4, "values_fn"), (7, "sphere_integral")]
     assert kernel_references(source, whole_module=True) == [
         (2, "integrate_region"), (4, "values_fn"), (7, "sphere_integral")]
+
+
+def test_kernel_scanner_flags_the_polar_grid_in_a_closed_form_scope():
+    source = ("def spectrum_closed_form(f, rr, dirs):\n"
+              "    vals, _ = f.polar(rr, dirs, True, False)\n    return vals\n"
+              "def integrand(f, rr, dirs):\n    return f.polar(rr, dirs, True, True)\n")
+    assert kernel_references(source) == [(2, "polar")]
 
 
 def test_closed_form_route_never_evaluates_the_field():

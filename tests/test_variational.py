@@ -87,6 +87,37 @@ def test_region_validation():
     assert r.radii == (0.0, 2.0)
 
 
+def test_radii_must_be_finite_and_nonnegative():
+    for kind, radii in (("ball", (0.0, math.inf)), ("annulus", (0.5, math.inf)),
+                        ("ball", (0.0, math.nan)), ("annulus", (-0.1, 0.5))):
+        with pytest.raises(ValueError, match=r"^radii must satisfy 0 <= inner < outer < inf"):
+            Region(kind=kind, center=(0.0, 0.0), radii=radii)
+    for radii in ((0.1, 0.2, 0.3, math.inf), (0.1, 0.2, math.inf, math.inf),
+                  (math.nan, 0.2, 0.3, 0.4), (-math.inf, 0.2, 0.3, 0.4)):
+        with pytest.raises(variational.CutoffConstructionError,
+                           match=r"^cutoff radii must be finite, got"):
+            RadialBump(*radii)
+    f = make_branch_field(3, 2)
+    for center in ((0.0, 0.0), (0.3, 0.1)):
+        for r in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^sphere radius must satisfy 0 <= r < inf"):
+                sphere_integral(f, center, r, FAST, variational._mass_density)
+        assert sphere_integral(f, center, 0.0, FAST, variational._mass_density) == 0.0
+
+
+def test_angular_rule_is_built_once_and_read_only():
+    for n, quad in ((2, FAST), (3, FAST), (2, QUAD)):
+        dirs, w = variational._angular_nodes(n, quad)
+        again = variational._angular_nodes(n, dataclasses.replace(quad))
+        assert again[0] is dirs and again[1] is w
+        assert not dirs.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+    # the planar rule does not depend on polar_nodes, but each key has its own
+    assert np.array_equal(variational._angular_nodes(2, FAST)[0],
+                          variational._angular_nodes(2, dataclasses.replace(FAST, polar_nodes=3))[0])
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(radial_order=0)
@@ -519,8 +550,8 @@ COARSE = QuadratureSpec(radial_order=8, angular_nodes=32)
 def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradients=True,
                     breakpoints=()):
     """integrate_region on an annulus with one field call per panel, as a
-    bit-exact reference."""
-    from qvlab.variational import _angular_nodes, _leggauss, _radial_panels
+    bit-exact reference; the field is evaluated as integrate_region does it."""
+    from qvlab.variational import _angular_nodes, _evaluate, _leggauss, _radial_panels
 
     inner, outer = region.radii
     assert inner > 0.0, "the reference covers annuli only"
@@ -534,8 +565,8 @@ def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradient
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
         r = np.repeat(rr, dirs.shape[0])
         w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-        vals = f.values_fn(X) if need_values else None
-        grads = f.gradients_fn(X) if need_gradients else None
+        vals, grads = _evaluate(f, None if center.any() else f.polar, X, rr, dirs,
+                                need_values, need_gradients)
         contributions.append(tree_sum(density(X, r, vals, grads) * w))
     return tree_sum(contributions)
 
@@ -552,7 +583,8 @@ def _counted_density(density):
 
 def _counted_field(f, weight=lambda X: 1):
     """f with its values and gradients calls tallied, each weighted by
-    weight(X): 1 counts calls, X.shape[0] points."""
+    weight(X): 1 counts calls, X.shape[0] points. A polar call counts as a
+    values call, a gradients call or both by its need flags, at its nodes."""
     calls = {"values": 0, "gradients": 0}
 
     def counted(name, fn):
@@ -561,8 +593,16 @@ def _counted_field(f, weight=lambda X: 1):
             return fn(X)
         return call
 
+    def polar(rr, dirs, need_values, need_gradients):
+        X = (rr[:, None, None] * dirs[None]).reshape(-1, f.n)
+        for name, needed in (("values", need_values), ("gradients", need_gradients)):
+            if needed:
+                calls[name] += weight(X)
+        return f.polar(rr, dirs, need_values, need_gradients)
+
     g = dataclasses.replace(f, values_fn=counted("values", f.values_fn),
-                            gradients_fn=counted("gradients", f.gradients_fn))
+                            gradients_fn=counted("gradients", f.gradients_fn),
+                            polar=None if f.polar is None else polar)
     return g, calls
 
 
@@ -629,16 +669,44 @@ def test_capped_wound_ball_field_call_counts():
         assert seen == {"values": 0, "gradients": points}
 
 
+def test_centred_regions_take_the_polar_grid():
+    # one polar call per block on a region or sphere centred at the origin,
+    # within roundoff of the scattered path; off-centre ones keep values_fn
+    f = _winding3_wound_field()
+    seen = []
+
+    def polar(rr, dirs, need_values, need_gradients):
+        seen.append((rr.size, dirs.shape[0], need_values, need_gradients))
+        return f.polar(rr, dirs, need_values, need_gradients)
+
+    g, bare = dataclasses.replace(f, polar=polar), dataclasses.replace(f, polar=None)
+    for region in (ball((0.0, 0.0), 0.7), annulus((0.0, 0.0), 0.2, 0.7)):
+        for integral in (l2_mass, dirichlet_energy):
+            assert integral(g, region, COARSE) == pytest.approx(integral(bare, region, COARSE),
+                                                                rel=1e-13)
+    assert seen[:2] == [(24, 32, True, False), (24, 32, False, True)]
+    assert sphere_integral(g, (0.0, 0.0), 0.4, COARSE, variational._mass_density) == \
+        pytest.approx(sphere_integral(bare, (0.0, 0.0), 0.4, COARSE, variational._mass_density),
+                      rel=1e-14)
+    assert seen[-1] == (1, 32, True, False)
+    calls = len(seen)
+    l2_mass(g, annulus((0.8, 0.0), 0.1, 0.3), COARSE)
+    sphere_integral(g, (0.8, 0.0), 0.4, COARSE, variational._mass_density)
+    assert len(seen) == calls
+
+
 def test_sliced_graded_panel_is_one_panel_bit_for_bit():
     # the 60 x 256 graded panel of the reference rule is evaluated in three
     # 5120-node slices, yet summed as one panel: the energy is bit for bit
-    # one field call over the whole panel and one tree_sum
+    # one field call over the whole panel, on the integrator's path (the
+    # field's polar grid), and one tree_sum
     f = _winding3_wound_field()
     rr, wr = variational._graded_rule(0.7, 3, QUAD)
     dirs, wdir = variational._angular_nodes(2, QUAD)
     X = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     w = (wr[:, None] * rr[:, None] * wdir[None, :]).ravel()
-    expected = tree_sum(variational._dirichlet_density(X, None, None, f.gradients_fn(X)) * w)
+    grads = variational._evaluate(f, f.polar, X, rr, dirs, False, True)[1]
+    expected = tree_sum(variational._dirichlet_density(X, None, None, grads) * w)
     g, calls = _counted_field(f)
     density, seen = _counted_density(_stacked(variational._mass_density,
                                               variational._dirichlet_density))
