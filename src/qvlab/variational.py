@@ -257,11 +257,12 @@ def _entries(dens):
     return (dens,), True
 
 
-def _evaluate(f: QField, polar, X, rr, dirs, need_values: bool, need_gradients: bool):
-    """(values | None, gradients | None) at the nodes X = rr (x) dirs: one
-    polar call when polar is given, else values_fn and gradients_fn on X."""
-    if polar is not None:
-        return polar(rr, dirs, need_values, need_gradients)
+def _evaluate(f: QField, center, X, rr, dirs, need_values: bool, need_gradients: bool):
+    """(values | None, gradients | None) at the nodes X = center + rr (x)
+    dirs: one f.polar call when f has polar and center is the origin, else
+    values_fn and gradients_fn on X."""
+    if f.polar is not None and not center.any():
+        return f.polar(rr, dirs, need_values, need_gradients)
     return (f.values_fn(X) if need_values else None,
             f.gradients_fn(X) if need_gradients else None)
 
@@ -297,7 +298,6 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     """
     _guard_branch(f, region)
     center = region.center_array
-    polar = None if center.any() else f.polar
     tol = 1e-12 * (1.0 + region.radii[1])
     centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
     panels = _region_panels(region, breakpoints, centred)
@@ -324,7 +324,7 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
         r = np.repeat(rr, dirs.shape[0])
         w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-        vals, grads = _evaluate(f, polar, X, rr, dirs, need_values, need_gradients)
+        vals, grads = _evaluate(f, center, X, rr, dirs, need_values, need_gradients)
         for k, (_, _, closes) in enumerate(block):
             s = slice(ends[k], ends[k + 1])
             dens, single = _entries(density(X[s], r[s], None if vals is None else vals[s],
@@ -354,8 +354,7 @@ def sphere_integral(f: QField, center, r: float, quad: QuadratureSpec, density: 
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dirs, wdir = _angular_nodes(f.n, quad)
     X = center[None, :] + r * dirs
-    vals, grads = _evaluate(f, None if center.any() else f.polar, X, np.array([r]), dirs,
-                            True, need_gradients)
+    vals, grads = _evaluate(f, center, X, np.array([r]), dirs, True, need_gradients)
     dens, single = _entries(density(X, np.full(X.shape[0], r), vals, grads))
     totals = tuple(tree_sum(d * wdir * r ** (f.n - 1)) for d in dens)
     return totals[0] if single else totals

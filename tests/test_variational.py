@@ -565,8 +565,7 @@ def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradient
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
         r = np.repeat(rr, dirs.shape[0])
         w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
-        vals, grads = _evaluate(f, None if center.any() else f.polar, X, rr, dirs,
-                                need_values, need_gradients)
+        vals, grads = _evaluate(f, center, X, rr, dirs, need_values, need_gradients)
         contributions.append(tree_sum(density(X, r, vals, grads) * w))
     return tree_sum(contributions)
 
@@ -705,7 +704,7 @@ def test_sliced_graded_panel_is_one_panel_bit_for_bit():
     dirs, wdir = variational._angular_nodes(2, QUAD)
     X = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     w = (wr[:, None] * rr[:, None] * wdir[None, :]).ravel()
-    grads = variational._evaluate(f, f.polar, X, rr, dirs, False, True)[1]
+    grads = variational._evaluate(f, np.zeros(2), X, rr, dirs, False, True)[1]
     expected = tree_sum(variational._dirichlet_density(X, None, None, grads) * w)
     g, calls = _counted_field(f)
     density, seen = _counted_density(_stacked(variational._mass_density,
