@@ -6,7 +6,10 @@ reports the empirical constant; no constant is ever assumed. The four
 Carleman variants and three-sphere compare every integral with a second
 route under the one rule of variational._two_resolution (1e-4 relative,
 roundoff-level integrals exempt): the closed form of radial on a field with
-known pieces about the origin, else a rerun at quad.refined(). Weights are
+known pieces about the origin, else a rerun at quad.refined(). Each Carleman
+variant states its density once, as an integrand of the radial moments
+(M, D, S) at its own exponent (eta, or 0 for the pre-square estimate) that
+both routes read (variational._two_routes). Weights are
 powers of |x| (or exp(-2 tau phi(log|x|)) for the bent variant) against an
 annular cutoff chi supported away from the origin, where the power weights
 are smooth.
@@ -38,13 +41,11 @@ from .variational import (
     QuadratureSpec,
     REFERENCE_QUAD,
     RadialBump,
-    _dirichlet_density,
-    _mass_density,
     _ratio_verdict,
     _two_resolution,
+    _two_routes,
     annulus,
     ball,
-    integrate_region,
     l2_mass,
 )
 
@@ -82,7 +83,7 @@ def eps_recipe(r_lo: float, r_hi: float) -> float:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Power weight parameters: tau > 0, eps >= 0, and the left-side
+    """Power weight parameters: finite tau > 0 and eps >= 0, and the left-side
     mass-term exponent variant. eta is always recomputed from tau and the
     domain dimension, never stored."""
 
@@ -95,6 +96,8 @@ class WeightSpec:
             raise ValueError("tau must be positive")
         if not self.eps >= 0.0:
             raise ValueError("eps must be nonnegative")
+        if math.isinf(self.tau + self.eps):
+            raise ValueError("tau and eps must be finite, got %r and %r" % (self.tau, self.eps))
         if self.exponent_variant not in ("proof", "statement"):
             raise ValueError("exponent_variant must be proof or statement")
 
@@ -117,81 +120,59 @@ def eta_tuned_tau(kappa: float, n: int) -> float:
 # shared machinery for the weighted two-sided checks
 
 
-def _require_origin_cutoff(cutoff: RadialBump) -> None:
+def _two_sided_report(name, f, params, cutoff, integrand, k, quad, extra=None,
+                      signed_lhs=False, more=(), knots=(), sides=None):
+    """The ratio report of the integrals of integrand(r, M, D, S) at exponent
+    k over the cutoff's support, split at its radii and knots (_two_routes);
+    the cutoff must be centred at the origin with a_in > 0, since the power
+    weights are singular there. The integrals are (lhs, rhs, *rest): the
+    report carries both routes' sides and rest under the names in more,
+    unless sides(*integrals) gives (lhs, rhs, quantities). extra joins the
+    quantities, and the cutoff's kind and radii the params."""
     if any(c != 0.0 for c in cutoff.center):
         raise ValueError("weighted checks require a cutoff centered at the origin")
     if not cutoff.a_in > 0.0:
         raise ValueError("weighted checks require a cutoff with a_in > 0: the power "
                          "weights are singular at the origin")
-
-
-def _over_cutoff(f, cutoff, q, density):
-    """integrate_region of density over the cutoff's support, split at its radii."""
-    return integrate_region(f, cutoff.support(f.n), q, density, breakpoints=cutoff.breakpoints())
-
-
-def _two_sided_report(name, f, params, cutoff, sides, closed_form, quad, extra=None,
-                      signed_lhs=False):
-    """Evaluate sides(q) -> (lhs, rhs) at quad and compare with the second
-    route (_two_resolution), where closed_form(r, M, R, C) is the per-radius
-    (lhs, rhs) integrand of the closed-form route; assemble the standard
-    ratio report with both routes' sides and the cutoff's kind and radii."""
-    _require_origin_cutoff(cutoff)
-    (lhs, rhs), (lhs2, rhs2), route, disagreement = _two_resolution(
-        sides, quad,
-        exact=radial.closed_form(f, cutoff.support(f.n), cutoff.breakpoints(), closed_form))
+    ref, second, route, disagreement = _two_routes(
+        f, cutoff.support(f.n), cutoff.breakpoints() + tuple(knots), integrand, k, quad)
+    if sides is None:
+        lhs, rhs, *rest = ref
+        label = route.replace("-", "_")
+        quantities = {"lhs_" + label: second[0], "rhs_" + label: second[1],
+                      **dict(zip(more, rest))}
+    else:
+        lhs, rhs, quantities = sides(*ref)
     ratio, verdict, notes = _ratio_verdict(lhs, rhs, disagreement, signed_lhs)
-    second = route.replace("-", "_")
-    quantities = {"lhs": lhs, "rhs": rhs, "ratio": ratio,
-                  "lhs_" + second: lhs2, "rhs_" + second: rhs2}
-    if extra:
-        quantities.update(extra)
     return CheckReport(
         name=name,
         field_spec=f.tag,
         params={**params, "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii},
                 "second_route": route},
-        quantities=quantities,
+        quantities={"lhs": lhs, "rhs": rhs, "ratio": ratio, **quantities, **(extra or {})},
         resolutions=quad.meta(),
         verdict=verdict,
         notes=tuple(notes),
     )
 
 
-def _carleman_rhs(cutoff: RadialBump, tau: float, r, dmag, mass):
-    """The common right side density |Dchi| (|Df|^2 / |x|^{2 tau - 1}
-    + |f|^2 / |x|^{2 tau + 1}), from the per-node |Df|^2 and |f|^2."""
+def _carleman_rhs(cutoff: RadialBump, tau: float, r, dirichlet, mass):
+    """The common right side |Dchi| (|Df|^2 / |x|^{2 tau - 1}
+    + |f|^2 / |x|^{2 tau + 1}), from the moments D and M."""
     dchi = np.abs(cutoff.dchi_r(r))
-    return dchi * (dmag / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
+    return dchi * (dirichlet / r ** (2.0 * tau - 1.0) + mass / r ** (2.0 * tau + 1.0))
 
 
-def _carleman_density(cutoff: RadialBump, tau: float, eta: float, eps: float, exps):
-    """The weighted density (lhs, rhs, lhs under each further exponent in
-    exps): lhs = chi (eps^2 |f|^2 / |x|^E + |Df . x - eta f|^2 / |x|^{2 tau + 2})
-    for each E in exps, rhs that of _carleman_rhs."""
-    def density(X, r, vals, grads):
+def _carleman_integrand(cutoff: RadialBump, tau: float, eps: float, exponents):
+    """The integrand (lhs, rhs, lhs under each further exponent) of the
+    moments at k = eta: lhs = chi (eps^2 M / |x|^E + S / |x|^{2 tau + 2}) for
+    each E in exponents, rhs that of _carleman_rhs."""
+    def integrand(r, mass, dirichlet, defect):
         chi = cutoff.chi_r(r)
-        radial = np.einsum("nqmk,nk->nqm", grads, X)
-        sq = radial - eta * vals
-        main = np.einsum("nqm,nqm->n", sq, sq) / r ** (2.0 * tau + 2.0)
-        mass = _mass_density(X, r, vals, grads)
-        lhs = tuple(chi * (eps ** 2 * mass / r ** e + main) if eps else chi * main
-                    for e in exps)
-        rhs = _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
-        return (lhs[0], rhs) + lhs[1:]
-    return density
-
-
-def _carleman_closed_form(cutoff: RadialBump, tau: float, eta: float, eps: float,
-                          exponent: float):
-    """The (lhs, rhs) integrand of _carleman_density at mass exponent
-    exponent, from the circle integrals M, R, C of radial: the angular
-    integral of |Df . x - eta f|^2 is r^2 R - 2 eta r C + eta^2 M."""
-    def integrand(r, mass, rad, cross):
-        chi = cutoff.chi_r(r)
-        main = (r * r * rad - 2.0 * eta * r * cross + eta * eta * mass) / r ** (2.0 * tau + 2.0)
-        lhs = chi * (eps ** 2 * mass / r ** exponent + main) if eps else chi * main
-        return lhs, _carleman_rhs(cutoff, tau, r, 2.0 * rad, mass)
+        main = defect / r ** (2.0 * tau + 2.0)
+        lhs = [chi * (eps ** 2 * mass / r ** e + main) if eps else chi * main
+               for e in exponents]
+        return (lhs[0], _carleman_rhs(cutoff, tau, r, dirichlet, mass), *lhs[1:])
     return integrand
 
 
@@ -203,44 +184,33 @@ def carleman_sides(f: QField, w: WeightSpec, cutoff: RadialBump,
                           + |Df_i . x - eta f_i|^2 / |x|^{2 tau + 2} ),
     rhs = int |Dchi| sum_i ( |Df_i|^2 / |x|^{2 tau - 1}
                              + |f_i|^2 / |x|^{2 tau + 1} ).
-    When eps > 0 the left side under the other exponent variant is
-    reported too, from the same sweep as the reference-resolution sides.
+    When eps > 0 the left side under the other exponent variant is a third
+    integral of the same integrand, judged by the second route with the
+    two sides.
     """
     eta = w.eta(f.n)
-    exponent = w.mass_exponent()
-    extra = {"eta": eta, "mass_exponent": exponent}
-    exponents = (exponent,)
+    extra = {"eta": eta, "mass_exponent": w.mass_exponent()}
+    exponents, more = (w.mass_exponent(),), ()
     if w.eps > 0.0:
         other = "statement" if w.exponent_variant == "proof" else "proof"
-        other_exp = w.mass_exponent(other)
-        extra["mass_exponent_" + other] = other_exp
-        exponents += (other_exp,)
-
-    def sides(q):
-        exps = exponents if q is quad else exponents[:1]
-        lhs, rhs, *variant = _over_cutoff(
-            f, cutoff, q, _carleman_density(cutoff, w.tau, eta, w.eps, exps))
-        if variant:
-            extra["lhs_" + other + "_variant"] = variant[0]
-        return lhs, rhs
-
+        extra["mass_exponent_" + other] = w.mass_exponent(other)
+        exponents += (w.mass_exponent(other),)
+        more = ("lhs_" + other + "_variant",)
     return _two_sided_report(
         "carleman", f, {"tau": w.tau, "eps": w.eps, "exponent_variant": w.exponent_variant},
-        cutoff, sides, _carleman_closed_form(cutoff, w.tau, eta, w.eps, exponent), quad,
-        extra=extra)
+        cutoff, _carleman_integrand(cutoff, w.tau, w.eps, exponents), eta, quad,
+        extra=extra, more=more)
 
 
 def first_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
                          quad: QuadratureSpec = REFERENCE_QUAD) -> CheckReport:
-    """The completed-square estimate: the density of carleman_sides at
+    """The completed-square estimate: the integrand of carleman_sides at
     eps = 0, so no mass term on the left."""
     w = WeightSpec(tau=tau)
     eta = w.eta(f.n)
-    density = _carleman_density(cutoff, tau, eta, 0.0, (w.mass_exponent(),))
     return _two_sided_report("first-carleman", f, {"tau": tau}, cutoff,
-                             lambda q: _over_cutoff(f, cutoff, q, density),
-                             _carleman_closed_form(cutoff, tau, eta, 0.0, w.mass_exponent()),
-                             quad, extra={"eta": eta})
+                             _carleman_integrand(cutoff, tau, 0.0, (w.mass_exponent(),)),
+                             eta, quad, extra={"eta": eta})
 
 
 def pre_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
@@ -252,26 +222,16 @@ def pre_carleman_sides(f: QField, tau: float, cutoff: RadialBump,
     rhs = (eta / tau) int |Dchi| sum_i ( |Df_i|^2 / |x|^{2 tau - 1}
                                          + |f_i|^2 / |x|^{2 tau + 1} ).
     The left side may be negative, in which case the bound holds trivially.
+    With k = 0, S = |x|^2 |d_r f|^2, so the left integrand is
+    chi (S - eta^2 M) / |x|^{2 tau + 2}.
     """
     eta = WeightSpec(tau=tau).eta(f.n)
 
-    def density(X, r, vals, grads):
-        chi = cutoff.chi_r(r)
-        radial = np.einsum("nqmk,nk->nqm", grads, X) / r[:, None, None]
-        rad_sq = np.einsum("nqm,nqm->n", radial, radial)
-        mass = _mass_density(X, r, vals, grads)
-        lhs = chi * (rad_sq / r ** (2.0 * tau) - eta ** 2 * mass / r ** (2.0 * tau + 2.0))
-        return lhs, _carleman_rhs(cutoff, tau, r, _dirichlet_density(X, r, vals, grads), mass)
+    def integrand(r, mass, dirichlet, defect):
+        lhs = cutoff.chi_r(r) * (defect - eta ** 2 * mass) / r ** (2.0 * tau + 2.0)
+        return lhs, (eta / tau) * _carleman_rhs(cutoff, tau, r, dirichlet, mass)
 
-    def sides(q):
-        lhs, rhs = _over_cutoff(f, cutoff, q, density)
-        return lhs, (eta / tau) * rhs
-
-    def closed_form(r, mass, rad, cross):
-        lhs = cutoff.chi_r(r) * (rad / r ** (2.0 * tau) - eta ** 2 * mass / r ** (2.0 * tau + 2.0))
-        return lhs, (eta / tau) * _carleman_rhs(cutoff, tau, r, 2.0 * rad, mass)
-
-    return _two_sided_report("pre-carleman", f, {"tau": tau}, cutoff, sides, closed_form, quad,
+    return _two_sided_report("pre-carleman", f, {"tau": tau}, cutoff, integrand, 0.0, quad,
                              extra={"eta": eta}, signed_lhs=True)
 
 
@@ -296,9 +256,11 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
     rhs = M(r1) / r1^{2 tau} + M(r3) / r3^{2 tau},
     with M(r) the squared mass of B_2r minus B_r(x). The case split of the
     underlying argument (rescale to the end the middle radius is closer to)
-    and the matching eps recipe are recorded.
+    and the matching eps recipe are recorded. tau must be finite.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite, got %r" % tau)
     if not r1 > 0.0:
         raise RadiusHypothesisError("need r1 > 0, got %g" % r1)
     if not (r1 < r2 < r3):
@@ -321,7 +283,7 @@ def three_sphere_check(f: QField, x, r1: float, r2: float, r3: float, tau: float
 
     def masses_closed_form():
         return tuple(radial.integrals(spec, annulus(x_arr, r, 2.0 * r), (),
-                                      lambda rr, mass, rad, cross: (mass,))[0]
+                                      lambda rr, mass, dirichlet, defect: (mass,))[0]
                      for r in (r1, r2, r3))
 
     (m1, m2, m3), _, route, disagreement = _two_resolution(
@@ -369,12 +331,12 @@ def doubling_check(f: QField, x, r: float, kappa_x: float,
     reports C_est(eps) = mass(B_2eps) / mass(B_eps) over `levels` dyadic
     scales from there. Pass requires every C_est finite with relative drift
     at most DOUBLING_DRIFT_TOL; a vanishing denominator yields a diagnostic
-    verdict. r and eta_abs must be positive and levels at least 1. When the
-    criterion still fails after ABSORPTION_HALVINGS halvings of r, the report
-    says so and cannot pass.
+    verdict. r and eta_abs must be positive, eta_abs finite, and levels at
+    least 1. When the criterion still fails after ABSORPTION_HALVINGS
+    halvings of r, the report says so and cannot pass.
     """
-    if not eta_abs > 0.0:
-        raise ValueError("eta_abs must be positive, got %g" % eta_abs)
+    if not 0.0 < eta_abs < math.inf:
+        raise ValueError("eta_abs must be positive and finite, got %g" % eta_abs)
     if not r > 0.0:
         raise ValueError("r must be positive, got %g" % r)
     if levels < 1:
@@ -574,52 +536,26 @@ def modified_carleman_sides(f: QField, tau: float, bent: BentWeight,
     At delta = 0 the weight is |x|^{-2 tau} and the check reduces exactly
     to the completed-square estimate.
     """
-    _require_origin_cutoff(cutoff)
     eta = WeightSpec(tau=tau).eta(f.n)
-    support = cutoff.support(f.n)
-    bps = tuple(sorted(set(cutoff.breakpoints()) | set(bent.knot_radii())))
     bulge = bent.sup_dphi_minus_1 + bent.sup_d2phi
 
-    def density(X, r, vals, grads):
-        """(lhs, rhs boundary term, rhs bulk integral), weight taken once."""
+    def integrand(r, mass, dirichlet, defect):
+        """(lhs, rhs boundary term, rhs bulk integral) at k = eta, weight
+        taken once: |d_r f - eta f / |x||^2 = S / |x|^2."""
         weight = np.exp(-2.0 * tau * bent.phi(np.log(r)))
         chi = cutoff.chi_r(r)
-        dchi = np.abs(cutoff.dchi_r(r))
-        radial = np.einsum("nqmk,nk->nqm", grads, X) / r[:, None, None]
-        sq = radial - (eta / r)[:, None, None] * vals
-        dmag = _dirichlet_density(X, r, vals, grads)
-        mass = _mass_density(X, r, vals, grads)
-        return (chi * np.einsum("nqm,nqm->n", sq, sq) * weight,
-                dchi * (r * dmag + mass / r) * weight,
-                chi * (dmag + mass / r ** 2) * weight)
+        return (chi * defect / (r * r) * weight,
+                np.abs(cutoff.dchi_r(r)) * (r * dirichlet + mass / r) * weight,
+                chi * (dirichlet + mass / r ** 2) * weight)
 
-    def closed_form(r, mass, rad, cross):
-        weight = np.exp(-2.0 * tau * bent.phi(np.log(r)))
-        chi = cutoff.chi_r(r)
-        return (chi * (rad - 2.0 * eta * cross / r + eta * eta * mass / (r * r)) * weight,
-                np.abs(cutoff.dchi_r(r)) * (2.0 * r * rad + mass / r) * weight,
-                chi * (2.0 * rad + mass / r ** 2) * weight)
+    def sides(lhs, boundary, bulk_int):
+        return lhs, boundary + bulge * bulk_int, {
+            "rhs_boundary": boundary, "rhs_bulk_integral": bulk_int, "bulk_coefficient": bulge,
+            "sup_dphi_minus_1": bent.sup_dphi_minus_1, "sup_d2phi": bent.sup_d2phi}
 
-    (lhs, boundary, bulk_int), _, route, disagreement = _two_resolution(
-        lambda q: integrate_region(f, support, q, density, breakpoints=bps), quad,
-        exact=radial.closed_form(f, support, bps, closed_form))
-    rhs = boundary + bulge * bulk_int
-    ratio, verdict, notes = _ratio_verdict(lhs, rhs, disagreement)
-    return CheckReport(
-        name="modified-carleman",
-        field_spec=f.tag,
-        params={"tau": tau, "delta": bent.delta, "r1": bent.r1, "r2": bent.r2,
-                "cutoff": {"kind": cutoff.kind, "radii": cutoff.radii},
-                "second_route": route},
-        quantities={"lhs": lhs, "rhs": rhs, "ratio": ratio,
-                    "rhs_boundary": boundary, "rhs_bulk_integral": bulk_int,
-                    "bulk_coefficient": bulge,
-                    "sup_dphi_minus_1": bent.sup_dphi_minus_1,
-                    "sup_d2phi": bent.sup_d2phi},
-        resolutions=quad.meta(),
-        verdict=verdict,
-        notes=tuple(notes),
-    )
+    return _two_sided_report(
+        "modified-carleman", f, {"tau": tau, "delta": bent.delta, "r1": bent.r1, "r2": bent.r2},
+        cutoff, integrand, eta, quad, knots=bent.knot_radii(), sides=sides)
 
 
 # ---------------------------------------------------------------------------

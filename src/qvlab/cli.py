@@ -283,12 +283,14 @@ def _parse_bump(text: str) -> RadialBump:
 
 
 def _resolve_kappa(value: str, f, ctx: _Context, x=None):
-    """A literal number, or `auto` for the fitted vanishing order at x."""
+    """A literal finite number, or `auto` for the fitted vanishing order at x."""
     if value != "auto":
         try:
             kappa = float(value)
         except ValueError:
-            raise UsageError("--kappa must be a number or auto, got %r" % value)
+            kappa = math.nan
+        if not math.isfinite(kappa):
+            raise UsageError("--kappa must be a finite number or auto, got %r" % value)
         return kappa, {"kappa_source": "flag"}
     if x is None:
         x = np.zeros(f.n)

@@ -30,6 +30,7 @@ from .variational import (
     dirichlet_energy,
     integrate_region,
     l2_mass,
+    moment_density,
     sphere_integral,
     tree_sum,
 )
@@ -306,6 +307,11 @@ def frequency_identity_check(f: QField, x, r_lo: float, r_hi: float,
 # homogeneity deficit and semicontinuity
 
 
+def _deficit_integrand(r, mass, dirichlet, defect):
+    """(S, M) at k = kappa: the deficit's numerator and denominator."""
+    return defect, mass
+
+
 def homogeneity_deficit(f: QField, x, inner: float, outer: float, kappa: float,
                         quad: QuadratureSpec = REFERENCE_QUAD) -> float:
     """Normalized defect of kappa-homogeneity about x on an annulus.
@@ -314,16 +320,8 @@ def homogeneity_deficit(f: QField, x, inner: float, outer: float, kappa: float,
     Zero exactly for kappa-homogeneous fields; (kappa' - kappa)^2 for a
     kappa'-homogeneous field, so the window profile separates degrees.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    region = annulus(x, inner, outer)
-
-    def density(X, r, vals, grads):
-        rel = X - x[None, :]
-        radial = np.einsum("nqmk,nk->nqm", grads, rel)
-        diff = radial - kappa * vals
-        return np.einsum("nqm,nqm->n", diff, diff), _mass_density(X, r, vals, grads)
-
-    num, den = integrate_region(f, region, quad, density)
+    num, den = integrate_region(f, annulus(x, inner, outer), quad,
+                                moment_density(_deficit_integrand, x, kappa))
     if den <= 0.0:
         raise ZeroHeightError("squared mass vanishes on the deficit window")
     return num / den

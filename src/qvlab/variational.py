@@ -382,6 +382,24 @@ def l2_mass(f: QField, region: Region, quad: QuadratureSpec = REFERENCE_QUAD,
                             breakpoints=breakpoints)
 
 
+def moment_density(integrand: Callable, center, k: float | None = None) -> Callable:
+    """The density of integrate_region that hands integrand(r, M, D, S) the
+    per-node sheet sums M = sum_i |f_i|^2, D = sum_i |Df_i|^2 and S = sum_i
+    |Df_i . (x - center) - k f_i|^2 (None when k is None): the moments that
+    radial.Spectrum.moments gives as circle integrals."""
+    center = np.asarray(center, dtype=float)
+
+    def density(X, r, vals, grads):
+        defect = None
+        if k is not None:
+            rel = X - center if center.any() else X  # about the origin X is rel: no copy
+            sq = np.einsum("nqmk,nk->nqm", grads, rel) - k * vals
+            defect = np.einsum("nqm,nqm->n", sq, sq)
+        return integrand(r, _mass_density(X, r, vals, grads),
+                         _dirichlet_density(X, r, vals, grads), defect)
+    return density
+
+
 # ---------------------------------------------------------------------------
 # the second route of a two-sided check
 
@@ -411,6 +429,22 @@ def _two_resolution(run, quad: QuadratureSpec, rel_tol: float = CONVERGENCE_REL_
                 for a, b in zip(ref, second))
     return ref, second, route, None if agree else (
         "%s disagreement above %g relative" % (label, rel_tol))
+
+
+def _two_routes(f: QField, region: Region, breakpoints, integrand: Callable, k: float | None,
+                quad: QuadratureSpec, rel_tol: float = CONVERGENCE_REL_TOL):
+    """_two_resolution of the integrals of integrand(r, M, D, S) over region,
+    split at breakpoints: by quadrature of its moment_density about the
+    region's center, and by radial.integrals over the spectrum when f has
+    one there."""
+    from . import radial
+
+    density = moment_density(integrand, region.center, k)
+    spec = radial.spectrum(f, region.center)
+    return _two_resolution(
+        lambda q: integrate_region(f, region, q, density, breakpoints=breakpoints), quad,
+        rel_tol, None if spec is None else lambda: radial.integrals(
+            spec, region, breakpoints, integrand, k))
 
 
 def _ratio_verdict(lhs, rhs, disagreement, signed_lhs=False):
@@ -766,34 +800,24 @@ def caccioppoli_check(f: QField, cutoff, quad: QuadratureSpec = REFERENCE_QUAD,
                       c_max: float = CACCIOPPOLI_C_MAX) -> CheckReport:
     """Interior energy bound: int chi^2 |Df|^2 against int |grad chi|^2 |f|^2.
 
-    cutoff is any radial profile exposing chi/grad_chi/support/breakpoints
+    cutoff is any radial profile exposing chi_r/dchi_r/support/breakpoints
     (RadialBump or a compatible object). The reported constant is the plain
     ratio; the default acceptance constant 4 is what the stationarity
     identity plus Cauchy-Schwarz yields, so stationary fields must sit at or
-    below it. Both integrals must also agree with their second route within
-    CACCIOPPOLI_REL_TOL (see _two_resolution): the closed form on a piece
-    field under a RadialBump centred at the origin, the refined rerun
-    otherwise.
+    below it, and c_max must be finite (ValueError otherwise). Both
+    integrals must also agree with their second route within
+    CACCIOPPOLI_REL_TOL (see _two_routes): the closed form on a piece field
+    centred at the origin, the refined rerun otherwise.
     """
-    from . import radial
-
-    support = cutoff.support(f.n)
+    if not math.isfinite(c_max):
+        raise ValueError("c_max must be finite, got %r" % c_max)
     bps = cutoff.breakpoints()
 
-    def closed_form(r, mass, rad, cross):
-        return cutoff.chi_r(r) ** 2 * 2.0 * rad, cutoff.dchi_r(r) ** 2 * mass
+    def integrand(r, mass, dirichlet, defect):
+        return cutoff.chi_r(r) ** 2 * dirichlet, cutoff.dchi_r(r) ** 2 * mass
 
-    def density(X, r, vals, grads):
-        chi = cutoff.chi(X)
-        g = cutoff.grad_chi(X)
-        g2 = np.einsum("nk,nk->n", g, g)
-        return (chi * chi * _dirichlet_density(X, r, vals, grads),
-                g2 * _mass_density(X, r, vals, grads))
-
-    (lhs, rhs), (lhs2, rhs2), route, disagreement = _two_resolution(
-        lambda q: integrate_region(f, support, q, density, breakpoints=bps), quad,
-        CACCIOPPOLI_REL_TOL,
-        radial.closed_form(f, support, bps, closed_form) if isinstance(cutoff, RadialBump) else None)
+    (lhs, rhs), (lhs2, rhs2), route, disagreement = _two_routes(
+        f, cutoff.support(f.n), bps, integrand, None, quad, CACCIOPPOLI_REL_TOL)
     c_est, verdict, notes = _ratio_verdict(lhs, rhs, disagreement)
     if c_est > c_max:
         verdict = "fail"

@@ -99,11 +99,28 @@ def test_weight_spec_eta_and_variants():
         WeightSpec(tau=math.nan)
     with pytest.raises(ValueError, match="eps"):
         WeightSpec(tau=1.0, eps=math.nan)
+    with pytest.raises(ValueError, match="tau and eps must be finite"):
+        WeightSpec(tau=math.inf)
+    with pytest.raises(ValueError, match="tau and eps must be finite"):
+        WeightSpec(tau=1.0, eps=math.inf)
     assert eta_tuned_tau(1.5, 2) == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
 # the weighted two-sided checks
+
+
+def test_first_carleman_closed_form_vanishes_at_the_tuned_tau():
+    # branch:3/2 is 3/2-homogeneous: at eta = 3/2 the spectrum's S holds
+    # (s - eta)^2 = 0 for its one mode, so the closed-form left side is an
+    # exact zero rather than a cancellation residue
+    tau = eta_tuned_tau(1.5, 2)
+    rep = first_carleman_sides(make_branch_field(3, 2), tau,
+                               smoothed_cutoff(0.1, 0.2, 0.6, 0.8), FAST)
+    assert rep.params["second_route"] == "closed-form"
+    assert rep.quantities["eta"] == 1.5
+    assert rep.quantities["lhs_closed_form"] == 0.0
+    assert rep.verdict == "pass"
 
 
 def test_carleman_trivial_field_both_sides_zero():
@@ -403,7 +420,7 @@ def test_doubling_homogeneous_matches_oracle():
     assert rep.quantities["absorption_value"] < 0.5
 
 
-@pytest.mark.parametrize("eta_abs", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("eta_abs", [0.0, -0.1, math.nan, math.inf])
 def test_doubling_rejects_nonpositive_eta_abs(eta_abs):
     with pytest.raises(ValueError, match="eta_abs must be positive"):
         doubling_check(make_branch_field(3, 2), (0.0, 0.0), 0.25, 1.5, FAST, eta_abs=eta_abs)

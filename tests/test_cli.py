@@ -316,7 +316,7 @@ def test_doubling_zero_eta_abs_exits_2(capsys):
                              "--kappa", "1.5", "--eta-abs", "0", *FQ)
     assert code == 2
     assert out == ""
-    assert err == "qvlab: error: eta_abs must be positive, got 0\n"
+    assert err == "qvlab: error: eta_abs must be positive and finite, got 0\n"
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -372,6 +372,16 @@ LIBRARY_ERRORS = [
      "sphere radius must satisfy 0 <= r < inf, got inf"),
     (("frequency", "--field", "branch:3/2", "--variant", "linear", "--radii", "0.4,-0.1"),
      "radii must satisfy 0 <= inner < outer < inf, got (-0.1, -0.2)"),
+    (("check", "carleman", "--field", "branch:3/2", "--tau", "inf", "--eps", "0",
+      "--chi", "annulus:0.1,0.2,0.6,0.8"), "tau and eps must be finite, got inf and 0.0"),
+    (("check", "carleman", "--field", "branch:3/2", "--tau", "1", "--eps", "inf",
+      "--chi", "annulus:0.1,0.2,0.6,0.8"), "tau and eps must be finite, got 1.0 and inf"),
+    (("check", "three-sphere", "--field", "branch:3/2", "--radii", "0.05,0.15,0.45",
+      "--tau", "nan"), "tau must be finite, got nan"),
+    (("check", "doubling", "--field", "branch:3/2", "--kappa", "1.5", "--eta-abs", "inf"),
+     "eta_abs must be positive and finite, got inf"),
+    (("check", "caccioppoli", "--field", "branch:3/2", "--c-max", "nan"),
+     "c_max must be finite, got nan"),
 ]
 
 
@@ -401,6 +411,19 @@ def test_empty_profile_counts_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == "qvlab: error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [
+    ("weiss", "--field", "branch:3/2", "--kappa", "nan"),
+    ("deficit", "--field", "branch:3/2", "--kappa", "nan"),
+    ("deficit", "--field", "branch:3/2", "--kappa", "inf"),
+    ("check", "doubling", "--field", "branch:3/2", "--kappa", "nan"),
+])
+def test_non_finite_kappa_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, *FQ)
+    assert code == 2
+    assert out == ""
+    assert err == "qvlab: error: --kappa must be a finite number or auto, got %r\n" % argv[-1]
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -595,7 +618,7 @@ def test_sweep_delta_and_kappa_grids(capsys, tmp_path):
     assert cases == {"carleman", "modified", "epiperimetric"}
 
 
-SWEEP_GOLDEN_CSV = "d9456236d06b23b3357e1aa8cba423aa2b58dad284efc87eaa6ea6b712fa3231"
+SWEEP_GOLDEN_CSV = "1626644e6f143db70257076e594629abd7a05fbff756e9582556598ca0a72acc"
 SWEEP_GOLDEN_REPORT = "479b6db6d707e3e5bbf9c28d1ea5523555c088f577f4590d55b9adfc5757289d"
 
 
@@ -607,8 +630,12 @@ def test_sweep_golden_bytes(capsys, tmp_path):
     last digits; the report for its format string). The CSV was re-recorded
     again when branch fields came to be evaluated on the polar product grid:
     the branch:3/2 carleman rhs moved by one ulp (its ratio with it) and the
-    modified lhs, a cancellation near 1e-30, in its leading digits. Any
-    change to a row or report byte fails here."""
+    modified lhs, a cancellation near 1e-30, in its leading digits. It was
+    re-recorded when the modified check came to form its left side from the
+    moment S = |Df . x - eta f|^2 of the shared integrand: the four modified
+    rows moved, lhs and ratio by at most 3.8e-16 relative, and the branch:3/2
+    lhs near 1e-30, a cancellation, in its leading digits. Any change to a
+    row or report byte fails here."""
     cfg = _sweep_config(tmp_path, fields=["branch:3/2", "harmonic:n2m1:x1"],
                         taus=[1.5, 2.0], deltas=[0.02], kappas=[1.5])
     code, out, _ = run_cli(capsys, "sweep", "--config-sweep", str(cfg),

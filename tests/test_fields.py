@@ -564,11 +564,12 @@ class TestPieces:
         f = parse_field_spec(spec)
         s = radial.spectrum(f, (0.0, 0.0))
         for r in (0.3, 0.7, 1.0):
-            mass, _, _ = s.moments(np.array([r]))
+            mass, _, defect = s.moments(np.array([r]))
+            assert defect is None
             assert mass[0] * r == pytest.approx(
                 sum(weiss2d.trace_l2(p, r) for p in f.pieces), rel=1e-13)
             energy, = radial.integrals(s, variational.ball((0.0, 0.0), r), (),
-                                       lambda rr, mass, rad, cross: (2.0 * rad,))
+                                       lambda rr, mass, dirichlet, defect: (dirichlet,))
             assert energy == pytest.approx(weiss2d.closed_form_dirichlet(f.pieces, r), rel=1e-13)
             assert energy == pytest.approx(
                 variational.dirichlet_energy(f, variational.ball((0.0, 0.0), r)), rel=1e-12)

@@ -43,7 +43,19 @@ radius and direction rather than from hypot and arctan2 of its
 coordinates, and gradients round in another order. No verdict, note, key
 or string moved; primary integrals moved by at most 2.7e-16 relative, and
 only cancellation leaves by more (the leaf comparison is in CHANGES.md).
-No harmonic, three-dimensional or off-centre digest moved. Any change to
+No harmonic, three-dimensional or off-centre digest moved. The 10
+digests of carleman, first-carleman, pre-carleman, modified-carleman and
+caccioppoli reports that moved were re-recorded when each weighted check
+came to state its formula once, as one integrand of the radial moments
+M = |f|^2, D = |Df|^2 and S = |Df . x - k f|^2 that quadrature and closed
+form both read: the closed form's S = sum (s - k)^2 c r^(2 s) holds no
+cancellation where r^2 R - 2 k r C + k^2 M did (lhs_closed_form moved by
+at most 1.3e-15 relative), pre-carleman and modified-carleman form their
+left sides from S, and caccioppoli reads chi_r and dchi_r at the rule's
+radius in place of chi and grad_chi at the node (quadrature leaves moved
+by at most 2.4e-16 relative, and the modified lhs near 3e-30, a
+cancellation, by 1.6e-2). No verdict, key, note or string moved, and no
+deficit digest moved. Any change to
 the quadrature engine or the checks that moves a single report byte fails
 here. To record new digests after an intended change in the mathematics,
 run this file as a script and paste its output into DIGESTS.
@@ -127,11 +139,11 @@ NESTED_CHECKS = tuple(_nested_checks(None, 1.0))
 DIGESTS = {
     "branch-three-halves/stationarity": "9181f349fe1ccb4969cec50e65d59a3351b8ad7ad695295d9ad7fa557fa26926",
     "branch-three-halves/stationarity-ball": "dcf37f860ec79407fcece8e3a0d01da33b6bbc3b7c5da531f903d7f6153dc9ca",
-    "branch-three-halves/carleman": "926eb92e1ba04e34617cb4cdd32b82798cc4730a8db4a0b478b06db175e8ece2",
-    "branch-three-halves/first-carleman": "5a76edd30293351c66ec3e675416c720600ad6d867a67cc8443f8904c5598f4f",
+    "branch-three-halves/carleman": "709490f9042ef0ee84b37e2b515842f18e71e456ba716abd5545a982959f78ed",
+    "branch-three-halves/first-carleman": "3f47f3908f408bcdef5c99c9b7ae6d0c72758ea442035b85bfbfc5252ef7c67e",
     "branch-three-halves/pre-carleman": "40bdf9ac0512619317f47a6fa369d6802e917da2634a0ca784bf158c51818f3f",
-    "branch-three-halves/modified-carleman": "67c8384b647a5f8a48d20e712610102f3b301bc0048f8e15e6ee4bb9a0f156bc",
-    "branch-three-halves/caccioppoli": "dca13c0d705126dd7d739a55458a59d602ad3bdfcb3f3f11e0586d13372562b0",
+    "branch-three-halves/modified-carleman": "9966c07b5c1b120e7d0f5891d0e7ab40932216c97ae164d95151f61a08d558a9",
+    "branch-three-halves/caccioppoli": "c1d4a51d4cc98597c8a7132b12634668891e88aae9145cd709cfba66b55a8176",
     "branch-three-halves/deficit-profile": "b74614391edf58c4866204254a054ab0a8116be44cf6656dfc4b526fd25f2a30",
     "branch-three-halves/frequency-identity": "a03da68165a10ec790c101c01f90ec3782ca8f735523beeb56e90110c6876615",
     "branch-three-halves/weiss-derivative": "6e029c8ea093e9b7835bcd92e5fb077cddd6c8b229d4feb55126f19d823b3b59",
@@ -144,9 +156,9 @@ DIGESTS = {
     "branch-three-halves/frequency-variants": "dfcc364be4c1e03356089bd67533f5d23e9451015ebde6894b05d4560ac5144b",
     "harmonic-pair/stationarity": "f7fd1de975c62b652c27522008f35f776dba3b4f04617409e0426e2955e484c0",
     "harmonic-pair/stationarity-ball": "9d2a6af60b24d7974abd4763f2c07e6545f8be48535a2b2767f8dd7b46e97e82",
-    "harmonic-pair/carleman": "dbdf1f23c8a39e83f56b825e7783a5668c334ca828df58ed36d0b459c3e40d90",
-    "harmonic-pair/first-carleman": "82bcf71ebeeb9a1f032b1947462a5abf158b1cb2f09fbc0dffca792cdd402d3f",
-    "harmonic-pair/pre-carleman": "32567c40df1966392495cab8ba32cb888774f623f7d209357dd651155d701661",
+    "harmonic-pair/carleman": "695c184a8e47f158f5866c97a00c449afb5e66c6e73bc437c36af7e9c274e46e",
+    "harmonic-pair/first-carleman": "f88c180399c4e565745dee72eec04e97aa42d84e1fa6e2d7935b82704103ce5a",
+    "harmonic-pair/pre-carleman": "36de9aec1a32b45d4921e12007739f90a104b720d64cce98427d4a95249f10c0",
     "harmonic-pair/modified-carleman": "f2c60f04fb0842fd01cda263a2d63280da2f0fd56ffb9761edf865489e4ae0b2",
     "harmonic-pair/caccioppoli": "79905e5ea02f0e70181e87bf574402c9cf4d7300cb8bd8780dfa0a293af9a3c4",
     "harmonic-pair/deficit-profile": "94fb7e23f7e598e0cca7792406eb33ecdf7d537b3f9a8d7be8487753b541e82e",
@@ -161,11 +173,11 @@ DIGESTS = {
     "harmonic-pair/frequency-variants": "ebe6b9b7ffe87be430972ccfea5d6c47a7e14f4063994a7551b031c352c71ae9",
     "wound-s0/stationarity": "c0c4fec0d4ce7689dde5916121cff28951505755ab91f77073e294b4b737b632",
     "wound-s0/stationarity-ball": "96066c487faeadf1ce13cf229ce32b98e354b2bcb7a70c24d25a3c39d5394d85",
-    "wound-s0/carleman": "914b866ea1c1d2d36a68a2a5df21c8cace01c1b6d89d333793900372e5d0d603",
+    "wound-s0/carleman": "8c9f90a19f210a02a172bfb7e3187fdd144e095ffb914c7b5bba5e8e131c0b7b",
     "wound-s0/first-carleman": "7c3d86e9170195fa48158fde31cb56cb53b350af59632a1cfc3ccbf57566bf11",
-    "wound-s0/pre-carleman": "0bf2c938aea8fbf2abb6b51b5d38d238c0b6dd935455e44954821b2702cae2d0",
+    "wound-s0/pre-carleman": "a2c962e49a2c3458e1b7d344e80b2ba334b4fd8d03de318c78706160b4dfc7d3",
     "wound-s0/modified-carleman": "eb4e5673fd7d93f853e9005f3c355843d0f033fa1470cf6c34b49b16c56d20f2",
-    "wound-s0/caccioppoli": "f7c21099ef01d240d3b230ecedd21db307ab954bf5ff1fe883914d3efc9117a9",
+    "wound-s0/caccioppoli": "f566c99eb8cec01dae0d403693f94d32fb81fcf551763a183829f4dd07c6119b",
     "wound-s0/deficit-profile": "f9843b9268f0257d9d8a7d635c19abb91bf15ecdb922412acb6767580e0ec5df",
     "wound-s0/frequency-identity": "11cff43b90c735b4726c0d31db1959acfc6c9093956c26f2c83effcbeb65c400",
     "wound-s0/weiss-derivative": "3e059cff2335ae80554e77e6f32566c3ad680ebabd4609f6f0d0a1e3e3d72577",

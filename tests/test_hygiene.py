@@ -9,9 +9,10 @@ The refinement scan finds every call of a `.refined` attribute in `src`
 outside `_two_resolution` in variational.py, so each two-sided check keeps
 taking its second route from that one helper. The closed-form scan keeps
 that route independent of the evaluation kernels: no function of
-radial.py, and no function in `src` whose name contains `closed_form`,
-names a field's `values_fn` or `gradients_fn`, `integrate_region` or
-`sphere_integral`. The tracer scan reads the TARGETS table of
+radial.py, and no function in `src` whose name contains `closed_form` or
+`integrand` (the integrands of the radial moments, which both routes
+read), names a field's `values_fn`, `gradients_fn` or `polar`,
+`integrate_region` or `sphere_integral`. The tracer scan reads the TARGETS table of
 perfbench/tracer.py without importing it and checks that every
 (module, attribute) in it names a callable of qvlab: the tracer skips a
 missing target without a word, so a rename in `src` would quietly shrink
@@ -103,11 +104,12 @@ KERNEL_NAMES = ("values_fn", "gradients_fn", "polar", "integrate_region", "spher
 
 def kernel_references(source: str, whole_module: bool = False) -> list:
     """(line, name) of each kernel name read inside a function whose name
-    contains closed_form, or anywhere in the module when whole_module."""
+    contains closed_form or integrand, or anywhere in the module when
+    whole_module."""
     tree = ast.parse(source)
     scopes = [tree] if whole_module else [
-        fn for fn in ast.walk(tree)
-        if isinstance(fn, (ast.FunctionDef, ast.Lambda)) and "closed_form" in getattr(fn, "name", "")]
+        fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+        and any(part in getattr(fn, "name", "") for part in ("closed_form", "integrand"))]
     found = set()
     for scope in scopes:
         for node in ast.walk(scope):
@@ -128,10 +130,18 @@ def test_kernel_scanner_flags_only_the_closed_form_scopes():
         (2, "integrate_region"), (4, "values_fn"), (7, "sphere_integral")]
 
 
+def test_kernel_scanner_flags_the_integrand_scopes():
+    source = ("def _deficit_integrand(r, mass, dirichlet, defect):\n"
+              "    return integrate_region(r)\n"
+              "def check(f, k):\n    def integrand(r, mass, dirichlet, defect):\n"
+              "        return f.gradients_fn(r)\n    return moment_density(integrand, 0, k)\n")
+    assert kernel_references(source) == [(2, "integrate_region"), (5, "gradients_fn")]
+
+
 def test_kernel_scanner_flags_the_polar_grid_in_a_closed_form_scope():
     source = ("def spectrum_closed_form(f, rr, dirs):\n"
               "    vals, _ = f.polar(rr, dirs, True, False)\n    return vals\n"
-              "def integrand(f, rr, dirs):\n    return f.polar(rr, dirs, True, True)\n")
+              "def density(f, rr, dirs):\n    return f.polar(rr, dirs, True, True)\n")
     assert kernel_references(source) == [(2, "polar")]
 
 

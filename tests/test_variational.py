@@ -23,9 +23,10 @@ from qvlab.fields import (
     make_wound_field,
     parse_field_spec,
     parse_polynomial,
+    random_wound_field,
     random_wound_pieces,
 )
-from qvlab import carleman, variational
+from qvlab import carleman, radial, variational
 from qvlab.variational import (
     CACCIOPPOLI_C_MAX,
     QuadratureSpec,
@@ -40,6 +41,7 @@ from qvlab.variational import (
     integrate_region,
     inner_variation,
     l2_mass,
+    moment_density,
     outer_battery,
     outer_variation,
     sphere_integral,
@@ -397,6 +399,24 @@ def test_moment_entries_match_per_sheet_reference(q, m, n, seed):
         assert np.all(np.abs(entry - expected) <= 1e-12 * scale)
 
 
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 10 ** 6), st.sampled_from((2, 3)), st.floats(0.0, 3.0))
+def test_moment_density_and_spectrum_integrate_alike(seed, q, k):
+    # the moment contract: one integrand of (M, D, S) integrates to the same
+    # numbers whether its moments come from the field node by node or from
+    # the field's spectrum as circle integrals
+    f = random_wound_field(seed, q, 4, 1.8)
+    region = annulus((0.0, 0.0), 0.15, 0.6)
+
+    def identity(r, mass, dirichlet, defect):
+        return mass, dirichlet, defect
+
+    quadrature = integrate_region(f, region, variational.REFERENCE_QUAD,
+                                  moment_density(identity, region.center, k))
+    closed = radial.integrals(radial.spectrum(f, region.center), region, (), identity, k)
+    assert quadrature == pytest.approx(closed, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # stationarity battery and Caccioppoli reports
 
@@ -527,18 +547,22 @@ class _FlatCutoff:
     def breakpoints(self):
         return (0.2, 0.8)
 
-    def chi(self, X, center=None):
-        return np.ones(len(X))
+    def chi_r(self, r):
+        return np.ones(len(r))
 
-    def grad_chi(self, X, center=None):
-        return np.zeros_like(np.asarray(X, dtype=float))
+    def dchi_r(self, r):
+        return np.zeros(len(r))
 
 
 def test_caccioppoli_degenerate_rhs_fails():
-    report = caccioppoli_check(make_branch_field(1, 2), _FlatCutoff(), FAST)
-    assert report.verdict == "fail"
-    assert report.quantities["lhs"] > 0.0
-    assert report.quantities["rhs"] == 0.0
+    # the cutoff's chi_r and dchi_r feed both routes: the closed form of the
+    # branch field's pieces, and the refined rerun once they are dropped
+    f = make_branch_field(1, 2)
+    for field, route in ((f, "closed_form"), (dataclasses.replace(f, pieces=None), "refined")):
+        report = caccioppoli_check(field, _FlatCutoff(), FAST)
+        assert report.verdict == "fail"
+        assert report.quantities["lhs"] > 0.0
+        assert report.quantities["rhs"] == report.quantities["rhs_" + route] == 0.0
 
 
 # ---------------------------------------------------------------------------
