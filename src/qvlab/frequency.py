@@ -30,7 +30,7 @@ from .variational import (
     dirichlet_energy,
     integrate_region,
     l2_mass,
-    moment_density,
+    moment_integrals,
     sphere_integral,
     tree_sum,
 )
@@ -320,8 +320,7 @@ def homogeneity_deficit(f: QField, x, inner: float, outer: float, kappa: float,
     Zero exactly for kappa-homogeneous fields; (kappa' - kappa)^2 for a
     kappa'-homogeneous field, so the window profile separates degrees.
     """
-    num, den = integrate_region(f, annulus(x, inner, outer), quad,
-                                moment_density(_deficit_integrand, x, kappa))
+    num, den = moment_integrals(f, annulus(x, inner, outer), quad, _deficit_integrand, kappa)
     if den <= 0.0:
         raise ZeroHeightError("squared mass vanishes on the deficit window")
     return num / den

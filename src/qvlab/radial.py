@@ -12,9 +12,10 @@ the circle of radius r,
 since Df . x = r d_r f takes each mode r^s to s r^s and modes are orthogonal
 on the circle; a field's are the sums over its pieces. Every weighted check
 is one integrand(r, M, D, S) of these three moments, with k its own
-homogeneity exponent, which variational.moment_density feeds from the field's
-values and gradients node by node and this module from the spectrum. The
-check reduces to radial integrals of its integrand times r dr. Those are taken
+homogeneity exponent, which variational.moment_integrals feeds from the
+field's values and gradients summed over the angular rule's directions, and
+this module from the spectrum. The check reduces to radial integrals of its
+integrand times r dr. Those are taken
 here by a CLOSED_FORM_ORDER-point Gauss-Legendre rule on each panel between
 the check's breakpoints; a ball's inner panel takes the graded substitution
 r = b u^p of variational._graded_rule, p the least common multiple of the

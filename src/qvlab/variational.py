@@ -9,6 +9,12 @@ point into polynomials in u, so power-law radial weights are exact. In three
 dimensions the angular factor becomes a Gauss-Legendre rule in the polar
 cosine times a trapezoid in azimuth. Summation is a fixed-order pairwise
 tree so results are bit-reproducible regardless of worker count.
+
+Work that depends on one factor of the rule runs once per value of it. A
+weighted check's integrand of the sheet moments (moment_integrals) runs
+once per radius, on the moments summed over that radius's directions. The
+first variations (_variations) integrate per-node coefficient rows once and
+contract them with each deformation's affine data afterwards.
 """
 
 from __future__ import annotations
@@ -29,18 +35,24 @@ class RegionBranchError(ValueError):
     """Integration region passes through an off-center declared branch point."""
 
 
-def tree_sum(values) -> float:
-    """Fixed-order pairwise reduction; deterministic for a fixed input order."""
-    v = np.asarray(values, dtype=float).ravel()
-    n = v.size
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """The fixed-order pairwise reduction of every row of a 1-D or 2-D v
+    along its last axis: each entry is bit for bit tree_sum of its row."""
+    v = v.T  # the reduced axis first, where plain slices take it
+    n = v.shape[0]
     if n == 0:
-        return 0.0
+        return np.zeros(v.shape[1:])
     p = 1 << (n - 1).bit_length()
     if p != n:
-        v = np.concatenate([v, np.zeros(p - n)])
-    while v.size > 1:
+        v = np.concatenate([v, np.zeros((p - n,) + v.shape[1:])])
+    while v.shape[0] > 1:
         v = v[0::2] + v[1::2]
-    return float(v[0])
+    return v[0]
+
+
+def tree_sum(values) -> float:
+    """Fixed-order pairwise reduction; deterministic for a fixed input order."""
+    return float(_row_sums(np.asarray(values, dtype=float).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +269,56 @@ def _entries(dens):
     return (dens,), True
 
 
+# entries of a tuple density summed at a time: padded rows for all of the
+# battery's entries at once would raise its memory peak (tracemalloc, one
+# REFERENCE_QUAD battery on branch:3/2: 2.09 MB with 4 rows, 2.32 MB with 8)
+_ROW_GROUP = 4
+
+
+def _weighted_sums(pieces) -> list:
+    """tree_sum(entry * w) of every entry of one panel, bit for bit, from its
+    pieces (w, entries): the products are written piece by piece into
+    zero-padded rows, _ROW_GROUP entries at a time, and summed by
+    _row_sums."""
+    size = sum(w.size for w, _ in pieces)
+    width, count = 1 << (size - 1).bit_length(), len(pieces[0][1])
+    if count == 1:  # a 1-D row: each level of its tree costs less than in 2-D
+        row, start = np.zeros(width), 0
+        for w, (entry,) in pieces:
+            np.multiply(entry, w, out=row[start:start + w.size])
+            start += w.size
+        return [float(_row_sums(row))]
+    sums = []
+    for g in range(0, count, _ROW_GROUP):
+        rows = np.zeros((min(_ROW_GROUP, count - g), width))
+        start = 0
+        for w, entries in pieces:
+            for row, entry in zip(rows, entries[g:g + _ROW_GROUP]):
+                np.multiply(entry, w, out=row[start:start + w.size])
+            start += w.size
+        sums += _row_sums(rows).tolist()
+    return sums
+
+
+def _panel_sums(parts, integrand, n: int, single: bool):
+    """The sums of one panel's entries from its pieces, and whether there was
+    one entry. Pieces (weights, per-node entries) are summed as they are;
+    pieces (radii, radial weights, sphere moments) give integrand(radii,
+    *moments) with the weights wr r^(n-1)."""
+    if integrand is None:
+        return _weighted_sums(parts), single
+    radii, wrad, moments = zip(*parts)
+    radii = _joined(radii)
+    values, single = _entries(integrand(radii, *(None if col[0] is None else _joined(col)
+                                                 for col in zip(*moments))))
+    return _weighted_sums([(_joined(wrad) * radii ** (n - 1), values)]), single
+
+
+def _joined(pieces):
+    """The pieces of one panel as one array (no copy for a single piece)."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
 def _evaluate(f: QField, center, X, rr, dirs, need_values: bool, need_gradients: bool):
     """(values | None, gradients | None) at the nodes X = center + rr (x)
     dirs: one f.polar call when f has polar and center is the origin, else
@@ -269,7 +331,7 @@ def _evaluate(f: QField, center, X, rr, dirs, need_values: bool, need_gradients:
 
 def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: Callable,
                      *, need_values: bool = True, need_gradients: bool = True,
-                     breakpoints=()) -> float | tuple:
+                     breakpoints=(), integrand: Callable | None = None) -> float | tuple:
     """Integrate density(X, r, values, gradients) over a ball or annulus.
 
     density receives the sample points (K, n), their radii about the region
@@ -278,7 +340,16 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     arrays. A single array gives a float. A tuple gives a tuple of floats,
     one per entry, from one sweep over the panels: each entry keeps its own
     panel sums, so each result is bit for bit the one a separate call with
-    that entry alone would return.
+    that entry alone would return. The weighted entries are written into
+    zero-padded rows, _ROW_GROUP entries at a time, and summed row by row by
+    the pairwise tree of tree_sum.
+
+    With integrand (the moment route of moment_integrals), density returns
+    per-node moments, an entry None where there is none. They are summed
+    first over each radius's directions with the angular weights, by the
+    same tree, and integrand(radii, *moments) runs once per panel on the
+    panel's radial nodes; its entries, weighted by wr r^(n-1), give the
+    integrals. So no angular factor reaches integrand.
 
     The region is checked against the field's branch points and domain
     before the field is evaluated. Its panels are those of _region_panels,
@@ -317,24 +388,32 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
         blocks += [[(rr[k:k + step], wr[k:k + step], k + step >= rr.size)]
                    for k in range(0, rr.size, step)]
 
+    ndir = dirs.shape[0]
     sums, parts, single = [], [], True
     for block in blocks:
         rr, wr = (np.concatenate(col) for col in list(zip(*block))[:2])
-        ends = np.cumsum([0] + [piece[0].size * dirs.shape[0] for piece in block])
+        ends = np.cumsum([0] + [piece[0].size for piece in block])
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
-        r = np.repeat(rr, dirs.shape[0])
-        w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
+        r = np.repeat(rr, ndir)
+        if integrand is None:
+            w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
         vals, grads = _evaluate(f, center, X, rr, dirs, need_values, need_gradients)
         for k, (_, _, closes) in enumerate(block):
-            s = slice(ends[k], ends[k + 1])
+            t = slice(ends[k], ends[k + 1])
+            s = slice(ends[k] * ndir, ends[k + 1] * ndir)
             dens, single = _entries(density(X[s], r[s], None if vals is None else vals[s],
                                             None if grads is None else grads[s]))
-            parts.append([d * w[s] for d in dens])
+            if integrand is None:
+                parts.append((w[s], dens))
+            else:
+                parts.append((rr[t], wr[t], [None if d is None else
+                                             _row_sums(d.reshape(-1, ndir) * wdir) for d in dens]))
             del dens  # else it stays alive through the next block's field evaluation
             if closes:
-                sums.append([tree_sum(np.concatenate(col)) for col in zip(*parts)])
+                panel, single = _panel_sums(parts, integrand, f.n, single)
+                sums.append(panel)
                 parts = []
-    totals = tuple(tree_sum(col) for col in zip(*sums))
+    totals = tuple(_row_sums(np.array(sums).T).tolist())
     return totals[0] if single else totals
 
 
@@ -382,11 +461,11 @@ def l2_mass(f: QField, region: Region, quad: QuadratureSpec = REFERENCE_QUAD,
                             breakpoints=breakpoints)
 
 
-def moment_density(integrand: Callable, center, k: float | None = None) -> Callable:
-    """The density of integrate_region that hands integrand(r, M, D, S) the
-    per-node sheet sums M = sum_i |f_i|^2, D = sum_i |Df_i|^2 and S = sum_i
-    |Df_i . (x - center) - k f_i|^2 (None when k is None): the moments that
-    radial.Spectrum.moments gives as circle integrals."""
+def moment_density(center, k: float | None = None) -> Callable:
+    """The density of the per-node sheet sums (M, D, S): M = sum_i |f_i|^2,
+    D = sum_i |Df_i|^2 and S = sum_i |Df_i . (x - center) - k f_i|^2 (None
+    when k is None). Summed over a sphere's directions they are the moments
+    that radial.Spectrum.moments gives as circle integrals."""
     center = np.asarray(center, dtype=float)
 
     def density(X, r, vals, grads):
@@ -395,9 +474,19 @@ def moment_density(integrand: Callable, center, k: float | None = None) -> Calla
             rel = X - center if center.any() else X  # about the origin X is rel: no copy
             sq = np.einsum("nqmk,nk->nqm", grads, rel) - k * vals
             defect = np.einsum("nqm,nqm->n", sq, sq)
-        return integrand(r, _mass_density(X, r, vals, grads),
-                         _dirichlet_density(X, r, vals, grads), defect)
+        return _mass_density(X, r, vals, grads), _dirichlet_density(X, r, vals, grads), defect
     return density
+
+
+def moment_integrals(f: QField, region: Region, quad: QuadratureSpec, integrand: Callable,
+                     k: float | None = None, breakpoints=()) -> tuple:
+    """The integrals over region of integrand(r, M, D, S) r^(n-1) dr, one per
+    array integrand returns, with M, D and S the sphere moments of
+    moment_density about the region's center: integrate_region sums the
+    per-node moments over each radius's directions, then integrand runs once
+    per panel on the panel's radii."""
+    return integrate_region(f, region, quad, moment_density(region.center, k),
+                            breakpoints=breakpoints, integrand=integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +523,14 @@ def _two_resolution(run, quad: QuadratureSpec, rel_tol: float = CONVERGENCE_REL_
 def _two_routes(f: QField, region: Region, breakpoints, integrand: Callable, k: float | None,
                 quad: QuadratureSpec, rel_tol: float = CONVERGENCE_REL_TOL):
     """_two_resolution of the integrals of integrand(r, M, D, S) over region,
-    split at breakpoints: by quadrature of its moment_density about the
-    region's center, and by radial.integrals over the spectrum when f has
-    one there."""
+    split at breakpoints: by moment_integrals, whose sphere moments come
+    from the field's values on the angular rule, and by radial.integrals
+    over the spectrum when f has one about the region's center."""
     from . import radial
 
-    density = moment_density(integrand, region.center, k)
     spec = radial.spectrum(f, region.center)
     return _two_resolution(
-        lambda q: integrate_region(f, region, q, density, breakpoints=breakpoints), quad,
+        lambda q: moment_integrals(f, region, q, integrand, k, breakpoints), quad,
         rel_tol, None if spec is None else lambda: radial.integrals(
             spec, region, breakpoints, integrand, k))
 
@@ -529,8 +617,15 @@ class RadialBump:
         return _RAMP_SLOPE[self.kind] / min(self.a_lo - self.a_in, self.a_out - self.a_hi)
 
     def _origin(self, n: int) -> tuple:
-        """The center in R^n: the given one when it has n coordinates, else 0."""
-        return tuple(self.center) if len(self.center) == n else (0.0,) * n
+        """The center in R^n: the given one when it has n coordinates, the
+        origin when it is all zeros (the default center serves any
+        dimension), else CutoffConstructionError."""
+        if len(self.center) == n:
+            return tuple(self.center)
+        if not any(self.center):
+            return (0.0,) * n
+        raise CutoffConstructionError("cutoff center %r has %d coordinates but the domain has "
+                                      "dimension %d" % (self.center, len(self.center), n))
 
     def support(self, n: int) -> Region:
         center = self._origin(n)
@@ -616,43 +711,67 @@ class InnerVectorField:
     label: str
 
 
-def _cutoff_density(bump: RadialBump, outers=(), inners=(), extra=()):
-    """One density for deformations under one cutoff.
+def _cutoff_density(bump: RadialBump, outer: bool, inner: bool, extra=()):
+    """One density for the deformations under one cutoff, as per-node rows
+    of the coefficients that each variation contracts with its test's data
+    once integrated (_variations).
 
-    Per panel it evaluates bump.chi and bump.grad_chi once on the nodes X
-    and forms four per-node sheet sums, so no entry loops over sheets:
-    T = sum_i Df_i^T Df_i (n x n) for the inner tests, and P = sum_i
-    Df_i Df_i^T (m x m), S = sum_i Df_i (m x n) and W_bak = sum_i u_ib
-    d_k f_ia for the outer ones. The outer entry of chi (A u + c) is
-    <grad chi, A:W + c S> + chi <A, P>, with (A:W)_k = sum_ab A_ab W_bak
-    and (c S)_k = sum_a c_a S_ak; the inner entry of chi (J x + c) is
-    2 <T, Dphi> - tr T tr Dphi. Entries run extra (plain densities), then
-    outers, then inners; one entry comes back as a plain array, several as
-    a tuple."""
+    Per panel it evaluates bump.chi and bump.grad_chi once on the nodes X.
+    Both variations are linear in their data, so no row depends on a test.
+    With the sheet sums P = sum_i Df_i Df_i^T, T = sum_i Df_i^T Df_i and
+    g_i = Df_i grad chi, the outer entry of chi (A u + c) is
+    sum_ab A_ab (chi P_ab + sum_i (g_i)_a u_ib) + sum_a c_a sum_i (g_i)_a,
+    and the inner entry of chi (J x + c), 2 <T, Dphi> - tr T tr Dphi, is
+    sum_kl J_kl (2 chi T_kl + E_k x_l - delta_kl chi tr T) + sum_k c_k E_k
+    with E = 2 T grad chi - tr T grad chi. Rows run extra (plain densities),
+    then the outer coefficients (m x m, then m), then the inner ones (n x n,
+    then n), as a tuple. The products run on a (q, m, n, K) copy of the
+    gradients, so the node axis is contiguous."""
 
     def density(X, r, vals, grads):
         chi, dchi = bump.chi(X), bump.grad_chi(X)
-        entries = [d(X, r, vals, grads) for d in extra]
-        if outers:
-            P = np.einsum("nqak,nqbk->nab", grads, grads, optimize=True)
-            S = np.einsum("nqak->nak", grads)
-            W = np.einsum("nqb,nqak->nbak", vals, grads, optimize=True)
-            for t in outers:
-                paired = np.einsum("ab,nbak->nk", t.A, W, optimize=True) + \
-                    np.einsum("a,nak->nk", t.c, S)
-                entries.append(np.einsum("nk,nk->n", dchi, paired) +
-                               chi * np.einsum("ab,nab->n", t.A, P))
-        if inners:
-            T = np.einsum("nqmk,nqml->nkl", grads, grads, optimize=True)
-            trace = np.einsum("nkk->n", T)
-            for t in inners:
-                shifted = X @ t.J.T + t.c
-                entries.append(chi * (2.0 * np.einsum("kl,nkl->n", t.J, T) - trace * np.trace(t.J))
-                               + 2.0 * np.einsum("nk,nkl,nl->n", shifted, T, dchi, optimize=True)
-                               - trace * np.einsum("nk,nk->n", shifted, dchi))
-        return entries[0] if len(entries) == 1 else tuple(entries)
+        rows = [d(X, r, vals, grads) for d in extra]
+        G = np.ascontiguousarray(np.moveaxis(grads, 0, -1))
+        dchi = np.ascontiguousarray(dchi.T)
+        if outer:
+            slope = np.einsum("qakn,kn->qan", G, dchi)
+            coef = np.einsum("qakn,qbkn->abn", G, G)
+            coef *= chi
+            coef += np.einsum("qan,qbn->abn", slope, np.moveaxis(vals, 0, -1))
+            rows += [*coef.reshape(-1, X.shape[0]), *np.einsum("qan->an", slope)]
+        if inner:
+            coef = np.einsum("qakn,qaln->kln", G, G)
+            trace = np.einsum("kkn->n", coef)
+            E = 2.0 * np.einsum("kln,ln->kn", coef, dchi) - trace * dchi
+            coef *= 2.0 * chi
+            coef += E[:, None, :] * X.T[None, :, :]
+            diagonal = np.arange(X.shape[1])
+            coef[diagonal, diagonal] -= chi * trace
+            rows += [*coef.reshape(-1, X.shape[0]), *E]
+        return tuple(rows)
 
     return density
+
+
+def _contract(coef: np.ndarray, M: np.ndarray, c: np.ndarray) -> float:
+    """sum_ab M_ab coef_ab + sum_a c_a coef_a, coef the flat integrated rows
+    of one variation, by the pairwise tree."""
+    return tree_sum(np.concatenate([M.ravel(), c]) * coef)
+
+
+def _variations(f: QField, bump: RadialBump, quad: QuadratureSpec, outers=(), inners=(),
+                extra=()) -> tuple:
+    """The extra integrals, then the outer and the inner variations of the
+    tests under bump, from one sweep over its support: _cutoff_density's
+    rows are integrated once, then contracted with each test's data. Each
+    entry is bit for bit that of a sweep with its own test alone."""
+    totals = integrate_region(f, bump.support(f.n), quad,
+                              _cutoff_density(bump, bool(outers), bool(inners), extra),
+                              need_values=bool(outers or extra), breakpoints=bump.breakpoints())
+    split = len(extra) + (f.m * (f.m + 1) if outers else 0)
+    outer, inner = np.array(totals[len(extra):split]), np.array(totals[split:])
+    return (*totals[:len(extra)], *(_contract(outer, t.A, t.c) for t in outers),
+            *(_contract(inner, t.J, t.c) for t in inners))
 
 
 def outer_variation(f: QField, test: OuterTestField,
@@ -662,8 +781,7 @@ def outer_variation(f: QField, test: OuterTestField,
     Returns the integral of sum_i [ <D_x psi(x, f_i) : Df_i>
     + <D_u psi(x, f_i) Df_i : Df_i> ] over the support of the cutoff.
     """
-    return integrate_region(f, test.bump.support(f.n), quad, _cutoff_density(test.bump, [test]),
-                            breakpoints=test.bump.breakpoints())
+    return _variations(f, test.bump, quad, outers=[test])[0]
 
 
 def inner_variation(f: QField, test: InnerVectorField,
@@ -672,9 +790,7 @@ def inner_variation(f: QField, test: InnerVectorField,
 
     Returns 2 int sum_i <Df_i : Df_i Dphi> - int |Df|^2 div phi.
     """
-    return integrate_region(f, test.bump.support(f.n), quad,
-                            _cutoff_density(test.bump, inners=[test]), need_values=False,
-                            breakpoints=test.bump.breakpoints())
+    return _variations(f, test.bump, quad, inners=[test])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +863,7 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
             bump = RadialBump(0.15 * s, 0.3 * s, 0.6 * s, 0.9 * s)
     outers = outer_battery(bump, f.m)
     inners = inner_battery(bump, f.n)
-    support = bump.support(f.n)
-
-    def run(q: QuadratureSpec, *extra):
-        """The extra integrals, then the outer and the inner variations, all
-        from one sweep over the shared support."""
-        return integrate_region(f, support, q, _cutoff_density(bump, outers, inners, extra),
-                                breakpoints=bump.breakpoints())
-
-    dir_support, *variations = run(quad, _dirichlet_density)
+    dir_support, *variations = _variations(f, bump, quad, outers, inners, [_dirichlet_density])
     o_ref, i_ref = variations[:len(outers)], variations[len(outers):]
     threshold = max(STATIONARITY_REL_TOL * dir_support, 1e-15)
     pairs = {}
@@ -772,8 +880,8 @@ def stationarity_battery(f: QField, quad: QuadratureSpec = REFERENCE_QUAD,
     if refine:
         coarse = QuadratureSpec(radial_order=6, angular_nodes=24, polar_nodes=8)
         mid = QuadratureSpec(radial_order=10, angular_nodes=48, polar_nodes=12)
-        res_c = max(abs(v) for v in run(coarse))
-        res_m = max(abs(v) for v in run(mid))
+        res_c = max(abs(v) for v in _variations(f, bump, coarse, outers, inners))
+        res_m = max(abs(v) for v in _variations(f, bump, mid, outers, inners))
         floor = 1e-10 * (1.0 + dir_support)
         decay_ok = res_m <= max(0.25 * res_c, floor)
         decay = {"residual_coarse": res_c, "residual_mid": res_m, "floor": floor}

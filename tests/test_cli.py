@@ -618,7 +618,7 @@ def test_sweep_delta_and_kappa_grids(capsys, tmp_path):
     assert cases == {"carleman", "modified", "epiperimetric"}
 
 
-SWEEP_GOLDEN_CSV = "1626644e6f143db70257076e594629abd7a05fbff756e9582556598ca0a72acc"
+SWEEP_GOLDEN_CSV = "10bf49e3a49cd8488db8860e60a8d009f48145e9e69c592810114c5c9e29ab3f"
 SWEEP_GOLDEN_REPORT = "479b6db6d707e3e5bbf9c28d1ea5523555c088f577f4590d55b9adfc5757289d"
 
 
@@ -634,8 +634,11 @@ def test_sweep_golden_bytes(capsys, tmp_path):
     re-recorded when the modified check came to form its left side from the
     moment S = |Df . x - eta f|^2 of the shared integrand: the four modified
     rows moved, lhs and ratio by at most 3.8e-16 relative, and the branch:3/2
-    lhs near 1e-30, a cancellation, in its leading digits. Any change to a
-    row or report byte fails here."""
+    lhs near 1e-30, a cancellation, in its leading digits. It was
+    re-recorded when the integrand came to run once per radius on the
+    sphere moments: the harmonic:n2m1:x1 modified row at tau 2 moved its
+    lhs and ratio by one ulp each. Any change to a row or report byte
+    fails here."""
     cfg = _sweep_config(tmp_path, fields=["branch:3/2", "harmonic:n2m1:x1"],
                         taus=[1.5, 2.0], deltas=[0.02], kappas=[1.5])
     code, out, _ = run_cli(capsys, "sweep", "--config-sweep", str(cfg),

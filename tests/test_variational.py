@@ -41,7 +41,6 @@ from qvlab.variational import (
     integrate_region,
     inner_variation,
     l2_mass,
-    moment_density,
     outer_battery,
     outer_variation,
     sphere_integral,
@@ -259,6 +258,19 @@ def test_bump_derivative_matches_finite_differences():
     np.testing.assert_allclose(bump.dchi_r(r), fd, atol=1e-6)
 
 
+def test_bump_center_must_match_the_domain_dimension():
+    # a centre with another number of coordinates is refused, not moved to
+    # the origin; the all-zero default centre serves every dimension
+    bump = RadialBump(0.1, 0.2, 0.3, 0.4, center=(0.5, 0.0))
+    assert bump.support(2).center == (0.5, 0.0)
+    assert bump.chi(np.array([[0.75, 0.0]]))[0] == 1.0
+    for call in (lambda: bump.support(3), lambda: bump.chi(np.array([[0.75, 0.0, 0.0]]))):
+        with pytest.raises(variational.CutoffConstructionError,
+                           match=r"has 2 coordinates but the domain has dimension 3"):
+            call()
+    assert RadialBump(0.1, 0.2, 0.3, 0.4).support(3).center == (0.0, 0.0, 0.0)
+
+
 def test_bump_gradient_is_radial():
     bump = RadialBump(0.15, 0.3, 0.6, 0.9)
     X = np.array([[0.2, 0.1], [0.0, 0.75], [-0.5, 0.5]])
@@ -373,48 +385,136 @@ def _inner_reference(test, chi, dchi, X, grads):
     return stress - variational._dirichlet_density(X, None, None, grads) * div
 
 
+def _random_smooth_field(rng, q, m, n):
+    """A hand-built field whose values and gradients are independent smooth
+    functions with random coefficients, |.| <= 2: the battery's algebra
+    needs no relation between the two."""
+    a, b = rng.uniform(-1.5, 1.5, size=(n, q * m)), rng.uniform(-1.5, 1.5, size=q * m)
+    c, d = rng.uniform(-1.5, 1.5, size=(n, q * m * n)), rng.uniform(-1.5, 1.5, size=q * m * n)
+
+    def values(X):
+        return 2.0 * np.cos(X @ a + b).reshape(-1, q, m)
+
+    def gradients(X):
+        return 2.0 * np.sin(X @ c + d).reshape(-1, q, m, n)
+
+    return QField(n=n, m=m, q=q, tag="test:random", values_fn=values, gradients_fn=gradients)
+
+
+TINY = QuadratureSpec(radial_order=6, angular_nodes=16, polar_nodes=6)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
-def test_moment_entries_match_per_sheet_reference(q, m, n, seed):
-    # the four sheet moments give each node the per-sheet contraction,
-    # up to the rounding of a different summation order
+def test_contracted_entries_match_per_sheet_reference(q, m, n, seed):
+    # each entry contracted from the integrated coefficient rows is the
+    # integral of its per-sheet, per-test contraction, up to the rounding of
+    # a different summation order; and it is linear in the test's data
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-0.9, 0.9, size=(64, n))
-    vals = rng.uniform(-2.0, 2.0, size=(64, q, m))
-    grads = rng.uniform(-2.0, 2.0, size=(64, q, m, n))
-    A, c = rng.uniform(-1.5, 1.5, size=(m, m)), rng.uniform(-1.5, 1.5, size=m)
-    J, cx = rng.uniform(-1.5, 1.5, size=(n, n)), rng.uniform(-1.5, 1.5, size=n)
-    outer = variational.OuterTestField(BUMP, A, c, math.inf, math.inf, "outer:random")
-    inner = variational.InnerVectorField(BUMP, J, cx, "inner:random")
-    got = variational._cutoff_density(BUMP, [outer], [inner])(X, None, vals, grads)
-    chi, dchi = BUMP.chi(X), BUMP.grad_chi(X)
-    size = (1.0 + np.linalg.norm(X, axis=1)) * (1.0 + np.linalg.norm(dchi, axis=1))
-    g2 = np.einsum("nqmk,nqmk->n", grads, grads)
-    ug = np.sqrt(np.einsum("nqm,nqm->n", vals, vals) * g2)
-    pairs = ((_outer_reference(outer, chi, dchi, vals, grads),
-              size * (1.0 + np.linalg.norm(A) + np.linalg.norm(c)) * (g2 + ug)),
-             (_inner_reference(inner, chi, dchi, X, grads),
-              size * (1.0 + np.linalg.norm(J) + np.linalg.norm(cx)) * g2))
+    f = _random_smooth_field(rng, q, m, n)
+    (A1, A2), (c1, c2) = rng.uniform(-1.5, 1.5, size=(2, m, m)), rng.uniform(-1.5, 1.5, size=(2, m))
+    (J1, J2), (d1, d2) = rng.uniform(-1.5, 1.5, size=(2, n, n)), rng.uniform(-1.5, 1.5, size=(2, n))
+    outers = [variational.OuterTestField(BUMP, A, c, math.inf, math.inf, "outer:random")
+              for A, c in ((A1, c1), (A2, c2), (A1 + A2, c1 + c2))]
+    inners = [variational.InnerVectorField(BUMP, J, c, "inner:random")
+              for J, c in ((J1, d1), (J2, d2), (J1 + J2, d1 + d2))]
+    got = variational._variations(f, BUMP, TINY, outers, inners)
+
+    def integral(density):
+        return integrate_region(f, BUMP.support(n), TINY, density, breakpoints=BUMP.breakpoints())
+
+    def outer_pair(test):
+        def density(X, r, vals, grads):
+            chi, dchi = BUMP.chi(X), BUMP.grad_chi(X)
+            size = (1.0 + np.linalg.norm(X, axis=1)) * (1.0 + np.linalg.norm(dchi, axis=1))
+            g2 = np.einsum("nqmk,nqmk->n", grads, grads)
+            ug = np.sqrt(np.einsum("nqm,nqm->n", vals, vals) * g2)
+            return (_outer_reference(test, chi, dchi, vals, grads),
+                    size * (1.0 + np.linalg.norm(test.A) + np.linalg.norm(test.c)) * (g2 + ug))
+        return integral(density)
+
+    def inner_pair(test):
+        def density(X, r, vals, grads):
+            chi, dchi = BUMP.chi(X), BUMP.grad_chi(X)
+            size = (1.0 + np.linalg.norm(X, axis=1)) * (1.0 + np.linalg.norm(dchi, axis=1))
+            g2 = np.einsum("nqmk,nqmk->n", grads, grads)
+            return (_inner_reference(test, chi, dchi, X, grads),
+                    size * (1.0 + np.linalg.norm(test.J) + np.linalg.norm(test.c)) * g2)
+        return integral(density)
+
+    pairs = [outer_pair(t) for t in outers] + [inner_pair(t) for t in inners]
     for entry, (expected, scale) in zip(got, pairs):
-        assert np.all(np.abs(entry - expected) <= 1e-12 * scale)
+        assert abs(entry - expected) <= 1e-12 * scale
+    for first in (0, 3):
+        sum_scale = pairs[first][1] + pairs[first + 1][1]
+        assert abs(got[first + 2] - got[first] - got[first + 1]) <= 1e-12 * sum_scale
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 10 ** 6), st.sampled_from((2, 3)), st.floats(0.0, 3.0))
+def test_angular_sphere_moments_match_the_spectrum(seed, q, k):
+    # the seam of the two routes, radius by radius: the sphere moments that
+    # the angular rule hands an integrand are the spectrum's circle moments
+    f = random_wound_field(seed, q, 4, 1.8)
+    region = annulus((0.0, 0.0), 0.15, 0.6)
+    seen = []
+
+    def capture(r, mass, dirichlet, defect):
+        seen.append((r, mass, dirichlet, defect))
+        return mass
+
+    variational.moment_integrals(f, region, variational.REFERENCE_QUAD, capture, k)
+    spec = radial.spectrum(f, region.center)
+    assert seen
+    for r, *moments in seen:
+        for got, expected in zip(moments, spec.moments(r, k)):
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
 @settings(deadline=None, max_examples=10)
 @given(st.integers(0, 10 ** 6), st.sampled_from((2, 3)), st.floats(0.0, 3.0))
 def test_moment_density_and_spectrum_integrate_alike(seed, q, k):
     # the moment contract: one integrand of (M, D, S) integrates to the same
-    # numbers whether its moments come from the field node by node or from
-    # the field's spectrum as circle integrals
+    # numbers whether its moments come from the field on the angular rule
+    # or from the field's spectrum as circle integrals
     f = random_wound_field(seed, q, 4, 1.8)
     region = annulus((0.0, 0.0), 0.15, 0.6)
 
     def identity(r, mass, dirichlet, defect):
         return mass, dirichlet, defect
 
-    quadrature = integrate_region(f, region, variational.REFERENCE_QUAD,
-                                  moment_density(identity, region.center, k))
+    quadrature = variational.moment_integrals(f, region, variational.REFERENCE_QUAD, identity, k)
     closed = radial.integrals(radial.spectrum(f, region.center), region, (), identity, k)
     assert quadrature == pytest.approx(closed, rel=1e-10)
+
+
+def test_quadrature_route_hands_the_integrand_radii_only():
+    # a deterministic count: at radial 8 x angular 32 the integrand runs once
+    # per panel on that panel's radial nodes, with no angular factor; the
+    # closed form runs it on its own 64-node panels
+    f = parse_field_spec("branch:3/2")
+    cutoff = carleman.linear_cutoff(0.1, 0.2, 0.4, 0.8)
+    region, bps = cutoff.support(2), cutoff.breakpoints()
+    sizes = []
+
+    def counted(r, mass, dirichlet, defect):
+        sizes.append(r.size)
+        return cutoff.chi_r(r) * defect, mass
+
+    variational._two_routes(f, region, bps, counted, 1.5, COARSE)
+    panels = variational._radial_panels(0.1, 0.8, bps)
+    assert len(panels) == 3
+    assert sizes == [COARSE.radial_order] * 3 + [radial.CLOSED_FORM_ORDER] * 3
+    assert sum(sizes[:3]) == 24
+    # the graded ball on the branch point: radial order times the grading 2
+    sizes.clear()
+    variational.moment_integrals(f, ball((0.0, 0.0), 0.8), COARSE, counted, 1.5)
+    assert sizes == [16]
+    # three dimensions: 32 x 32 directions per radius, still radii only
+    sizes.clear()
+    g = parse_field_spec("harmonic:n3m1:x1*x2|x3")
+    variational.moment_integrals(g, annulus((0.0, 0.0, 0.0), 0.1, 0.8), COARSE, counted, 1.0, bps)
+    assert sizes == [8] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +674,8 @@ COARSE = QuadratureSpec(radial_order=8, angular_nodes=32)
 def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradients=True,
                     breakpoints=()):
     """integrate_region on an annulus with one field call per panel, as a
-    bit-exact reference; the field is evaluated as integrate_region does it."""
+    bit-exact reference; the field is evaluated as integrate_region does it,
+    and each entry of a tuple density is summed on its own."""
     from qvlab.variational import _angular_nodes, _evaluate, _leggauss, _radial_panels
 
     inner, outer = region.radii
@@ -590,8 +691,11 @@ def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradient
         r = np.repeat(rr, dirs.shape[0])
         w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
         vals, grads = _evaluate(f, center, X, rr, dirs, need_values, need_gradients)
-        contributions.append(tree_sum(density(X, r, vals, grads) * w))
-    return tree_sum(contributions)
+        dens = density(X, r, vals, grads)
+        single = not isinstance(dens, tuple)
+        contributions.append([tree_sum(d * w) for d in ((dens,) if single else dens)])
+    totals = tuple(tree_sum(col) for col in zip(*contributions))
+    return totals[0] if single else totals
 
 
 def _counted_density(density):
@@ -753,21 +857,35 @@ def _stacked(*densities):
 def test_tuple_density_matches_separate_calls_on_annulus():
     f = make_branch_field(3, 2)
     region = annulus((0.0, 0.0), 0.15, 0.9)
-    outer, inner = outer_battery(BUMP, 2)[0], inner_battery(BUMP, 2)[1]
-
-    parts = [variational._dirichlet_density, variational._mass_density,
-             variational._cutoff_density(BUMP, [outer]),
-             variational._cutoff_density(BUMP, inners=[inner])]
+    parts = [variational._dirichlet_density, variational._mass_density]
     got = integrate_region(f, region, QUAD, _stacked(*parts), breakpoints=BUMP.breakpoints())
     assert isinstance(got, tuple) and len(got) == len(parts)
     expected = tuple(integrate_region(f, region, QUAD, d, breakpoints=BUMP.breakpoints())
                      for d in parts)
     assert got == expected
-    # the one-cutoff density of the battery gives the same entries in the same order
-    shared = variational._cutoff_density(BUMP, [outer], [inner], parts[:2])
-    assert integrate_region(f, region, QUAD, shared, breakpoints=BUMP.breakpoints()) == expected
+    # the one-cutoff sweep of the battery gives the same entries in the same
+    # order, and each variation bit for bit as when it is called alone
+    outers, inners = outer_battery(BUMP, 2), inner_battery(BUMP, 2)
+    shared = variational._variations(f, BUMP, QUAD, outers, inners, parts)
+    assert shared == expected + tuple(outer_variation(f, t, QUAD) for t in outers) + \
+        tuple(inner_variation(f, t, QUAD) for t in inners)
+    pairs = stationarity_battery(f, QUAD, BUMP, refine=False).quantities
+    assert [pairs["pair_o%d_i1" % (a + 1)]["outer"] for a in range(3)] == list(shared[2:5])
+    assert [pairs["pair_o1_i%d" % (b + 1)]["inner"] for b in range(4)] == list(shared[5:])
     # a single-array density still returns a plain float
     assert type(integrate_region(f, region, QUAD, parts[0])) is float
+
+
+def test_tuple_density_rows_are_summed_in_groups_bit_for_bit():
+    # more entries than one stacked group of rows: each entry is still its
+    # own tree_sum, bit for bit a separate call
+    f = make_branch_field(3, 2)
+    region = annulus((0.0, 0.0), 0.15, 0.9)
+    parts = [lambda X, r, vals, grads, p=p: variational._mass_density(X, r, vals, grads) * r ** p
+             for p in range(2 * variational._ROW_GROUP + 3)]
+    got = integrate_region(f, region, COARSE, _stacked(*parts), need_gradients=False)
+    assert got == tuple(integrate_region(f, region, COARSE, d, need_gradients=False)
+                        for d in parts)
 
 
 def test_tuple_density_entries_stop_early_on_their_own():
