@@ -10,11 +10,14 @@ dimensions the angular factor becomes a Gauss-Legendre rule in the polar
 cosine times a trapezoid in azimuth. Summation is a fixed-order pairwise
 tree so results are bit-reproducible regardless of worker count.
 
-Work that depends on one factor of the rule runs once per value of it. A
-weighted check's integrand of the sheet moments (moment_integrals) runs
-once per radius, on the moments summed over that radius's directions. The
-first variations (_variations) integrate per-node coefficient rows once and
-contract them with each deformation's affine data afterwards.
+Every region integral is reduced in one order: each per-node entry is
+summed over each radius's directions with the angular weights, then over
+the radii of its panel with the radial weights times r^(n-1), then over the
+panels. Work that depends on one factor of the rule runs once per value of
+it. A weighted check's integrand of the sheet moments (moment_integrals)
+runs once per radius, between the first two sums. The first variations
+(_variations) integrate per-node coefficient rows once and contract them
+with each deformation's affine data afterwards.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ import numpy as np
 
 from .fields import QField
 from .report import CheckReport
-
-BRANCH_CLEARANCE = 1e-4
-
 
 class RegionBranchError(ValueError):
     """Integration region passes through an off-center declared branch point."""
@@ -205,24 +205,27 @@ def _graded_rule(b: float, p: int, quad: QuadratureSpec):
     return b * u ** p, 0.5 * w * p * b * u ** (p - 1)
 
 
-def _guard_branch(f: QField, region: Region) -> None:
+def _guard_branch(f: QField, region: Region) -> bool:
+    """Whether region is centred on a branch point of f, which its graded
+    panel handles. RegionBranchError when the region passes through another
+    branch point, ValueError when it leaves the field's domain."""
     inner, outer = region.radii
     c = region.center_array
+    centred = False
     for b in f.branch_set:
         d = float(np.linalg.norm(np.asarray(b, dtype=float) - c))
         if d <= 1e-12 * (1.0 + outer):
-            continue  # centered branch point: handled by the graded panel
-        if inner + 1e-12 < d < outer - 1e-12:
-            raise RegionBranchError(
-                "region %s/%r passes through branch point at distance %g from its "
-                "center; exclude it (clearance %g) or center the region on it"
-                % (region.kind, region.radii, d, BRANCH_CLEARANCE)
-            )
+            centred = True
+        elif inner + 1e-12 < d < outer - 1e-12:
+            raise RegionBranchError("region %s/%r passes through branch point at distance %g "
+                                    "from its center; exclude it or center the region on it"
+                                    % (region.kind, region.radii, d))
     if math.isfinite(f.domain_radius):
         reach = float(np.linalg.norm(c)) + outer
         if reach > f.domain_radius + 1e-12:
             raise ValueError("region reaches radius %g outside the field domain %g"
                              % (reach, f.domain_radius))
+    return centred
 
 
 _ANGULAR_CACHE: dict = {}
@@ -257,11 +260,6 @@ def _angular_nodes(n: int, quad: QuadratureSpec):
     return dirs, w
 
 
-def _panel_nodes(n: int, quad: QuadratureSpec) -> int:
-    """Quadrature nodes in one radial panel: radial order times the sphere factor."""
-    return quad.radial_order * quad.angular_nodes * (quad.polar_nodes if n == 3 else 1)
-
-
 def _entries(dens):
     """A density result as a tuple of per-node arrays, and whether it was one array."""
     if isinstance(dens, tuple):
@@ -269,49 +267,18 @@ def _entries(dens):
     return (dens,), True
 
 
-# entries of a tuple density summed at a time: padded rows for all of the
-# battery's entries at once would raise its memory peak (tracemalloc, one
-# REFERENCE_QUAD battery on branch:3/2: 2.09 MB with 4 rows, 2.32 MB with 8)
-_ROW_GROUP = 4
-
-
-def _weighted_sums(pieces) -> list:
-    """tree_sum(entry * w) of every entry of one panel, bit for bit, from its
-    pieces (w, entries): the products are written piece by piece into
-    zero-padded rows, _ROW_GROUP entries at a time, and summed by
-    _row_sums."""
-    size = sum(w.size for w, _ in pieces)
-    width, count = 1 << (size - 1).bit_length(), len(pieces[0][1])
-    if count == 1:  # a 1-D row: each level of its tree costs less than in 2-D
-        row, start = np.zeros(width), 0
-        for w, (entry,) in pieces:
-            np.multiply(entry, w, out=row[start:start + w.size])
-            start += w.size
-        return [float(_row_sums(row))]
-    sums = []
-    for g in range(0, count, _ROW_GROUP):
-        rows = np.zeros((min(_ROW_GROUP, count - g), width))
-        start = 0
-        for w, entries in pieces:
-            for row, entry in zip(rows, entries[g:g + _ROW_GROUP]):
-                np.multiply(entry, w, out=row[start:start + w.size])
-            start += w.size
-        sums += _row_sums(rows).tolist()
-    return sums
-
-
-def _panel_sums(parts, integrand, n: int, single: bool):
-    """The sums of one panel's entries from its pieces, and whether there was
-    one entry. Pieces (weights, per-node entries) are summed as they are;
-    pieces (radii, radial weights, sphere moments) give integrand(radii,
-    *moments) with the weights wr r^(n-1)."""
-    if integrand is None:
-        return _weighted_sums(parts), single
-    radii, wrad, moments = zip(*parts)
-    radii = _joined(radii)
-    values, single = _entries(integrand(radii, *(None if col[0] is None else _joined(col)
-                                                 for col in zip(*moments))))
-    return _weighted_sums([(_joined(wrad) * radii ** (n - 1), values)]), single
+def _product_sums(pairs) -> np.ndarray:
+    """The sums of the rows of x * w over pairs (x, w), x 2-D with rows of
+    w.size values, stacked pair after pair, each bit for bit tree_sum of its
+    row: one block of the products, zero-padded to a power of two at least
+    as wide as every w, summed by _row_sums."""
+    block = np.zeros((sum(len(x) for x, _ in pairs),
+                      1 << (max(w.size for _, w in pairs) - 1).bit_length()))
+    start = 0
+    for x, w in pairs:
+        np.multiply(x, w, out=block[start:start + len(x), :w.size])
+        start += len(x)
+    return _row_sums(block)
 
 
 def _joined(pieces):
@@ -337,19 +304,17 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     density receives the sample points (K, n), their radii about the region
     center, sheet values (K, q, m) and gradients (K, q, m, n) (None when not
     requested) and returns a per-node scalar array, or a tuple of such
-    arrays. A single array gives a float. A tuple gives a tuple of floats,
-    one per entry, from one sweep over the panels: each entry keeps its own
-    panel sums, so each result is bit for bit the one a separate call with
-    that entry alone would return. The weighted entries are written into
-    zero-padded rows, _ROW_GROUP entries at a time, and summed row by row by
-    the pairwise tree of tree_sum.
+    arrays (an entry None for an integrand that reads none). A single array
+    gives a float. A tuple gives a tuple of floats, one per entry, from one
+    sweep over the panels: each entry keeps its own sums, so each result is
+    bit for bit the one a separate call with that entry alone would return.
 
-    With integrand (the moment route of moment_integrals), density returns
-    per-node moments, an entry None where there is none. They are summed
-    first over each radius's directions with the angular weights, by the
-    same tree, and integrand(radii, *moments) runs once per panel on the
-    panel's radial nodes; its entries, weighted by wr r^(n-1), give the
-    integrals. So no angular factor reaches integrand.
+    Every entry is reduced in one order, each sum by the pairwise tree of
+    tree_sum: over each radius's directions with the angular weights; then,
+    for each entry of integrand(radii, *sums), run once per panel on its
+    radial nodes, over those radii with the weights wr r^(n-1); then over
+    the panels. Without integrand the sphere sums themselves, in the form
+    density returned them, take the radial rule.
 
     The region is checked against the field's branch points and domain
     before the field is evaluated. Its panels are those of _region_panels,
@@ -358,8 +323,8 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     branch point and by 1 otherwise. The field is evaluated in blocks of at
     most max(one REFERENCE_QUAD panel, one panel of quad) nodes: consecutive
     geometric panels, or a graded panel in slices of whole radial nodes.
-    density runs per panel or slice, the summation per panel, so the
-    results do not depend on the block size.
+    density and the sums over directions run per panel or slice, the radial
+    rule per panel, so the results do not depend on the block size.
 
     On a region centred exactly at the origin, a field with polar is
     evaluated by one polar call per block on its radii and the rule's
@@ -367,53 +332,54 @@ def integrate_region(f: QField, region: Region, quad: QuadratureSpec, density: C
     take values_fn and gradients_fn on the block's nodes X. X and r reach
     density either way.
     """
-    _guard_branch(f, region)
+    centred = _guard_branch(f, region)
     center = region.center_array
-    tol = 1e-12 * (1.0 + region.radii[1])
-    centred = any(np.linalg.norm(np.asarray(b, dtype=float) - center) <= tol for b in f.branch_set)
     panels = _region_panels(region, breakpoints, centred)
 
     dirs, wdir = _angular_nodes(f.n, quad)
+    ndir = dirs.shape[0]
     xg, wg = _leggauss(quad.radial_order)
-    per_panel = xg.size * dirs.shape[0]
-    budget = max(_panel_nodes(f.n, REFERENCE_QUAD), per_panel)
+    per_panel = xg.size * ndir
+    budget = max(REFERENCE_QUAD.radial_order * len(_angular_nodes(f.n, REFERENCE_QUAD)[0]),
+                 per_panel)
     # a block is a list of (radii, weights, closes its panel)
     plain = [(a, b) for a, b in panels if a > 0.0]
     blocks = [[(0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg, True)
                for a, b in plain[k:k + budget // per_panel]]
               for k in range(0, len(plain), budget // per_panel)]
-    step = budget // dirs.shape[0]
+    step = budget // ndir
     for b in [b for a, b in panels if a == 0.0]:
         rr, wr = _graded_rule(b, f.radial_grading if centred else 1, quad)
         blocks += [[(rr[k:k + step], wr[k:k + step], k + step >= rr.size)]
                    for k in range(0, rr.size, step)]
 
-    ndir = dirs.shape[0]
-    sums, parts, single = [], [], True
+    # without integrand the sphere sums themselves, one array if density gave one
+    reduce = integrand or (lambda radii, *sums: sums[0] if single else sums)
+    panel_rows, parts = [], []
     for block in blocks:
-        rr, wr = (np.concatenate(col) for col in list(zip(*block))[:2])
-        ends = np.cumsum([0] + [piece[0].size for piece in block])
+        rr = _joined([radii for radii, _, _ in block])
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
         r = np.repeat(rr, ndir)
-        if integrand is None:
-            w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
         vals, grads = _evaluate(f, center, X, rr, dirs, need_values, need_gradients)
-        for k, (_, _, closes) in enumerate(block):
-            t = slice(ends[k], ends[k + 1])
-            s = slice(ends[k] * ndir, ends[k + 1] * ndir)
+        lo = 0
+        for radii, wr, closes in block:
+            s = slice(lo, lo + radii.size * ndir)
+            lo = s.stop
             dens, single = _entries(density(X[s], r[s], None if vals is None else vals[s],
                                             None if grads is None else grads[s]))
-            if integrand is None:
-                parts.append((w[s], dens))
-            else:
-                parts.append((rr[t], wr[t], [None if d is None else
-                                             _row_sums(d.reshape(-1, ndir) * wdir) for d in dens]))
+            sphere = iter(_product_sums([(d.reshape(radii.size, ndir), wdir) for d in dens
+                                         if d is not None]).reshape(-1, radii.size))
+            parts.append((radii, wr, [None if d is None else next(sphere) for d in dens]))
             del dens  # else it stays alive through the next block's field evaluation
             if closes:
-                panel, single = _panel_sums(parts, integrand, f.n, single)
-                sums.append(panel)
+                radii, wr, sphere = zip(*parts)
+                radii = _joined(radii)
+                values, single = _entries(reduce(radii, *(None if col[0] is None else _joined(col)
+                                                          for col in zip(*sphere))))
+                panel_rows.append((np.array(values), _joined(wr) * radii ** (f.n - 1)))
                 parts = []
-    totals = tuple(_row_sums(np.array(sums).T).tolist())
+    sums = _product_sums(panel_rows).reshape(len(panel_rows), -1)
+    totals = tuple(_row_sums(sums.T).tolist())
     return totals[0] if single else totals
 
 
@@ -482,9 +448,9 @@ def moment_integrals(f: QField, region: Region, quad: QuadratureSpec, integrand:
                      k: float | None = None, breakpoints=()) -> tuple:
     """The integrals over region of integrand(r, M, D, S) r^(n-1) dr, one per
     array integrand returns, with M, D and S the sphere moments of
-    moment_density about the region's center: integrate_region sums the
-    per-node moments over each radius's directions, then integrand runs once
-    per panel on the panel's radii."""
+    moment_density about the region's center: integrate_region's reduction,
+    with integrand run once per panel on the panel's radii between the sums
+    over each radius's directions and the radial rule."""
     return integrate_region(f, region, quad, moment_density(region.center, k),
                             breakpoints=breakpoints, integrand=integrand)
 

@@ -102,14 +102,12 @@ class BoundaryTrace:
         return self.values.shape[1]
 
     @classmethod
-    def sample(cls, f: QField, n_nodes: int, radius: float = 1.0,
-               center=(0.0, 0.0)) -> "BoundaryTrace":
+    def sample(cls, f: QField, n_nodes: int) -> "BoundaryTrace":
+        """The trace of f on n_nodes uniform nodes of the unit circle about the origin."""
         if f.n != 2:
             raise FieldSpecError("circle traces require a planar domain")
         theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-        center = np.asarray(center, dtype=float)
-        X = center[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return cls(theta=theta, values=f.values(X))
+        return cls(theta=theta, values=f.values(np.stack([np.cos(theta), np.sin(theta)], axis=1)))
 
 
 @dataclass(frozen=True)

@@ -517,6 +517,24 @@ def test_quadrature_route_hands_the_integrand_radii_only():
     assert sizes == [8] * 3
 
 
+@pytest.mark.parametrize("spec,region", [
+    ("branch:3/2", ball((0.0, 0.0), 0.5)),
+    ("branch:3/2", annulus((0.3, 0.1), 0.02, 0.25)),
+    ("harmonic:n3m1:x1*x2|x3", annulus((0.0, 0.0, 0.0), 0.1, 0.8)),
+])
+def test_density_and_moment_routes_are_one_reduction(spec, region):
+    # a branch-centred ball (one graded panel), an off-centre annulus
+    # (geometric panels, scattered evaluation) and a 3-D annulus: a density
+    # without an integrand is reduced as the moment route reduces it under
+    # the identity integrand, sphere sums per radius and then the radial
+    # rule, bit for bit
+    f = parse_field_spec(spec)
+    density = variational.moment_density(region.center, 1.5)
+    plain = integrate_region(f, region, COARSE, density)
+    moments = variational.moment_integrals(f, region, COARSE, lambda r, M, D, S: (M, D, S), 1.5)
+    assert plain == moments
+
+
 # ---------------------------------------------------------------------------
 # stationarity battery and Caccioppoli reports
 
@@ -675,7 +693,8 @@ def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradient
                     breakpoints=()):
     """integrate_region on an annulus with one field call per panel, as a
     bit-exact reference; the field is evaluated as integrate_region does it,
-    and each entry of a tuple density is summed on its own."""
+    and each entry of a tuple density is summed on its own by
+    _radius_by_radius."""
     from qvlab.variational import _angular_nodes, _evaluate, _leggauss, _radial_panels
 
     inner, outer = region.radii
@@ -689,13 +708,21 @@ def _panel_by_panel(f, region, quad, density, *, need_values=True, need_gradient
         wr = 0.5 * (b - a) * wg
         X = (center[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
         r = np.repeat(rr, dirs.shape[0])
-        w = (wr[:, None] * rr[:, None] ** (f.n - 1) * wdir[None, :]).ravel()
         vals, grads = _evaluate(f, center, X, rr, dirs, need_values, need_gradients)
         dens = density(X, r, vals, grads)
         single = not isinstance(dens, tuple)
-        contributions.append([tree_sum(d * w) for d in ((dens,) if single else dens)])
+        contributions.append([_radius_by_radius(d, wdir, rr, wr, f.n)
+                              for d in ((dens,) if single else dens)])
     totals = tuple(tree_sum(col) for col in zip(*contributions))
     return totals[0] if single else totals
+
+
+def _radius_by_radius(d, wdir, rr, wr, n):
+    """The sum of one panel's per-node entry d in integrate_region's order:
+    tree_sum over each radius's directions with the angular weights, then
+    tree_sum over the radii with the weights wr r^(n-1)."""
+    sphere = np.array([tree_sum(row * wdir) for row in d.reshape(rr.size, -1)])
+    return tree_sum(sphere * (wr * rr ** (n - 1)))
 
 
 def _counted_density(density):
@@ -826,14 +853,15 @@ def test_sliced_graded_panel_is_one_panel_bit_for_bit():
     # the 60 x 256 graded panel of the reference rule is evaluated in three
     # 5120-node slices, yet summed as one panel: the energy is bit for bit
     # one field call over the whole panel, on the integrator's path (the
-    # field's polar grid), and one tree_sum
+    # field's polar grid), summed over each radius's directions, then over
+    # the 60 radii by one tree_sum
     f = _winding3_wound_field()
     rr, wr = variational._graded_rule(0.7, 3, QUAD)
     dirs, wdir = variational._angular_nodes(2, QUAD)
     X = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-    w = (wr[:, None] * rr[:, None] * wdir[None, :]).ravel()
     grads = variational._evaluate(f, np.zeros(2), X, rr, dirs, False, True)[1]
-    expected = tree_sum(variational._dirichlet_density(X, None, None, grads) * w)
+    expected = _radius_by_radius(variational._dirichlet_density(X, None, None, grads),
+                                 wdir, rr, wr, 2)
     g, calls = _counted_field(f)
     density, seen = _counted_density(_stacked(variational._mass_density,
                                               variational._dirichlet_density))
@@ -877,12 +905,12 @@ def test_tuple_density_matches_separate_calls_on_annulus():
 
 
 def test_tuple_density_rows_are_summed_in_groups_bit_for_bit():
-    # more entries than one stacked group of rows: each entry is still its
-    # own tree_sum, bit for bit a separate call
+    # eleven entries summed in one block: each entry is still its own
+    # tree_sum, bit for bit a separate call
     f = make_branch_field(3, 2)
     region = annulus((0.0, 0.0), 0.15, 0.9)
     parts = [lambda X, r, vals, grads, p=p: variational._mass_density(X, r, vals, grads) * r ** p
-             for p in range(2 * variational._ROW_GROUP + 3)]
+             for p in range(11)]
     got = integrate_region(f, region, COARSE, _stacked(*parts), need_gradients=False)
     assert got == tuple(integrate_region(f, region, COARSE, d, need_gradients=False)
                         for d in parts)
